@@ -1,6 +1,7 @@
 """Command-line front end: table and figure data files, plus the verification run.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.  All outputs are
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 out of memory
+or recursion depth (a smaller n may fit).  All outputs are
 byte-stable for fixed inputs: integers everywhere except the plotdata ratios,
 "." decimals, "\\n" line endings, no timestamps.
 """
@@ -39,13 +40,16 @@ def render_intervals(n: int) -> str:
 
 
 def render_conditional(n: int) -> str:
+    def value(l: int) -> int:
+        return cf.conditional_lambda(cf.FaultPattern.SUPER_DEGREE, l, n)
+
     lines = ["l,value"]
     for l in range(2, n):
-        lines.append(f"{l},{(n - l) << l}")
+        lines.append(f"{l},{value(l)}")
     lines.append(f"cyclic,{cf.cyclic_lambda(n)}")
     # l = 0 and 1 supplements for the degree/size patterns
-    lines.append(f"remark_l0,{n + 1}")
-    lines.append(f"remark_l1,{2 * n}")
+    lines.append(f"remark_l0,{value(0)}")
+    lines.append(f"remark_l1,{value(1)}")
     return "\n".join(lines) + "\n"
 
 
@@ -149,6 +153,8 @@ def main(argv: list[str] | None = None) -> int:
                     raise ValueError(f"plotdata needs 3 <= n <= 24, got {n}")
             _write(args.out, render_plotdata(args.n))
         elif args.command == "verify":
+            if args.seeds < 0:
+                raise ValueError(f"verify needs --seeds >= 0, got {args.seeds}")
             budget = oc.OracleBudget(node_limit=args.budget_nodes)
             report = oc.verify_member(args.n, list(range(1, args.seeds + 1)), budget)
             _write(args.out, report.to_text())
@@ -157,6 +163,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"k4rel: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError) as exc:
+        print(f"k4rel: {args.command} ran out of resources ({type(exc).__name__});"
+              " a smaller n may fit", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -78,12 +78,19 @@ def ex_qn(m: int, n: int) -> int:
     """Densest m-subset degree sum in the hypercube (independent of n)."""
     if not 0 <= m <= (1 << n):
         raise ValueError(f"m must be in [0, {1 << n}], got {m}")
+    return _hypercube_sum(m)
+
+
+def _hypercube_sum(m: int) -> int:
+    """Sum of (t + 2i) * 2**t over the exponents t of m, the i-th from the top."""
     if m == 0:
         return 0
-    d = decompose(m)
-    return sum(t << t for t in d.exponents) + sum(
-        2 * i * (1 << t) for i, t in enumerate(d.exponents)
-    )
+    return sum((t + 2 * i) << t for i, t in enumerate(decompose(m).exponents))
+
+
+def _f(m: int) -> int:
+    """f(m) without the range check: the hypercube sum + 4*floor(m/4), + 2 if m = 3 (mod 4)."""
+    return _hypercube_sum(m) + 4 * (m >> 2) + (2 if m & 3 == 3 else 0)
 
 
 def xi_qn(m: int, n: int) -> int:
@@ -97,14 +104,7 @@ def f_value(m: int) -> int:
     """Densest m-subset degree sum in any K4-hypercube member; always even."""
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    if m == 0:
-        return 0
-    d = decompose(m)
-    p, q = divmod(m, 4)
-    base = sum(t << t for t in d.exponents) + sum(
-        2 * i * (1 << t) for i, t in enumerate(d.exponents)
-    )
-    return base + 4 * p + (2 if q == 3 else 0)
+    return _f(m)
 
 
 def ex_h4(m: int, n: int) -> int:
@@ -118,7 +118,7 @@ def xi_h4(m: int, n: int) -> int:
     """Isoperimetric optimum of an n-dimensional member: (n+1)*m - f(m)."""
     if not 1 <= m <= (1 << n) - 1:
         raise ValueError(f"m must be in [1, {(1 << n) - 1}], got {m}")
-    return (n + 1) * m - f_value(m)
+    return (n + 1) * m - _f(m)
 
 
 def _f_steps(limit: int):
@@ -202,12 +202,61 @@ def concentration_intervals(n: int) -> list[ConcentrationInterval]:
     return list(_intervals(n))
 
 
+def _xi_term(t: int, i: int, n: int) -> int:
+    """The term of xi_m for m's bit t when i higher bits of m are set."""
+    return (n + 1 - t - 2 * i - (t >= 2)) << t
+
+
+@lru_cache(maxsize=8)
+def _cheapest_low_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """low[j][i] = least sum of xi terms over m's bits below its set bit j, i bits above them.
+
+    Over m's set bits t_0 > t_1 > ..., the terms _xi_term(t_k, k, n) sum to xi_m,
+    but for the -2 when m = 3 (mod 4): below a set bit 1, bit 0 is worth 2 less.
+    Only i + j <= n - 1 occurs for m < 2**(n-1), so row j has n - j entries.
+    """
+    low = [(0,) * n, tuple(min(0, _xi_term(0, i, n) - 2) for i in range(n - 1))]
+    free = tuple(min(0, _xi_term(0, i, n)) for i in range(n - 1))  # bit 1 clear
+    for j in range(2, n - 1):
+        free = tuple(min(free[i], _xi_term(j - 1, i, n) + low[j - 1][i + 1])
+                     for i in range(n - j))
+        low.append(free)
+    return tuple(low)
+
+
+def _lambda_digit_dp(h: int, n: int) -> int:
+    """min of xi_m over h <= m <= 2**(n-1), by one walk down the bits of h.
+
+    Besides m = h and m = 2**(n-1), every candidate agrees with h above some
+    0-bit j of h, sets bit j, and takes the cheapest bits below j.  O(n)
+    big-integer steps per query after the O(n**2) table of the dimension.
+    """
+    half = 1 << (n - 1)
+    best = xi_h4(half, n)
+    if h == half:
+        return best
+    low = _cheapest_low_bits(n)
+    prefix = ones = 0  # the xi terms and the number of h's bits above j
+    for j in range(n - 2, -1, -1):
+        term = _xi_term(j, ones, n)
+        if h >> j & 1:
+            prefix += term
+            ones += 1
+        elif j:
+            best = min(best, prefix + term + low[j][ones + 1])
+        else:  # m = 3 (mod 4) when h has bit 1
+            best = min(best, prefix + term - 2 * (h >> 1 & 1))
+    return min(best, prefix - 2 * (h & 3 == 3))
+
+
 def lambda_fast(h: int, n: int) -> int:
     """h-extra edge-connectivity via the piecewise closed form.
 
-    Monotone range: lambda_h = xi_h.  Concentration intervals: the constant
-    (floor(n/2)-t) * 2**(ceil(n/2)+t).  Tail h >= floor(2**(n-1)/3): 2**(n-1).
-    The few h outside all three regimes fall back to the defining scan.
+    Monotone range h <= 2**ceil(n/2) - 2 - gamma(n): lambda_h = xi_h.
+    Concentration intervals: the constant (floor(n/2)-t) * 2**(ceil(n/2)+t);
+    the last one is [floor(2**(n-1)/3), 2**(n-1)], where lambda_h = 2**(n-1).
+    Every other h is answered exactly by a digit DP over the bits of h: O(n)
+    big-integer steps per query, after an O(n**2) table built once per n.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -219,9 +268,7 @@ def lambda_fast(h: int, n: int) -> int:
     for interval in _intervals(n):
         if interval.lower <= h <= interval.upper:
             return interval.value
-    if h >= half // 3:
-        return half
-    return lambda_scan(h, n)
+    return _lambda_digit_dp(h, n)
 
 
 def conditional_lambda(pattern: FaultPattern, l: int, n: int) -> int:

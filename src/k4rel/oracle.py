@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .closed_form import FaultPattern, cyclic_lambda, f_value, lambda_scan
+from .closed_form import (
+    FaultPattern,
+    conditional_lambda,
+    cyclic_lambda,
+    f_value,
+    lambda_fast,
+    lambda_scan,
+    xi_h4,
+)
 from .cube_graph import (
     CubeGraph,
     boundary_size,
@@ -570,7 +578,12 @@ def _guarded(entries, member, quantity, inp, closed, search):
 def verify_member(
     n: int, member_seeds: list[int], budget: OracleBudget = DEFAULT_BUDGET
 ) -> VerificationReport:
-    """Cross-check every closed form against brute force on concrete members."""
+    """Cross-check every closed form against brute force on concrete members.
+
+    The closed values are those the package serves: lambda_h comes from
+    `lambda_fast`, and a disagreement with its defining minimum `lambda_scan`
+    is a failing "lambda_scan" row, found also where the brute search is skipped.
+    """
     if not 3 <= n <= 5:
         raise ValueError(f"n must be in [3, 5], got {n}")
     members = [("canonical", canonical_member(n))]
@@ -584,13 +597,16 @@ def verify_member(
         for m in range(1, half + 1):
             _guarded(entries, name, "ex", str(m), f_value(m),
                      lambda g=g, m=m: brute_ex(g, m, budget))
-            closed_xi = (n + 1) * m - f_value(m)
+            closed_xi = xi_h4(m, n)
             _guarded(entries, name, "xi", str(m), closed_xi,
                      lambda g=g, m=m: brute_xi(g, m, budget))
             _guarded(entries, name, "xi_e", str(m), closed_xi,
                      lambda g=g, m=m: brute_xi_unconstrained(g, m, budget))
         for h in range(1, half + 1):
-            _guarded(entries, name, "lambda", str(h), lambda_scan(h, n),
+            closed, defined = lambda_fast(h, n), lambda_scan(h, n)
+            if closed != defined:  # the served value must equal its defining minimum
+                entries.append(CheckEntry(name, "lambda_scan", str(h), closed, defined, False))
+            _guarded(entries, name, "lambda", str(h), closed,
                      lambda g=g, h=h: brute_lambda_h(g, h, budget))
         for l in range(2, n):
             for pattern in (
@@ -600,7 +616,7 @@ def verify_member(
                 FaultPattern.EMBEDDED,
             ):
                 _guarded(entries, name, f"cond_{pattern.name.lower()}", str(l),
-                         (n - l) << l,
+                         conditional_lambda(pattern, l, n),
                          lambda g=g, p=pattern, l=l: brute_conditional(g, p, l, budget))
         _guarded(entries, name, "cyclic", "-", cyclic_lambda(n),
                  lambda g=g: brute_cyclic(g, budget))

@@ -1,6 +1,10 @@
 """CLI tests: golden outputs, byte stability, and exit codes."""
 
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +68,19 @@ class TestScalarCommands:
     def test_lambda(self, capsys):
         assert run(["lambda", "--n", "7", "--h", "13"], capsys) == (0, "48\n", "")
         assert run(["lambda", "--n", "6", "--h", "6"], capsys) == (0, "24\n", "")
+
+    def test_lambda_under_2gb_address_space(self):
+        # a fall-through h at n=40: the defining scan would need a 2^39-entry table
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "k4rel.cli", "lambda", "--n", "40", "--h", "1048577"],
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "20971559\n", "")
 
     def test_lambda_bad_h(self, capsys):
         code, _, err = run(["lambda", "--n", "5", "--h", "17"], capsys)
@@ -165,8 +182,25 @@ class TestVerify:
         code, _, err = run(["verify", "--n", "9"], capsys)
         assert code == 2 and err != ""
 
+    def test_negative_seeds(self, capsys):
+        code, out, err = run(["verify", "--n", "3", "--seeds", "-1"], capsys)
+        assert code == 2 and out == "" and "--seeds >= 0" in err
+
     def test_budget_flag_parses(self, capsys):
         code, out, _ = run(
             ["verify", "--n", "3", "--seeds", "1", "--budget-nodes", "1000000"], capsys
         )
         assert code == 0 and "PASS" in out
+
+
+class TestResourceErrors:
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_clean_exit_3(self, error, monkeypatch, capsys):
+        # exit 1 means a verification mismatch, so exhaustion must not use it
+        def exhausted(n):
+            raise error
+
+        monkeypatch.setattr(cli.cf, "full_profile", exhausted)
+        code, out, err = run(["profile", "--n", "20"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("k4rel: ") and err.count("\n") == 1

@@ -168,6 +168,17 @@ class TestVerificationReport:
         assert lines[0] == "# member canonical"
         assert any(line.startswith("cyclic,-,4,4,true") for line in lines)
 
+    def test_checks_the_served_lambda(self, monkeypatch):
+        # a wrong lambda_fast fails the report, though brute force agrees with the scan
+        def off_by_one(h, n):
+            return cf.lambda_scan(h, n) + (h == 2)
+
+        monkeypatch.setattr(oc, "lambda_fast", off_by_one)
+        report = oc.verify_member(3, [])
+        assert not report.passed
+        bad = [e for e in report.entries if not e.match]
+        assert [(e.quantity, e.input) for e in bad] == [("lambda_scan", "2"), ("lambda", "2")]
+
     def test_failure_detected(self):
         good = oc.CheckEntry("canonical", "ex", "2", 2, 2, True)
         bad = oc.CheckEntry("canonical", "ex", "3", 6, 5, False)
