@@ -161,7 +161,10 @@ def main(argv: list[str] | None = None) -> int:
             if not report.passed:
                 return 1
     except (ValueError, OSError) as exc:
-        print(f"k4rel: {exc}", file=sys.stderr)
+        message = str(exc)
+        if "int_max_str_digits" in message:  # Python's cap on printing long integers
+            message = f"{args.command}: n={args.n} is too large for its values to be printed"
+        print(f"k4rel: {message}", file=sys.stderr)
         return 2
     except (MemoryError, RecursionError) as exc:
         print(f"k4rel: {args.command} ran out of resources ({type(exc).__name__});"

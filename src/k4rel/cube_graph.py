@@ -174,46 +174,40 @@ def subset_mask(members: Iterable[int]) -> int:
     return mask
 
 
+def _bits(mask: int):
+    """The vertices of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def induced_edge_count(g: CubeGraph, members: Iterable[int]) -> int:
     """Number of edges with both endpoints in the subset."""
     mask = subset_mask(members)
-    total = 0
-    rest = mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        total += (g.adjacency[v] & mask).bit_count()
-    return total // 2
+    return sum((g.adjacency[v] & mask).bit_count() for v in _bits(mask)) // 2
 
 
 def boundary_size(g: CubeGraph, members: Iterable[int]) -> int:
     """Number of edges with exactly one endpoint in the subset."""
     mask = subset_mask(members)
-    total = 0
-    rest = mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        total += (g.adjacency[v] & ~mask).bit_count()
-    return total
+    return sum((g.adjacency[v] & ~mask).bit_count() for v in _bits(mask))
 
 
-def _mask_connected(adjacency: tuple[int, ...], mask: int) -> bool:
-    if mask == 0:
-        return True
-    start = mask & -mask
-    seen = start
-    frontier = start
+def _component(adjacency: tuple[int, ...], mask: int) -> int:
+    """The vertices of mask reachable from its lowest vertex inside mask (0 if empty)."""
+    seen = frontier = mask & -mask
     while frontier:
         reach = 0
-        rest = frontier
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for v in _bits(frontier):
             reach |= adjacency[v]
         frontier = reach & mask & ~seen
         seen |= frontier
-    return seen == mask
+    return seen
+
+
+def _mask_connected(adjacency: tuple[int, ...], mask: int) -> bool:
+    return _component(adjacency, mask) == mask
 
 
 def is_connected_induced(g: CubeGraph, members: Iterable[int]) -> bool:
@@ -229,14 +223,6 @@ def subcube_vertices(n: int, l: int, prefix: int) -> frozenset[int]:
         raise ValueError(f"prefix must be in [0, {1 << (n - l)}), got {prefix}")
     base = prefix << l
     return frozenset(range(base, base + (1 << l)))
-
-
-def adjacency_bitmap(g: CubeGraph) -> list[list[int]]:
-    """Dense 0/1 adjacency matrix; symmetric with zero diagonal."""
-    size = g.num_vertices
-    return [
-        [(g.adjacency[u] >> v) & 1 for v in range(size)] for u in range(size)
-    ]
 
 
 def bitmap_pbm(g: CubeGraph) -> str:

@@ -2,10 +2,15 @@
 
 Everything here is search, not formula: densest subsets, minimum boundaries,
 conditional and cyclic cuts are found by enumeration so the closed forms can
-be validated against an independent path.  Exhaustive mode enumerates raw
-bitmasks; bounded mode (one dimension further) enumerates connected subsets or
-runs a branch-and-bound over bipartitions.  Any search that would exceed its
-budget raises BudgetExceededError rather than returning a partial answer.
+be validated against an independent path.  Exhaustive mode (up to 16 vertices)
+builds one transient table of the doubled induced edges and the boundary of
+every vertex subset; the per-size optima, the connected bipartitions and the
+average-degree check are all read from it.  Bounded mode (one dimension
+further) runs one cached search over connected m-sets that yields both the
+densest set and the smallest boundary with a connected complement, and a
+branch-and-bound over bipartitions for the cyclic cut.  Any search that would
+exceed its budget raises BudgetExceededError rather than returning a partial
+answer.
 
 The restriction of cut searches to connected bipartitions rests on the fact
 that a minimum cut leaving three or more components could drop the edges
@@ -31,13 +36,16 @@ from .closed_form import (
 )
 from .cube_graph import (
     CubeGraph,
+    _bits,
+    _component,
+    _mask_connected,
     boundary_size,
+    build_k4cube,
     canonical_member,
     canonical_set,
     induced_edge_count,
-    _mask_connected,
-    build_k4cube,
     random_matching_tree,
+    subset_mask,
 )
 
 
@@ -76,27 +84,34 @@ def _exhaustive(g: CubeGraph, budget: OracleBudget) -> bool:
     return g.num_vertices <= (1 << budget.max_n_exhaustive)
 
 
+def _mask_table(g: CubeGraph) -> tuple[bytearray, bytearray]:
+    """Doubled induced edges and boundary of every vertex subset, indexed by mask.
+
+    Each entry extends the one for its mask without the highest vertex.  Every
+    value fits a byte up to 16 vertices; the table is transient, so callers
+    reduce it and let it go.
+    """
+    e2 = bytearray(1 << g.num_vertices)
+    bd = bytearray(1 << g.num_vertices)
+    for v, row in enumerate(g.adjacency):
+        low = 1 << v
+        inner = bytes(2 * (row & rest).bit_count() for rest in range(low))
+        deg = row.bit_count()
+        e2[low:2 * low] = bytes(a + c for a, c in zip(e2[:low], inner))
+        bd[low:2 * low] = bytes(b + deg - c for b, c in zip(bd[:low], inner))
+    return e2, bd
+
+
 @lru_cache(maxsize=32)
 def _subset_tables(g: CubeGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per subset size m: (max doubled edge count, min unconstrained boundary)."""
     nv = g.num_vertices
-    adj = g.adjacency
-    degsum = [row.bit_count() for row in adj]
     max_e2 = [0] * (nv + 1)
     min_bd = [0] + [nv * nv] * nv
-    for mask in range(1, 1 << nv):
-        e2 = 0
-        deg = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            e2 += (adj[v] & mask).bit_count()
-            deg += degsum[v]
+    for mask, (e2, bd) in enumerate(zip(*_mask_table(g))):
         m = mask.bit_count()
         if e2 > max_e2[m]:
             max_e2[m] = e2
-        bd = deg - e2
         if bd < min_bd[m]:
             min_bd[m] = bd
     return tuple(max_e2), tuple(min_bd)
@@ -105,63 +120,78 @@ def _subset_tables(g: CubeGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 @lru_cache(maxsize=32)
 def _bipartitions(g: CubeGraph) -> tuple[tuple[int, int], ...]:
     """All (mask, boundary) with both sides connected and nonempty; vertex 0 in mask."""
+    adj = g.adjacency
+    full = (1 << g.num_vertices) - 1
+    bd = _mask_table(g)[1]
+    return tuple(
+        (mask, bd[mask])
+        for mask in range(1, full, 2)
+        if _mask_connected(adj, mask) and _mask_connected(adj, full ^ mask)
+    )
+
+
+@lru_cache(maxsize=32)
+def _connected_search(g: CubeGraph, m: int, budget: OracleBudget) -> tuple[int, int]:
+    """Over connected m-sets: (max doubled edge count, min boundary with connected complement).
+
+    Each connected set is grown once, from its lowest vertex through higher
+    neighbours only.  Both optima start from the canonical set, and a branch
+    is cut only when neither can still improve: its doubled edges can gain at
+    most add_bound[size], and its boundary can fall at most to the degree sum
+    of a minimum-degree finish minus those edges.
+    """
     nv = g.num_vertices
     adj = g.adjacency
     full = (1 << nv) - 1
-    out = []
-    for half in range(1 << (nv - 1)):
-        mask = (half << 1) | 1
-        comp = full ^ mask
-        if comp == 0:
-            continue
-        if not _mask_connected(adj, mask) or not _mask_connected(adj, comp):
-            continue
-        bd = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            bd += (adj[v] & comp).bit_count()
-        out.append((mask, bd))
-    return tuple(out)
+    degs = [row.bit_count() for row in adj]
+    mindeg, maxdeg = min(degs), max(degs)
+    # add_bound[k]: most doubled edges that k..m-1 further insertions can add
+    add_bound = [0] * (m + 1)
+    for k in range(m - 1, 0, -1):
+        add_bound[k] = add_bound[k + 1] + 2 * min(maxdeg, k)
+    seed = canonical_set(m, g.n)
+    best_e2, best_bd = 2 * induced_edge_count(g, seed), boundary_size(g, seed)
+    counter = _NodeCounter(budget.node_limit)
 
+    def grow(smask, size, e2, degsum, ext, forbidden, allowed):
+        nonlocal best_e2, best_bd
+        counter.tick()
+        if size == m:
+            best_e2 = max(best_e2, e2)
+            if degsum - e2 < best_bd and _mask_connected(adj, full ^ smask):
+                best_bd = degsum - e2
+            return
+        if (e2 + add_bound[size] <= best_e2
+                and degsum + (m - size) * mindeg - e2 - add_bound[size] >= best_bd):
+            return
+        while ext:
+            u_bit = ext & -ext
+            ext ^= u_bit
+            u = u_bit.bit_length() - 1
+            new_s = smask | u_bit
+            grow(new_s, size + 1, e2 + 2 * (adj[u] & smask).bit_count(), degsum + degs[u],
+                 (ext | (adj[u] & allowed)) & ~new_s & ~forbidden, forbidden, allowed)
+            forbidden |= u_bit
 
-def _iter_connected(adj, nv, target, counter, visit):
-    """Enumerate each connected vertex set of size `target` exactly once.
-
-    Sets are generated per minimum vertex v, growing only through neighbors
-    above v; `visit(mask)` is called for every emitted set.
-    """
     for v in range(nv):
-        allowed = ~((1 << (v + 1)) - 1)
+        allowed = ~((2 << v) - 1)
+        grow(1 << v, 1, 0, degs[v], adj[v] & allowed, 0, allowed)
+    return best_e2, best_bd
 
-        def rec(smask, size, ext, forbidden):
-            counter.tick()
-            if size == target:
-                visit(smask)
-                return
-            while ext:
-                u_bit = ext & -ext
-                ext ^= u_bit
-                u = u_bit.bit_length() - 1
-                new_s = smask | u_bit
-                new_ext = (ext | (adj[u] & allowed)) & ~new_s & ~forbidden
-                rec(new_s, size + 1, new_ext, forbidden)
-                forbidden |= u_bit
 
-        if target == 1:
-            counter.tick()
-            visit(1 << v)
-        else:
-            rec(1 << v, 1, adj[v] & allowed, 0)
+def _bounded_size(m: int, budget: OracleBudget) -> None:
+    if m > budget.max_subset_size_bounded:
+        raise BudgetExceededError(
+            f"m={m} exceeds bounded subset size {budget.max_subset_size_bounded}"
+        )
 
 
 def brute_ex(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Maximum doubled edge count over m-vertex subsets.
 
-    Bounded mode enumerates connected subsets only (a disconnected optimum can
-    be merged component-by-component without losing edges) with a degree-sum
-    pruning bound; exhaustive mode scans every subset.
+    Bounded mode searches connected subsets only (a disconnected optimum can
+    be merged component-by-component without losing edges); exhaustive mode
+    reads every subset from the mask table.
     """
     nv = g.num_vertices
     if not 0 <= m <= nv:
@@ -170,47 +200,8 @@ def brute_ex(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int
         return 0
     if _exhaustive(g, budget):
         return _subset_tables(g)[0][m]
-    if m > budget.max_subset_size_bounded:
-        raise BudgetExceededError(
-            f"m={m} exceeds bounded subset size {budget.max_subset_size_bounded}"
-        )
-    adj = g.adjacency
-    deg = max(row.bit_count() for row in adj)
-    # add_bound[k]: most doubled edges that k..m-1 further insertions can add
-    add_bound = [0] * (m + 1)
-    for k in range(m - 1, 0, -1):
-        add_bound[k] = add_bound[k + 1] + 2 * min(deg, k)
-    best = 2 * induced_edge_count(g, canonical_set(m, g.n))
-    counter = _NodeCounter(budget.node_limit)
-
-    for v in range(nv):
-        allowed = ~((1 << (v + 1)) - 1)
-
-        def rec(smask, size, e2, ext, forbidden):
-            nonlocal best
-            counter.tick()
-            if size == m:
-                if e2 > best:
-                    best = e2
-                return
-            if e2 + add_bound[size] <= best:
-                return
-            while ext:
-                u_bit = ext & -ext
-                ext ^= u_bit
-                u = u_bit.bit_length() - 1
-                new_s = smask | u_bit
-                rec(
-                    new_s,
-                    size + 1,
-                    e2 + 2 * (adj[u] & smask).bit_count(),
-                    (ext | (adj[u] & allowed)) & ~new_s & ~forbidden,
-                    forbidden,
-                )
-                forbidden |= u_bit
-
-        rec(1 << v, 1, 0, adj[v] & allowed, 0)
-    return best
+    _bounded_size(m, budget)
+    return _connected_search(g, m, budget)[0]
 
 
 @lru_cache(maxsize=4096)
@@ -229,52 +220,8 @@ def brute_xi(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int
         if best is None:
             raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
         return best
-    if m > budget.max_subset_size_bounded:
-        raise BudgetExceededError(
-            f"m={m} exceeds bounded subset size {budget.max_subset_size_bounded}"
-        )
-    adj = g.adjacency
-    full = (1 << nv) - 1
-    counter = _NodeCounter(budget.node_limit)
-    mindeg = min(row.bit_count() for row in adj)
-    maxdeg = max(row.bit_count() for row in adj)
-    add_bound = [0] * (m + 1)
-    for k in range(m - 1, 0, -1):
-        add_bound[k] = add_bound[k + 1] + 2 * min(maxdeg, k)
-    # the canonical set is a feasible candidate, so start from its boundary
-    best = boundary_size(g, canonical_set(m, g.n))
-
-    for v in range(nv):
-        allowed = ~((1 << (v + 1)) - 1)
-
-        def rec(smask, size, e2, degsum, ext, forbidden):
-            nonlocal best
-            counter.tick()
-            if size == m:
-                bd = degsum - e2
-                if bd < best and _mask_connected(adj, full ^ smask):
-                    best = bd
-                return
-            # boundary can't drop below the degree sum minus the densest finish
-            if degsum + (m - size) * mindeg - e2 - add_bound[size] >= best:
-                return
-            while ext:
-                u_bit = ext & -ext
-                ext ^= u_bit
-                u = u_bit.bit_length() - 1
-                new_s = smask | u_bit
-                rec(
-                    new_s,
-                    size + 1,
-                    e2 + 2 * (adj[u] & smask).bit_count(),
-                    degsum + adj[u].bit_count(),
-                    (ext | (adj[u] & allowed)) & ~new_s & ~forbidden,
-                    forbidden,
-                )
-                forbidden |= u_bit
-
-        rec(1 << v, 1, 0, adj[v].bit_count(), adj[v] & allowed, 0)
-    return best
+    _bounded_size(m, budget)
+    return _connected_search(g, m, budget)[1]
 
 
 def brute_xi_unconstrained(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -326,46 +273,21 @@ def brute_lambda_h_unrestricted(
             for u, v in cut:
                 reduced[u] &= ~(1 << v)
                 reduced[v] &= ~(1 << u)
-            # component sweep
             remaining = full
-            ok = True
-            parts = 0
             while remaining:
-                start = remaining & -remaining
-                seen = start
-                frontier = start
-                while frontier:
-                    reach = 0
-                    rest = frontier
-                    while rest:
-                        w = (rest & -rest).bit_length() - 1
-                        rest &= rest - 1
-                        reach |= reduced[w]
-                    frontier = reach & remaining & ~seen
-                    seen |= frontier
-                if seen.bit_count() < h:
-                    ok = False
+                part = _component(reduced, remaining)
+                if part.bit_count() < h:
                     break
-                parts += 1
-                remaining &= ~seen
-            if ok and parts >= 2:
+                remaining ^= part
+            if remaining == 0 and part != full:
                 return size
     raise BudgetExceededError(f"no h-extra edge-cut of size <= {max_cut} found")
 
 
 def _side_stats(adj, mask):
     """(size, doubled internal edges, min internal degree) of one side."""
-    e2 = 0
-    mind = None
-    rest = mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        d = (adj[v] & mask).bit_count()
-        e2 += d
-        if mind is None or d < mind:
-            mind = d
-    return mask.bit_count(), e2, mind if mind is not None else 0
+    degs = [(adj[v] & mask).bit_count() for v in _bits(mask)]
+    return len(degs), sum(degs), min(degs, default=0)
 
 
 def _embedded_ok(n, l, mask):
@@ -425,10 +347,10 @@ def brute_cyclic(g: CubeGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Minimum boundary over connected bipartitions with a cycle on both sides.
 
     Exhaustive mode scans all bipartitions.  Bounded mode (one dimension up)
-    first collects candidate cuts from small connected sides, then runs a
-    branch-and-bound over two-sided vertex assignments: crossing edges among
-    decided vertices only grow, so any partial assignment at or above the best
-    value is pruned.
+    starts from the cut around the canonical 4-set, a K4 on every member, then
+    runs a branch-and-bound over two-sided vertex assignments: crossing edges
+    among decided vertices only grow, so any partial assignment at or above the
+    best value is pruned.
     """
     if g.n < 3:
         raise ValueError(f"n must be >= 3, got {g.n}")
@@ -446,30 +368,13 @@ def brute_cyclic(g: CubeGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
             raise RuntimeError("no cyclic bipartition found; graph is malformed")
         return best
 
-    counter = _NodeCounter(budget.node_limit)
-
-    # upper bound from small connected sides (size 3 and 4)
-    best = None
-    for size in (3, 4):
-        found = []
-        _iter_connected(adj, nv, size, counter, found.append)
-        for mask in found:
-            comp = full ^ mask
-            if not _cyclic_side_ok(adj, mask) or not _cyclic_side_ok(adj, comp):
-                continue
-            if not _mask_connected(adj, comp):
-                continue
-            bd = 0
-            rest = mask
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                bd += (adj[v] & comp).bit_count()
-            if best is None or bd < best:
-                best = bd
-    if best is None:
+    seed = canonical_set(4, g.n)
+    mask = subset_mask(seed)
+    if not (_mask_connected(adj, mask) and _mask_connected(adj, full ^ mask)
+            and _cyclic_side_ok(adj, mask) and _cyclic_side_ok(adj, full ^ mask)):
         raise RuntimeError("no small-side cyclic candidate found")
-
+    best = boundary_size(g, seed)
+    counter = _NodeCounter(budget.node_limit)
     back = [adj[i] & ((1 << i) - 1) for i in range(nv)]
 
     def dfs(i, mask_x, mask_y, crossing):
@@ -498,17 +403,9 @@ def average_degree_floor_check(g: CubeGraph, budget: OracleBudget = DEFAULT_BUDG
     """Every subset with integer average-degree floor l has at least 2**(l-1) vertices."""
     if not _exhaustive(g, budget):
         raise BudgetExceededError("average degree check needs exhaustive scale")
-    adj = g.adjacency
-    for mask in range(1, 1 << g.num_vertices):
-        e2 = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            e2 += (adj[v] & mask).bit_count()
+    for mask, e2 in enumerate(_mask_table(g)[0]):
         k = mask.bit_count()
-        l = e2 // k
-        if l >= 1 and k < (1 << (l - 1)):
+        if k and e2 >= k and k < (1 << (e2 // k - 1)):
             return False
     return True
 
@@ -537,21 +434,6 @@ class VerificationReport:
     def passed(self) -> bool:
         checked = [e for e in self.entries if not e.skipped]
         return bool(checked) and all(e.match for e in checked)
-
-    def machine_lines(self) -> list[str]:
-        lines = []
-        for member in self.members:
-            lines.append(f"# member {member}")
-            for e in self.entries:
-                if e.member != member:
-                    continue
-                if e.skipped:
-                    lines.append(f"{e.quantity},{e.input},{e.closed},skipped,skipped")
-                else:
-                    lines.append(
-                        f"{e.quantity},{e.input},{e.closed},{e.brute},{str(e.match).lower()}"
-                    )
-        return lines
 
     def to_text(self) -> str:
         header = f"verification n={self.n}: {'PASS' if self.passed else 'FAIL'}"

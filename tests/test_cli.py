@@ -124,6 +124,21 @@ class TestConditional:
         )
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("command", ["intervals", "conditional"])
+def test_values_too_long_to_print(command, capsys):
+    # the lowest cap Python allows makes the error come on an early row
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run([command, "--n", "20000"], capsys)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert code == 2 and out == ""
+    assert err == f"k4rel: {command}: n=20000 is too large for its values to be printed\n"
+
+
 class TestBitmap:
     def test_k4(self, capsys):
         code, out, _ = run(["bitmap", "--n", "2"], capsys)
@@ -191,6 +206,13 @@ class TestVerify:
             ["verify", "--n", "3", "--seeds", "1", "--budget-nodes", "1000000"], capsys
         )
         assert code == 0 and "PASS" in out
+
+    def test_tight_budget_skips_cleanly(self, capsys):
+        code, out, err = run(
+            ["verify", "--n", "5", "--seeds", "0", "--budget-nodes", "1000"], capsys
+        )
+        assert code == 0 and err == ""
+        assert out.startswith("verification n=5: PASS") and "  skipped  skipped" in out
 
 
 class TestResourceErrors:

@@ -156,8 +156,10 @@ class TestSubsetPrimitives:
 
 class TestBitmap:
     def test_matrix_properties(self):
+        # read back from the PBM text: 0 marks an edge
         g = cg.canonical_member(4)
-        mat = cg.adjacency_bitmap(g)
+        rows = cg.bitmap_pbm(g).split("\n")[2:-1]
+        mat = [[1 - int(cell) for cell in row.split(" ")] for row in rows]
         assert len(mat) == 16 and all(len(row) == 16 for row in mat)
         for u in range(16):
             assert mat[u][u] == 0

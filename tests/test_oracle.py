@@ -1,5 +1,7 @@
 """Unit tests for the brute-force oracle, including matching-invariance checks."""
 
+import random
+
 import pytest
 
 from k4rel import closed_form as cf
@@ -25,6 +27,11 @@ class TestBudget:
         with pytest.raises(oc.BudgetExceededError):
             oc.brute_ex(member(4), 6, tight)
 
+    def test_node_limit_raises_in_xi(self):
+        tight = oc.OracleBudget(max_n_exhaustive=3, node_limit=10)
+        with pytest.raises(oc.BudgetExceededError):
+            oc.brute_xi(member(4), 6, tight)
+
     def test_subset_size_cap(self):
         small = oc.OracleBudget(max_n_exhaustive=3, max_subset_size_bounded=4)
         with pytest.raises(oc.BudgetExceededError):
@@ -35,6 +42,36 @@ class TestBudget:
     def test_unconstrained_needs_exhaustive(self):
         with pytest.raises(oc.BudgetExceededError):
             oc.brute_xi_unconstrained(member(5), 2)
+
+
+class TestBoundedMode:
+    def test_agrees_with_exhaustive_on_the_same_graphs(self):
+        bounded = oc.OracleBudget(max_n_exhaustive=3)
+        for seed in (None, 1, 2, 3):
+            g = member(4, seed)
+            for m in range(0, 11):
+                assert oc.brute_ex(g, m, bounded) == oc.brute_ex(g, m), (seed, m)
+            for m in range(1, 9):
+                assert oc.brute_xi(g, m, bounded) == oc.brute_xi(g, m), (seed, m)
+            assert oc.brute_cyclic(g, bounded) == oc.brute_cyclic(g), seed
+
+    def test_finds_optima_the_canonical_set_misses(self):
+        # relabelled at random, the first m labels no longer seed the optimum
+        g = member(4, 5)
+        perm = random.Random(9).sample(range(16), 16)
+        adj = [0] * 16
+        for u, row in enumerate(g.adjacency):
+            adj[perm[u]] = cg.subset_mask(perm[v] for v in range(16) if (row >> v) & 1)
+        shuffled = cg.CubeGraph(n=4, kind="shuffled", adjacency=tuple(adj))
+        bounded = oc.OracleBudget(max_n_exhaustive=3)
+        seeds = [cg.canonical_set(m, 4) for m in range(11)]
+        assert any(2 * cg.induced_edge_count(shuffled, s) < cf.f_value(len(s)) for s in seeds)
+        for m in range(0, 11):
+            assert oc.brute_ex(shuffled, m, bounded) == cf.f_value(m), m
+        for m in range(1, 9):
+            assert oc.brute_xi(shuffled, m, bounded) == cf.xi_h4(m, 4), m
+        with pytest.raises(RuntimeError):  # the bounded cyclic cut seeds from a K4 at 0..3
+            oc.brute_cyclic(shuffled, bounded)
 
 
 class TestDensestSubset:
@@ -164,9 +201,6 @@ class TestVerificationReport:
         report = oc.verify_member(3, [1])
         text = report.to_text()
         assert text.startswith("verification n=3: PASS")
-        lines = report.machine_lines()
-        assert lines[0] == "# member canonical"
-        assert any(line.startswith("cyclic,-,4,4,true") for line in lines)
 
     def test_checks_the_served_lambda(self, monkeypatch):
         # a wrong lambda_fast fails the report, though brute force agrees with the scan
