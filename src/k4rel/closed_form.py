@@ -40,12 +40,16 @@ class ConcentrationInterval:
 
 @dataclass(frozen=True)
 class IsoperimetricProfile:
-    """Per-m tables for a fixed n.  Index 0 of xi and lam is an unused placeholder."""
+    """Per-m tables for a fixed n, each indexed 0 .. 2**(n-1).
+
+    ex[m] = f(m), xi[m] = xi_m and lam[m] = lambda_m; index 0 of xi and lam is
+    an unused placeholder.
+    """
 
     n: int
-    ex: tuple[int, ...]  # index 0 .. 2**n
-    xi: tuple[int, ...]  # index 1 .. 2**(n-1)
-    lam: tuple[int, ...]  # index 1 .. 2**(n-1)
+    ex: tuple[int, ...]
+    xi: tuple[int, ...]
+    lam: tuple[int, ...]
 
 
 class FaultPattern(Enum):
@@ -121,38 +125,15 @@ def xi_h4(m: int, n: int) -> int:
     return (n + 1) * m - _f(m)
 
 
-def _f_steps(limit: int):
-    """Yield f(0), f(1), ..., f(limit) using the first-difference recurrence."""
-    value = 0
-    yield value
-    for m in range(limit):
-        value += 2 * m.bit_count() + (2 if m % 4 in (2, 3) else 0)
-        yield value
-
-
-@lru_cache(maxsize=8)
-def _xi_suffix_min(n: int) -> tuple[int, ...]:
-    """suffix[h] = min of xi over m in [h, 2**(n-1)]; index 0 unused."""
-    half = 1 << (n - 1)
-    xi = [0] * (half + 1)
-    for m, f in enumerate(_f_steps(half)):
-        if m:
-            xi[m] = (n + 1) * m - f
-    suffix = [0] * (half + 1)
-    best = xi[half]
-    for h in range(half, 0, -1):
-        best = min(best, xi[h])
-        suffix[h] = best
-    return tuple(suffix)
-
-
 def lambda_scan(h: int, n: int) -> int:
-    """h-extra edge-connectivity by its defining minimum over the xi table."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if not 1 <= h <= (1 << (n - 1)):
-        raise ValueError(f"h must be in [1, {1 << (n - 1)}], got {h}")
-    return _xi_suffix_min(n)[h]
+    """h-extra edge-connectivity by its defining minimum: the lam table of full_profile.
+
+    Its domain is that of full_profile, 3 <= n <= 24.
+    """
+    lam = full_profile(n).lam
+    if not 1 <= h < len(lam):
+        raise ValueError(f"h must be in [1, {len(lam) - 1}], got {h}")
+    return lam[h]
 
 
 def g_interval_length(t: int, n: int) -> int:
@@ -252,7 +233,8 @@ def _lambda_digit_dp(h: int, n: int) -> int:
 def lambda_fast(h: int, n: int) -> int:
     """h-extra edge-connectivity via the piecewise closed form.
 
-    Monotone range h <= 2**ceil(n/2) - 2 - gamma(n): lambda_h = xi_h.
+    Monotone head, h up to the lower end of the first concentration interval,
+    2**ceil(n/2) - 2 - gamma(n): lambda_h = xi_h.
     Concentration intervals: the constant (floor(n/2)-t) * 2**(ceil(n/2)+t);
     the last one is [floor(2**(n-1)/3), 2**(n-1)], where lambda_h = 2**(n-1).
     Every other h is answered exactly by a digit DP over the bits of h: O(n)
@@ -263,7 +245,7 @@ def lambda_fast(h: int, n: int) -> int:
     half = 1 << (n - 1)
     if not 1 <= h <= half:
         raise ValueError(f"h must be in [1, {half}], got {h}")
-    if h <= (1 << -(-n // 2)) - 2 - gamma(n):
+    if h <= _intervals(n)[0].lower:
         return xi_h4(h, n)
     for interval in _intervals(n):
         if interval.lower <= h <= interval.upper:
@@ -289,19 +271,25 @@ def cyclic_lambda(n: int) -> int:
     return 4 * n - 8 if n in (3, 4) else 3 * n - 3
 
 
+@lru_cache(maxsize=4)
 def full_profile(n: int) -> IsoperimetricProfile:
-    """Materialized ex / xi / lambda tables for one dimension."""
+    """Materialized ex / xi / lambda tables for one dimension, by one sweep down m.
+
+    lam[h] is the running minimum of xi over m >= h.  f(m) steps down by its
+    first difference f(m) - f(m-1): 2*popcount(m-1), plus 2 when m-1 = 2 or 3
+    (mod 4).
+    """
     if not 3 <= n <= 24:
         raise ValueError(f"n must be in [3, 24], got {n}")
-    size = 1 << n
-    half = size // 2
-    ex = tuple(_f_steps(size))
-    xi = [0] * (half + 1)
-    for m in range(1, half + 1):
-        xi[m] = (n + 1) * m - ex[m]
-    lam = [0] * (half + 1)
-    best = xi[half]
-    for h in range(half, 0, -1):
-        best = min(best, xi[h])
-        lam[h] = best
-    return IsoperimetricProfile(n=n, ex=ex, xi=tuple(xi), lam=tuple(lam))
+    half = 1 << (n - 1)
+    ex, xi, lam = [0] * (half + 1), [0] * (half + 1), [0] * (half + 1)
+    f = _f(half)
+    best = (n + 1) * half  # above every xi_m
+    for m in range(half, 0, -1):
+        ex[m] = f
+        xi[m] = x = (n + 1) * m - f
+        if x < best:
+            best = x
+        lam[m] = best
+        f -= 2 * (m - 1).bit_count() + ((m - 1) & 2)
+    return IsoperimetricProfile(n=n, ex=tuple(ex), xi=tuple(xi), lam=tuple(lam))

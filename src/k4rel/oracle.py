@@ -131,8 +131,13 @@ def _bipartitions(g: CubeGraph) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=32)
-def _connected_search(g: CubeGraph, m: int, budget: OracleBudget) -> tuple[int, int]:
+def _connected_search(
+    g: CubeGraph, m: int, budget: OracleBudget
+) -> tuple[int, int] | BudgetExceededError:
     """Over connected m-sets: (max doubled edge count, min boundary with connected complement).
+
+    A search that runs out of budget returns its error, so the cache keeps
+    that outcome too and no later caller runs the same search again.
 
     Each connected set is grown once, from its lowest vertex through higher
     neighbours only.  Both optima start from the canonical set, and a branch
@@ -173,17 +178,25 @@ def _connected_search(g: CubeGraph, m: int, budget: OracleBudget) -> tuple[int, 
                  (ext | (adj[u] & allowed)) & ~new_s & ~forbidden, forbidden, allowed)
             forbidden |= u_bit
 
-    for v in range(nv):
-        allowed = ~((2 << v) - 1)
-        grow(1 << v, 1, 0, degs[v], adj[v] & allowed, 0, allowed)
+    try:
+        for v in range(nv):
+            allowed = ~((2 << v) - 1)
+            grow(1 << v, 1, 0, degs[v], adj[v] & allowed, 0, allowed)
+    except BudgetExceededError as exc:
+        return exc
     return best_e2, best_bd
 
 
-def _bounded_size(m: int, budget: OracleBudget) -> None:
+def _searched(g: CubeGraph, m: int, budget: OracleBudget, index: int) -> int:
+    """One optimum of the cached connected search; raises its budget error, if any."""
     if m > budget.max_subset_size_bounded:
         raise BudgetExceededError(
             f"m={m} exceeds bounded subset size {budget.max_subset_size_bounded}"
         )
+    outcome = _connected_search(g, m, budget)
+    if isinstance(outcome, BudgetExceededError):
+        raise outcome.with_traceback(None)
+    return outcome[index]
 
 
 def brute_ex(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -200,8 +213,7 @@ def brute_ex(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int
         return 0
     if _exhaustive(g, budget):
         return _subset_tables(g)[0][m]
-    _bounded_size(m, budget)
-    return _connected_search(g, m, budget)[0]
+    return _searched(g, m, budget, 0)
 
 
 @lru_cache(maxsize=4096)
@@ -220,8 +232,7 @@ def brute_xi(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int
         if best is None:
             raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
         return best
-    _bounded_size(m, budget)
-    return _connected_search(g, m, budget)[1]
+    return _searched(g, m, budget, 1)
 
 
 def brute_xi_unconstrained(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:

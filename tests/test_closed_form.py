@@ -82,11 +82,13 @@ class TestMemberDensity:
             assert (gap == 0) == (m <= 2)
 
     def test_first_difference(self):
-        values = list(cf._f_steps(3000))
+        # the step full_profile sweeps with; its running sum from f(0) = 0 is f
+        value = 0
         for m in range(3000):
             step = 2 * bin(m).count("1") + (2 if m % 4 in (2, 3) else 0)
-            assert values[m + 1] - values[m] == step
-            assert cf.f_value(m) == values[m]
+            assert cf.f_value(m + 1) - cf.f_value(m) == step
+            assert cf.f_value(m) == value
+            value += step
 
     def test_xi_examples(self):
         assert cf.xi_h4(1, 6) == 7
@@ -245,14 +247,15 @@ class TestConditionalAndCyclic:
 
 class TestProfileInvariants:
     def test_profile_matches_pointwise(self):
-        for n in (3, 6, 9):
+        # lam against lambda_fast, which builds no table
+        for n in (3, 6, 9, 12):
             profile = cf.full_profile(n)
             half = 1 << (n - 1)
-            assert len(profile.ex) == (1 << n) + 1
+            assert len(profile.ex) == len(profile.xi) == len(profile.lam) == half + 1
             for m in range(1, half + 1):
                 assert profile.ex[m] == cf.f_value(m)
                 assert profile.xi[m] == cf.xi_h4(m, n)
-                assert profile.lam[m] == cf.lambda_scan(m, n)
+                assert profile.lam[m] == cf.lambda_fast(m, n)
 
     def test_profile_domain(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,24 @@ class TestBudget:
         with pytest.raises(oc.BudgetExceededError):
             oc.brute_xi(member(4), 6, tight)
 
+    def test_budget_failure_searched_once(self, monkeypatch):
+        # ex and xi at one m share a search, also one that ran out of budget
+        started = []
+
+        class Counting(oc._NodeCounter):
+            def __init__(self, limit):
+                started.append(limit)
+                super().__init__(limit)
+
+        monkeypatch.setattr(oc, "_NodeCounter", Counting)
+        oc._connected_search.cache_clear()
+        tight = oc.OracleBudget(max_n_exhaustive=3, node_limit=10)
+        with pytest.raises(oc.BudgetExceededError):
+            oc.brute_ex(member(4), 7, tight)
+        with pytest.raises(oc.BudgetExceededError):
+            oc.brute_xi(member(4), 7, tight)
+        assert started == [10]
+
     def test_subset_size_cap(self):
         small = oc.OracleBudget(max_n_exhaustive=3, max_subset_size_bounded=4)
         with pytest.raises(oc.BudgetExceededError):
