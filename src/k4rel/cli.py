@@ -89,44 +89,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("profile", help="CSV of ex/xi/lambda for one dimension")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default="-")
+    def command(name: str, help_text: str, **n_options) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--n", type=int, required=True, **n_options)
+        return p
 
-    p = sub.add_parser("lambda", help="print lambda_h for one (h, n)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("intervals", help="CSV of the concentration intervals")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("conditional", help="CSV of the conditional edge-connectivities")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("cyclic", help="print the cyclic edge-connectivity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("bitmap", help="P1 bitmap of one adjacency matrix")
-    p.add_argument("--n", type=int, required=True)
+    command("profile", "CSV of ex/xi/lambda for one dimension")
+    command("lambda", "print lambda_h for one (h, n)").add_argument(
+        "--h", type=int, required=True)
+    command("intervals", "CSV of the concentration intervals")
+    command("conditional", "CSV of the conditional edge-connectivities")
+    command("cyclic", "print the cyclic edge-connectivity")
+    p = command("bitmap", "P1 bitmap of one adjacency matrix")
     p.add_argument("--kind", choices=("canonical", "random", "hypercube", "enhanced"),
                    default="canonical")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("plotdata", help="TSV of normalized xi/lambda curves")
-    p.add_argument("--n", type=int, nargs="+", required=True)
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("verify", help="run the brute-force verification suite")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, default=None, help="only with --kind enhanced")
+    command("plotdata", "TSV of normalized xi/lambda curves", nargs="+")
+    p = command("verify", "run the brute-force verification suite")
     p.add_argument("--seeds", type=int, default=5, help="number of random members")
     p.add_argument("--budget-nodes", type=int, default=oc.DEFAULT_BUDGET.node_limit)
-    p.add_argument("--out", default="-")
+    for p in sub.choices.values():
+        p.add_argument("--out", default="-")
 
     args = parser.parse_args(argv)
     try:
@@ -145,6 +129,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "bitmap":
             if not 2 <= args.n <= 12:
                 raise ValueError(f"bitmap needs 2 <= n <= 12, got {args.n}")
+            if args.k is not None and args.kind != "enhanced":
+                raise ValueError(f"bitmap: --k applies only to --kind enhanced, not {args.kind}")
             graph = _build_graph(args.n, args.kind, args.seed, args.k)
             _write(args.out, cg.bitmap_pbm(graph))
         elif args.command == "plotdata":

@@ -1,19 +1,25 @@
 """Construction of hypercube variants and generalized K4-hypercube members.
 
 Vertices are plain integers in [0, 2**n), read as n-bit strings (bit 0 is the
-lowest-order coordinate).  Adjacency is stored as one bitmask row per vertex,
-so subset queries (induced edges, boundary, connectivity) are cheap popcount
-and mask work.  Graphs are immutable after construction.
+lowest-order coordinate).  A graph stores one row of neighbour labels per
+vertex (O(n * 2**n) bytes, not 4**n bits), and subset queries mark the members
+in a bytearray and walk their rows.  Graphs are immutable after construction.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional
 
-# Ceiling for materialized graphs; closed-form evaluation has no such limit.
-MAX_DIM = 24
+# Ceiling for materialized graphs; closed-form evaluation has no such limit.  Measured
+# under a 2 GB address-space limit (Python 3.11, x86-64 Xeon): build_k4cube of
+# random_matching_tree(21, 1) takes 35 s and peaks at 1.14 GB RSS, mostly the tree's
+# matchings; at n = 22 the tree fills most of the limit and the rows no longer fit.
+MAX_DIM = 21
 
 
 @dataclass(frozen=True)
@@ -51,53 +57,65 @@ class MatchingTree:
 
 @dataclass(frozen=True)
 class CubeGraph:
-    """An immutable graph with bitmask adjacency rows.
-
-    kind is a short descriptor ("hypercube", "enhanced(k)", "k4member") used in
-    reports; it carries no structural information beyond what adjacency holds.
+    """An immutable graph: `neighbours` packs one row of labels per vertex, all
+    of one length, as native unsigned ints.  kind ("hypercube", "enhanced(k)",
+    "k4member") is a descriptor used in reports and carries no structure.
     """
 
     n: int
     kind: str
-    adjacency: tuple[int, ...]
+    neighbours: bytes = field(repr=False)
+
+    @cached_property
+    def _flat(self) -> memoryview:
+        return memoryview(self.neighbours).cast("I")
+
+    def __reduce__(self):  # the cached views (a memoryview among them) are not pickled
+        return CubeGraph, (self.n, self.kind, self.neighbours)
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Bitmask rows, built on first use: the oracle's view, at n <= 5."""
+        return tuple(subset_mask(self.row(v)) for v in range(self.num_vertices))
 
     @property
     def num_vertices(self) -> int:
         return 1 << self.n
 
+    def row(self, v: int) -> memoryview:
+        """The neighbours of v."""
+        d = len(self._flat) >> self.n
+        return self._flat[v * d:(v + 1) * d]
+
     def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
+        return len(self.row(v))
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adjacency) // 2
+        return len(self._flat) // 2
 
 
-def _check_dim(n: int) -> None:
+def _from_columns(n: int, kind: str, slots: int, flips, columns=()) -> CubeGraph:
+    """Rows of slots labels: v ^ flip for each flip, then v's entry in each further column."""
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
+    flat = array("I", [0]) * (slots << n)
+    xors = ((v ^ flip for v in range(1 << n)) for flip in flips)
+    for j, column in enumerate(chain(xors, columns)):
+        flat[j::slots] = array("I", column)
+    return CubeGraph(n=n, kind=kind, neighbours=flat.tobytes())
 
 
 def build_hypercube(n: int) -> CubeGraph:
     """The n-dimensional hypercube: u ~ v iff u XOR v is a power of two."""
-    _check_dim(n)
-    size = 1 << n
-    adjacency = tuple(
-        sum(1 << (v ^ (1 << i)) for i in range(n)) for v in range(size)
-    )
-    return CubeGraph(n=n, kind="hypercube", adjacency=adjacency)
+    return _from_columns(n, "hypercube", n, [1 << i for i in range(n)])
 
 
 def build_enhanced(n: int, k: int) -> CubeGraph:
     """Hypercube plus all k-complementary edges (complement the low n-k+1 bits)."""
-    _check_dim(n)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    flip = (1 << (n - k + 1)) - 1
-    base = build_hypercube(n)
-    adjacency = tuple(
-        row | (1 << (v ^ flip)) for v, row in enumerate(base.adjacency)
-    )
-    return CubeGraph(n=n, kind=f"enhanced({k})", adjacency=adjacency)
+    flips = [1 << i for i in range(n)] + [(1 << (n - k + 1)) - 1]
+    return _from_columns(n, f"enhanced({k})", n + 1, flips)
 
 
 def identity_matching_tree(n: int) -> MatchingTree:
@@ -121,8 +139,7 @@ def random_matching_tree(n: int, seed: int) -> MatchingTree:
     def grow(d: int) -> MatchingTree:
         if d == 2:
             return MatchingTree(dimension=2)
-        left = grow(d - 1)
-        right = grow(d - 1)
+        left, right = grow(d - 1), grow(d - 1)
         perm = list(range(1 << (d - 1)))
         rng.shuffle(perm)
         return MatchingTree(dimension=d, left=left, right=right, matching=tuple(perm))
@@ -138,21 +155,22 @@ def build_k4cube(spec: MatchingTree) -> CubeGraph:
     the canonical sets {0, ..., m-1} meaningful on every member.
     """
     spec.validate()
-    _check_dim(spec.dimension)
+    n = spec.dimension  # flips 1, 2, 3 join each aligned 4-block: the K4 leaves
+    return _from_columns(n, "k4member", n + 1, (1, 2, 3), _matching_columns(spec))
 
-    def assemble(node: MatchingTree) -> list[int]:
-        if node.dimension == 2:
-            return [0b1110, 0b1101, 0b1011, 0b0111]
-        half = 1 << (node.dimension - 1)
-        left = assemble(node.left)
-        right = assemble(node.right)
-        adj = left + [row << half for row in right]
-        for u, v in enumerate(node.matching):
-            adj[u] |= 1 << (half + v)
-            adj[half + v] |= 1 << u
-        return adj
 
-    return CubeGraph(n=spec.dimension, kind="k4member", adjacency=tuple(assemble(spec)))
+def _matching_columns(spec: MatchingTree):
+    """One column per inner level: each vertex's partner across its node's matching."""
+    level = [spec]
+    for d in range(spec.dimension, 2, -1):
+        half = 1 << (d - 1)
+        column = []
+        for k, node in enumerate(level):
+            first, top = k << d, (k << d) + half
+            column += [top + v for v in node.matching]
+            column += [first + u for u in sorted(range(half), key=node.matching.__getitem__)]
+        yield column
+        level = [child for node in level for child in (node.left, node.right)]
 
 
 def canonical_member(n: int) -> CubeGraph:
@@ -174,45 +192,41 @@ def subset_mask(members: Iterable[int]) -> int:
     return mask
 
 
-def _bits(mask: int):
-    """The vertices of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _marked(g: CubeGraph, members: Iterable[int]) -> tuple[bytearray, list[int]]:
+    """A membership mark per vertex, and each member once."""
+    verts = list(dict.fromkeys(members))
+    if min(verts, default=0) < 0:
+        raise ValueError(f"vertex labels must be >= 0, got {min(verts)}")
+    mark = bytearray(g.num_vertices)
+    for v in verts:
+        mark[v] = 1
+    return mark, verts
 
 
 def induced_edge_count(g: CubeGraph, members: Iterable[int]) -> int:
     """Number of edges with both endpoints in the subset."""
-    mask = subset_mask(members)
-    return sum((g.adjacency[v] & mask).bit_count() for v in _bits(mask)) // 2
+    mark, verts = _marked(g, members)
+    return sum(mark[w] for v in verts for w in g.row(v)) // 2
 
 
 def boundary_size(g: CubeGraph, members: Iterable[int]) -> int:
     """Number of edges with exactly one endpoint in the subset."""
-    mask = subset_mask(members)
-    return sum((g.adjacency[v] & ~mask).bit_count() for v in _bits(mask))
-
-
-def _component(adjacency: tuple[int, ...], mask: int) -> int:
-    """The vertices of mask reachable from its lowest vertex inside mask (0 if empty)."""
-    seen = frontier = mask & -mask
-    while frontier:
-        reach = 0
-        for v in _bits(frontier):
-            reach |= adjacency[v]
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen
-
-
-def _mask_connected(adjacency: tuple[int, ...], mask: int) -> bool:
-    return _component(adjacency, mask) == mask
+    mark, verts = _marked(g, members)
+    return sum(1 - mark[w] for v in verts for w in g.row(v))
 
 
 def is_connected_induced(g: CubeGraph, members: Iterable[int]) -> bool:
     """True iff the induced subgraph is connected (empty set and singletons count)."""
-    return _mask_connected(g.adjacency, subset_mask(members))
+    mark, verts = _marked(g, members)
+    reach = verts[:1]
+    if reach:
+        mark[reach[0]] = 0
+    for v in reach:  # the list grows while it is walked: a breadth-first sweep
+        for w in g.row(v):
+            if mark[w]:
+                mark[w] = 0
+                reach.append(w)
+    return len(reach) == len(verts)
 
 
 def subcube_vertices(n: int, l: int, prefix: int) -> frozenset[int]:
@@ -228,8 +242,11 @@ def subcube_vertices(n: int, l: int, prefix: int) -> frozenset[int]:
 def bitmap_pbm(g: CubeGraph) -> str:
     """Portable bitmap (P1) text: 0 = white = edge present, 1 = black = no edge."""
     size = g.num_vertices
-    lines = ["P1", f"{size} {size}"]
+    template = b"1 " * (size - 1) + b"1\n"
+    text = bytearray(b"P1\n%d %d\n" % (size, size))
     for u in range(size):
-        row = g.adjacency[u]
-        lines.append(" ".join("0" if (row >> v) & 1 else "1" for v in range(size)))
-    return "\n".join(lines) + "\n"
+        start = len(text)
+        text += template
+        for v in g.row(u):
+            text[start + 2 * v] = 48  # "0"
+    return text.decode("ascii")

@@ -36,9 +36,6 @@ from .closed_form import (
 )
 from .cube_graph import (
     CubeGraph,
-    _bits,
-    _component,
-    _mask_connected,
     boundary_size,
     build_k4cube,
     canonical_member,
@@ -78,6 +75,30 @@ class _NodeCounter:
         self.count += amount
         if self.count > self.limit:
             raise BudgetExceededError(f"search exceeded node limit {self.limit}")
+
+
+def _bits(mask: int):
+    """The vertices of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _component(adjacency: tuple[int, ...], mask: int) -> int:
+    """The vertices of mask reachable from its lowest vertex inside mask (0 if empty)."""
+    seen = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= adjacency[v]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def _mask_connected(adjacency: tuple[int, ...], mask: int) -> bool:
+    return _component(adjacency, mask) == mask
 
 
 def _exhaustive(g: CubeGraph, budget: OracleBudget) -> bool:
@@ -269,12 +290,7 @@ def brute_lambda_h_unrestricted(
     """
     nv = g.num_vertices
     adj = list(g.adjacency)
-    edges = [
-        (u, v)
-        for u in range(nv)
-        for v in range(u + 1, nv)
-        if (adj[u] >> v) & 1
-    ]
+    edges = sorted((u, v) for u in range(nv) for v in g.row(u) if u < v)
     counter = _NodeCounter(budget.node_limit)
     full = (1 << nv) - 1
     for size in range(1, max_cut + 1):

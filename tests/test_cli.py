@@ -158,6 +158,12 @@ class TestBitmap:
         assert run(["bitmap", "--n", "1"], capsys)[0] == 2
         assert run(["bitmap", "--n", "13"], capsys)[0] == 2
 
+    @pytest.mark.parametrize("kind", ["canonical", "random", "hypercube"])
+    def test_k_needs_enhanced(self, kind, capsys):
+        code, out, err = run(["bitmap", "--n", "3", "--kind", kind, "--k", "5"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("k4rel: ") and err.count("\n") == 1 and "--k" in err
+
 
 class TestPlotdata:
     def test_shape_and_normalization(self, capsys):

@@ -1,6 +1,15 @@
 """Unit tests for graph construction and subset primitives."""
 
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
@@ -184,3 +193,152 @@ class TestBitmap:
             cells = row.split(" ")
             for v, cell in enumerate(cells):
                 assert cell == ("0" if (g.adjacency[u] >> v) & 1 else "1")
+
+
+# The bitmask definitions the neighbour rows replace: a member assembled by
+# shifting whole rows, the PBM cell rule, and the subset formulas on masks.
+
+def mask_member(node):
+    if node.dimension == 2:
+        return [0b1110, 0b1101, 0b1011, 0b0111]
+    half = 1 << (node.dimension - 1)
+    adj = mask_member(node.left) + [row << half for row in mask_member(node.right)]
+    for u, v in enumerate(node.matching):
+        adj[u] |= 1 << (half + v)
+        adj[half + v] |= 1 << u
+    return adj
+
+
+def mask_pbm(g):
+    size = g.num_vertices
+    lines = ["P1", f"{size} {size}"]
+    for u in range(size):
+        lines.append(" ".join("0" if (g.adjacency[u] >> v) & 1 else "1" for v in range(size)))
+    return "\n".join(lines) + "\n"
+
+
+def mask_subset_stats(g, members):
+    """(induced edges, boundary, connected) by the bitmask formulas."""
+    mask = cg.subset_mask(members)
+    verts = [v for v in range(g.num_vertices) if mask >> v & 1]
+    inner = sum((g.adjacency[v] & mask).bit_count() for v in verts) // 2
+    boundary = sum((g.adjacency[v] & ~mask).bit_count() for v in verts)
+    seen = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        for v in range(g.num_vertices):
+            if frontier >> v & 1:
+                reach |= g.adjacency[v]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return inner, boundary, seen == mask
+
+
+def all_kinds(n):
+    graphs = [cg.build_hypercube(n), cg.canonical_member(n)]
+    graphs += [cg.build_enhanced(n, k) for k in range(1, n)]
+    return graphs + [cg.build_k4cube(cg.random_matching_tree(n, s)) for s in (1, 2, 3)]
+
+
+@lru_cache(maxsize=None)
+def probe_graph(n, seed):
+    if seed is None:
+        return cg.canonical_member(n)
+    return cg.build_k4cube(cg.random_matching_tree(n, seed))
+
+
+class TestRowsMatchMasks:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_members_match_the_shifted_rows(self, n):
+        trees = [cg.identity_matching_tree(n)] + [cg.random_matching_tree(n, s) for s in (1, 2, 3)]
+        for tree in trees:
+            assert cg.build_k4cube(tree).adjacency == tuple(mask_member(tree))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_pbm_equals_cell_definition(self, n):
+        for g in all_kinds(n):
+            assert cg.bitmap_pbm(g) == mask_pbm(g), g.kind
+
+    def test_fixed_subsets(self):
+        g = probe_graph(5, 2)
+        cases = [[], [7], [0, 31], [3, 3, 3], [5, 9, 5, 30, 9], list(range(0, 32, 2)),
+                 list(range(31, -1, -1)), [1, 2, 3, 16, 17, 18]]
+        for members in cases:
+            got = (cg.induced_edge_count(g, iter(members)), cg.boundary_size(g, iter(members)),
+                   cg.is_connected_induced(g, iter(members)))
+            assert got == mask_subset_stats(g, members), members
+        assert not mask_subset_stats(g, [0, 31])[2] and mask_subset_stats(g, [3, 3])[2]
+        with pytest.raises(ValueError):
+            cg.boundary_size(g, [1, -1])
+
+    def test_equal_hashable_and_picklable_after_use(self):
+        g = probe_graph(4, 1)
+        assert g.degree(0) == 5 and g.adjacency
+        twin = pickle.loads(pickle.dumps(g))
+        assert twin == g and hash(twin) == hash(g) and twin.adjacency == g.adjacency
+        assert twin != cg.canonical_member(4) and len({g, twin, cg.canonical_member(4)}) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_subset_primitives_agree_with_masks(self, data):
+        n = data.draw(st.integers(3, 8), label="n")
+        g = probe_graph(n, data.draw(st.sampled_from([None, 1, 2, 3]), label="seed"))
+        vertex = st.integers(0, g.num_vertices - 1)
+        members = data.draw(st.one_of(
+            st.lists(vertex, max_size=3 * g.num_vertices // 4),  # repeats, any order
+            st.builds(lambda a, b: list(range(a, a + b)), st.integers(0, g.num_vertices // 2),
+                      st.integers(0, g.num_vertices // 2)),  # contiguous label runs
+        ), label="members")
+        got = (cg.induced_edge_count(g, members), cg.boundary_size(g, members),
+               cg.is_connected_induced(g, members))
+        assert got == mask_subset_stats(g, members)
+
+
+class TestLargeMembers:
+    def test_seeded_members_are_regular_simple_and_connected(self):
+        for n in range(9, 15):
+            g = cg.build_k4cube(cg.random_matching_tree(n, 10 + n))
+            size = g.num_vertices
+            rows = [set(g.row(v)) for v in range(size)]
+            assert all(len(row) == g.degree(v) == n + 1 for v, row in enumerate(rows))
+            assert all(v not in row for v, row in enumerate(rows))
+            assert all(u in rows[v] for u, row in enumerate(rows) for v in row)
+            assert g.edge_count() == (n + 1) << (n - 1)
+            assert cg.is_connected_induced(g, range(size))
+
+    def test_session_probe_builds_no_mask_rows(self):
+        n = 14
+        for g in (cg.canonical_member(n), cg.build_k4cube(cg.random_matching_tree(n, 7))):
+            assert all(g.degree(v) == n + 1 for v in range(g.num_vertices))
+            assert g.edge_count() == (n + 1) << (n - 1)
+            for m in (1, 3, 6, 12, 100, 1500, 5000, 8191):
+                s = cg.canonical_set(m, n)
+                assert cg.boundary_size(g, s) == cf.xi_h4(m, n)
+                assert 2 * cg.induced_edge_count(g, s) == cf.f_value(m)
+                assert cg.is_connected_induced(g, s)
+            assert "adjacency" not in g.__dict__
+
+    def test_n16_member_in_512mb(self):
+        # 4^16 bits of bitmask rows would be 512 MB alone; the rows take about 4 MB
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from k4rel import cube_graph as cg\n"
+            "g = cg.canonical_member(16)\n"
+            "assert all(g.degree(v) == 17 for v in range(1 << 16))\n"
+            "assert g.edge_count() == 17 << 15\n"
+        )
+        src = str(pathlib.Path(cg.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_edge_connectivity_by_networkx(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [cg.canonical_member(8)] + [
+            cg.build_k4cube(cg.random_matching_tree(n, s)) for n, s in ((6, 1), (7, 2), (8, 3))
+        ]
+        for g in graphs:
+            G = nx.Graph((u, v) for u in range(g.num_vertices) for v in g.row(u))
+            assert G.number_of_nodes() == g.num_vertices
+            assert nx.edge_connectivity(G) == g.n + 1, g

@@ -1,6 +1,7 @@
 """Unit tests for the brute-force oracle, including matching-invariance checks."""
 
 import random
+from array import array
 
 import pytest
 
@@ -77,10 +78,14 @@ class TestBoundedMode:
         # relabelled at random, the first m labels no longer seed the optimum
         g = member(4, 5)
         perm = random.Random(9).sample(range(16), 16)
-        adj = [0] * 16
-        for u, row in enumerate(g.adjacency):
-            adj[perm[u]] = cg.subset_mask(perm[v] for v in range(16) if (row >> v) & 1)
-        shuffled = cg.CubeGraph(n=4, kind="shuffled", adjacency=tuple(adj))
+        rows = [None] * 16
+        for u in range(16):
+            rows[perm[u]] = [perm[v] for v in g.row(u)]
+        neighbours = array("I", [v for row in rows for v in row]).tobytes()
+        shuffled = cg.CubeGraph(n=4, kind="shuffled", neighbours=neighbours)
+        for u in range(16):  # the same relabelled member as a bitmask relabelling gives
+            assert shuffled.adjacency[perm[u]] == cg.subset_mask(
+                perm[v] for v in range(16) if (g.adjacency[u] >> v) & 1)
         bounded = oc.OracleBudget(max_n_exhaustive=3)
         seeds = [cg.canonical_set(m, 4) for m in range(11)]
         assert any(2 * cg.induced_edge_count(shuffled, s) < cf.f_value(len(s)) for s in seeds)
