@@ -9,27 +9,33 @@ byte-stable for fixed inputs: integers everywhere except the plotdata ratios,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from functools import lru_cache
+from itertools import chain
+from typing import Iterable
 
 from . import closed_form as cf
 from . import cube_graph as cg
 from . import oracle as oc
 
 
-def _write(out_path: str, text: str) -> None:
-    if out_path == "-":
-        sys.stdout.write(text)
-    else:
+def _write(out_path: str, chunks: Iterable[str]) -> None:
+    if out_path != "-":
         with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
+            return fh.writelines(chunks)
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head` does: not an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def render_profile(n: int) -> str:
-    profile = cf.full_profile(n)
-    lines = ["h,ex,xi,lambda"]
-    for h in range(1, (1 << (n - 1)) + 1):
-        lines.append(f"{h},{profile.ex[h]},{profile.xi[h]},{profile.lam[h]}")
-    return "\n".join(lines) + "\n"
+def render_profile(n: int, start: int = 0, stop: int | None = None) -> str:
+    """CSV rows start+1 .. stop (all by default), after the header when start is 0."""
+    head = "h,ex,xi,lambda\n" if start == 0 else ""
+    return head + "".join("%d,%d,%d,%d\n" * len(h) % tuple(chain.from_iterable(zip(h, *rest)))
+                          for h, *rest in cf.profile_blocks(n, start, stop))
 
 
 def render_intervals(n: int) -> str:
@@ -53,21 +59,24 @@ def render_conditional(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_plotdata(n_list: list[int]) -> str:
-    lines = [
-        "# h_norm = h / 2^(n-1); xi_norm and lambda_norm divided by max xi over 1..2^(n-1)",
-        "n\th_norm\txi_norm\tlambda_norm",
-    ]
+PLOT_HEADER = ("# h_norm = h / 2^(n-1); xi_norm and lambda_norm divided by max xi over 1..2^(n-1)\n"
+               "n\th_norm\txi_norm\tlambda_norm\n")
+
+
+@lru_cache(maxsize=8)
+def _xi_max(n: int) -> int:
+    return max(max(xi) for _, _, xi, _ in cf.profile_blocks(n, lam=False))
+
+
+def render_plotdata(n_list: list[int], start: int = 0, stop: int | None = None) -> str:
+    """TSV rows start+1 .. stop of each n; given no rows, the whole file with its header."""
+    text = [PLOT_HEADER] if (start, stop) == (0, None) else []
     for n in n_list:
-        profile = cf.full_profile(n)
-        half = 1 << (n - 1)
-        xi_max = max(profile.xi[1:])
-        for h in range(1, half + 1):
-            lines.append(
-                f"{n}\t{h / half:.6g}\t{profile.xi[h] / xi_max:.6g}"
-                f"\t{profile.lam[h] / xi_max:.6g}"
-            )
-    return "\n".join(lines) + "\n"
+        half, ratio = 1 << (n - 1), _xi_max(n).__rtruediv__
+        for h, _, xi, lam in cf.profile_blocks(n, start, stop):
+            rows = zip(map(half.__rtruediv__, h), map(ratio, xi), map(ratio, lam))
+            text.append(f"{n}\t%.6g\t%.6g\t%.6g\n" * len(h) % tuple(chain.from_iterable(rows)))
+    return "".join(text)
 
 
 def _build_graph(n: int, kind: str, seed: int, k: int | None) -> cg.CubeGraph:
@@ -117,33 +126,36 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "profile":
             if not 3 <= args.n <= 24:
                 raise ValueError(f"profile needs 3 <= n <= 24, got {args.n}")
-            _write(args.out, render_profile(args.n))
+            _write(args.out, (render_profile(args.n, lo, lo + cf.PROFILE_BLOCK)
+                              for lo in range(0, 1 << (args.n - 1), cf.PROFILE_BLOCK)))
         elif args.command == "lambda":
-            _write(args.out, f"{cf.lambda_fast(args.h, args.n)}\n")
+            _write(args.out, [f"{cf.lambda_fast(args.h, args.n)}\n"])
         elif args.command == "intervals":
-            _write(args.out, render_intervals(args.n))
+            _write(args.out, [render_intervals(args.n)])
         elif args.command == "conditional":
-            _write(args.out, render_conditional(args.n))
+            _write(args.out, [render_conditional(args.n)])
         elif args.command == "cyclic":
-            _write(args.out, f"{cf.cyclic_lambda(args.n)}\n")
+            _write(args.out, [f"{cf.cyclic_lambda(args.n)}\n"])
         elif args.command == "bitmap":
             if not 2 <= args.n <= 12:
                 raise ValueError(f"bitmap needs 2 <= n <= 12, got {args.n}")
             if args.k is not None and args.kind != "enhanced":
                 raise ValueError(f"bitmap: --k applies only to --kind enhanced, not {args.kind}")
             graph = _build_graph(args.n, args.kind, args.seed, args.k)
-            _write(args.out, cg.bitmap_pbm(graph))
+            _write(args.out, (cg.bitmap_pbm(graph, u, u + 1) for u in range(graph.num_vertices)))
         elif args.command == "plotdata":
             for n in args.n:
                 if not 3 <= n <= 24:
                     raise ValueError(f"plotdata needs 3 <= n <= 24, got {n}")
-            _write(args.out, render_plotdata(args.n))
+            _write(args.out, chain([PLOT_HEADER], (
+                render_plotdata([n], lo, lo + cf.PROFILE_BLOCK)
+                for n in args.n for lo in range(0, 1 << (n - 1), cf.PROFILE_BLOCK))))
         elif args.command == "verify":
             if args.seeds < 0:
                 raise ValueError(f"verify needs --seeds >= 0, got {args.seeds}")
             budget = oc.OracleBudget(node_limit=args.budget_nodes)
             report = oc.verify_member(args.n, list(range(1, args.seeds + 1)), budget)
-            _write(args.out, report.to_text())
+            _write(args.out, [report.to_text()])
             if not report.passed:
                 return 1
     except (ValueError, OSError) as exc:

@@ -10,9 +10,14 @@ edge-connectivity.  All arithmetic is exact Python integers.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate, chain, count
+from operator import add, sub
+
+PROFILE_BLOCK = 1 << 14  # rows per block of profile_blocks: a power of two >= 4
 
 
 @dataclass(frozen=True)
@@ -36,20 +41,6 @@ class ConcentrationInterval:
     lower: int
     upper: int
     value: int
-
-
-@dataclass(frozen=True)
-class IsoperimetricProfile:
-    """Per-m tables for a fixed n, each indexed 0 .. 2**(n-1).
-
-    ex[m] = f(m), xi[m] = xi_m and lam[m] = lambda_m; index 0 of xi and lam is
-    an unused placeholder.
-    """
-
-    n: int
-    ex: tuple[int, ...]
-    xi: tuple[int, ...]
-    lam: tuple[int, ...]
 
 
 class FaultPattern(Enum):
@@ -126,14 +117,14 @@ def xi_h4(m: int, n: int) -> int:
 
 
 def lambda_scan(h: int, n: int) -> int:
-    """h-extra edge-connectivity by its defining minimum: the lam table of full_profile.
+    """h-extra edge-connectivity by its defining minimum: the table of full_profile.
 
     Its domain is that of full_profile, 3 <= n <= 24.
     """
-    lam = full_profile(n).lam
-    if not 1 <= h < len(lam):
-        raise ValueError(f"h must be in [1, {len(lam) - 1}], got {h}")
-    return lam[h]
+    lam = full_profile(n)
+    if not 1 <= h <= len(lam):
+        raise ValueError(f"h must be in [1, {len(lam)}], got {h}")
+    return lam[h - 1]
 
 
 def g_interval_length(t: int, n: int) -> int:
@@ -271,25 +262,36 @@ def cyclic_lambda(n: int) -> int:
     return 4 * n - 8 if n in (3, 4) else 3 * n - 3
 
 
-@lru_cache(maxsize=4)
-def full_profile(n: int) -> IsoperimetricProfile:
-    """Materialized ex / xi / lambda tables for one dimension, by one sweep down m.
+@lru_cache(maxsize=1)
+def _f_head(block: int) -> tuple[int, ...]:
+    """f(r) for 0 <= r < block, the running sum of f(s+1) - f(s) = 2*popcount(s) + (s & 2)."""
+    return tuple(accumulate((2 * r.bit_count() + (r & 2) for r in range(block - 1)), initial=0))
 
-    lam[h] is the running minimum of xi over m >= h.  f(m) steps down by its
-    first difference f(m) - f(m-1): 2*popcount(m-1), plus 2 when m-1 = 2 or 3
-    (mod 4).
+
+def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam: bool = True):
+    """Yield the columns h, ex, xi, lambda of rows start+1 .. stop (default 2**(n-1)), B at a time.
+
+    B = PROFILE_BLOCK divides start.  f(qB + r) = f(qB) + f(r) + 2*popcount(q)*r for
+    0 <= r < B, a power of two >= 4.  lambda (None unless lam) is xi's running
+    minimum down the block from lambda_fast at its top row.
     """
+    half, block = 1 << (n - 1), PROFILE_BLOCK
+    for lo in range(start, half if stop is None else stop, block):
+        hi = min(lo + block, half)
+        step = 2 * (lo // block).bit_count()
+        ex = [*map(add, _f_head(min(block, half))[1:hi - lo], count(_f(lo) + step, step)), _f(hi)]
+        xi = list(map(sub, range((n + 1) * (lo + 1), (n + 1) * hi + 1, n + 1), ex))
+        if lam:  # min(lambda_hi, xi_hi) = lambda_hi, so lambda at the top row seeds the block
+            lam_column = list(accumulate(reversed(xi), min, initial=lambda_fast(hi, n)))[:0:-1]
+        yield range(lo + 1, hi + 1), ex, xi, lam_column if lam else None
+
+
+@lru_cache(maxsize=4)
+def full_profile(n: int) -> array:
+    """lambda_h at index h - 1 by its definition, xi's running minimum down m: no lambda_fast."""
     if not 3 <= n <= 24:
         raise ValueError(f"n must be in [3, 24], got {n}")
-    half = 1 << (n - 1)
-    ex, xi, lam = [0] * (half + 1), [0] * (half + 1), [0] * (half + 1)
-    f = _f(half)
-    best = (n + 1) * half  # above every xi_m
-    for m in range(half, 0, -1):
-        ex[m] = f
-        xi[m] = x = (n + 1) * m - f
-        if x < best:
-            best = x
-        lam[m] = best
-        f -= 2 * (m - 1).bit_count() + ((m - 1) & 2)
-    return IsoperimetricProfile(n=n, ex=tuple(ex), xi=tuple(xi), lam=tuple(lam))
+    xi = array("q", chain.from_iterable(column for _, _, column, _ in profile_blocks(n, lam=False)))
+    lam = array("q", accumulate(reversed(xi), min))
+    lam.reverse()
+    return lam

@@ -239,14 +239,17 @@ def subcube_vertices(n: int, l: int, prefix: int) -> frozenset[int]:
     return frozenset(range(base, base + (1 << l)))
 
 
-def bitmap_pbm(g: CubeGraph) -> str:
-    """Portable bitmap (P1) text: 0 = white = edge present, 1 = black = no edge."""
+def bitmap_pbm(g: CubeGraph, start: int = 0, stop: int | None = None) -> str:
+    """Portable bitmap (P1) text: 0 = white = edge present, 1 = black = no edge.
+
+    Rows start .. stop-1 (all by default), after the header when start is 0.
+    """
     size = g.num_vertices
     template = b"1 " * (size - 1) + b"1\n"
-    text = bytearray(b"P1\n%d %d\n" % (size, size))
-    for u in range(size):
-        start = len(text)
+    text = bytearray(b"P1\n%d %d\n" % (size, size) if start == 0 else b"")
+    for u in range(start, size if stop is None else stop):
+        begin = len(text)
         text += template
         for v in g.row(u):
-            text[start + 2 * v] = 48  # "0"
+            text[begin + 2 * v] = 48  # "0"
     return text.decode("ascii")

@@ -1,5 +1,6 @@
 """CLI tests: golden outputs, byte stability, and exit codes."""
 
+import hashlib
 import os
 import pathlib
 import resource
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from k4rel import cli
+from k4rel import closed_form as cf
 from table_data import LAMBDA_TABLE, XI_TABLE
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -18,6 +20,50 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_argv(argv):
+    """The k4rel command line for argv, in a child process."""
+    return [sys.executable, "-m", "k4rel.cli", *argv]
+
+
+def child_env():
+    return dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+
+
+def run_limited(argv, address_space):
+    """Run k4rel in a child process whose address space is capped."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(child_argv(argv), env=child_env(), preexec_fn=limit,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [["profile", "--n", "18"], ["bitmap", "--n", "10"]])
+def test_reader_closing_the_pipe_early_is_not_an_error(argv):
+    # as `k4rel profile --n 18 | head -1`: both outputs are far larger than a pipe's buffer
+    with subprocess.Popen(child_argv(argv), env=child_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first in (b"h,ex,xi,lambda\n", b"P1\n")
+    assert (code, err) == (0, b"")
+
+
+@pytest.mark.parametrize("argv", [["lambda", "--n", "7", "--h", "13"], ["profile", "--n", "18"]])
+def test_reader_gone_before_the_first_byte_is_not_an_error(argv):
+    # the reader is gone before the first byte: a short output must end with exit 0 too
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(child_argv(argv), env=child_env(), stdout=write,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 class TestProfile:
@@ -57,11 +103,32 @@ class TestProfile:
         _, stdout, _ = run(["profile", "--n", "4"], capsys)
         assert target.read_text() == stdout
 
-    def test_out_of_range(self, capsys):
+    def test_out_of_range(self, tmp_path, capsys):
         code, out, err = run(["profile", "--n", "2"], capsys)
         assert code == 2 and out == "" and "3 <= n <= 24" in err
-        code, _, _ = run(["profile", "--n", "25"], capsys)
-        assert code == 2
+        target = tmp_path / "p.csv"
+        code, _, _ = run(["profile", "--n", "25", "--out", str(target)], capsys)
+        assert code == 2 and not target.exists()
+
+    @pytest.mark.parametrize("block", [4, 8])
+    def test_small_blocks_cover_every_edge(self, block, monkeypatch, capsys):
+        # blocks of 4 or 8 rows put block edges, and the last block, at every n
+        monkeypatch.setattr(cf, "PROFILE_BLOCK", block)
+        for n in range(3, 15):
+            code, out, err = run(["profile", "--n", str(n)], capsys)
+            assert (code, err) == (0, "")
+            lines = out.split("\n")
+            assert lines[0] == "h,ex,xi,lambda" and lines[-1] == ""
+            rows = [tuple(map(int, line.split(","))) for line in lines[1:-1]]
+            assert rows == [(h, cf.f_value(h), cf.xi_h4(h, n), cf.lambda_scan(h, n))
+                            for h in range(1, (1 << (n - 1)) + 1)]
+
+    def test_n22_in_256mb(self, tmp_path):
+        # the whole table as Python ints took 514 MB; the streamed blocks take about 20 MB
+        done = run_limited(["profile", "--n", "22", "--out", str(tmp_path / "p.csv")], 256 << 20)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        digest = hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest()
+        assert digest == "5ca5f01819cd075f4727ffa159b2b50228893af7fb65e0e1dab31e36b0000c91"
 
 
 class TestScalarCommands:
@@ -71,15 +138,7 @@ class TestScalarCommands:
 
     def test_lambda_under_2gb_address_space(self):
         # a fall-through h at n=40: the defining scan would need a 2^39-entry table
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        src = str(pathlib.Path(cli.__file__).parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "k4rel.cli", "lambda", "--n", "40", "--h", "1048577"],
-            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
-            capture_output=True, text=True, timeout=60,
-        )
+        done = run_limited(["lambda", "--n", "40", "--h", "1048577"], 2 << 30)
         assert (done.returncode, done.stdout, done.stderr) == (0, "20971559\n", "")
 
     def test_lambda_bad_h(self, capsys):
@@ -189,8 +248,27 @@ class TestPlotdata:
         vals = [float(line.split("\t")[3]) for line in out.strip().split("\n")[2:]]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
-    def test_out_of_range(self, capsys):
-        assert run(["plotdata", "--n", "5", "2"], capsys)[0] == 2
+    def test_out_of_range(self, tmp_path, capsys):
+        target = tmp_path / "d.tsv"
+        assert run(["plotdata", "--n", "5", "2", "--out", str(target)], capsys)[0] == 2
+        assert not target.exists()
+
+    @pytest.mark.parametrize("block", [4, 1 << 14])
+    def test_equals_row_definition(self, block, monkeypatch, capsys):
+        # the per-row f-strings the blocks replace, from the pointwise forms
+        def rows(n):
+            half = 1 << (n - 1)
+            xi_max = max(cf.xi_h4(h, n) for h in range(1, half + 1))
+            return [f"{n}\t{h / half:.6g}\t{cf.xi_h4(h, n) / xi_max:.6g}"
+                    f"\t{cf.lambda_scan(h, n) / xi_max:.6g}" for h in range(1, half + 1)]
+
+        header = ["# h_norm = h / 2^(n-1); xi_norm and lambda_norm divided by max xi over"
+                  " 1..2^(n-1)", "n\th_norm\txi_norm\tlambda_norm"]
+        monkeypatch.setattr(cf, "PROFILE_BLOCK", block)
+        for n_list in [[n] for n in range(3, 13)] + [[12, 3, 7, 7]]:
+            expect = "\n".join(header + [r for n in n_list for r in rows(n)]) + "\n"
+            assert cli.render_plotdata(n_list) == expect
+            assert run(["plotdata", "--n", *map(str, n_list)], capsys) == (0, expect, "")
 
 
 class TestVerify:
@@ -225,10 +303,10 @@ class TestResourceErrors:
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_clean_exit_3(self, error, monkeypatch, capsys):
         # exit 1 means a verification mismatch, so exhaustion must not use it
-        def exhausted(n):
+        def exhausted(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli.cf, "full_profile", exhausted)
+        monkeypatch.setattr(cli.cf, "profile_blocks", exhausted)
         code, out, err = run(["profile", "--n", "20"], capsys)
         assert code == 3 and out == ""
         assert err.startswith("k4rel: ") and err.count("\n") == 1

@@ -82,7 +82,7 @@ class TestMemberDensity:
             assert (gap == 0) == (m <= 2)
 
     def test_first_difference(self):
-        # the step full_profile sweeps with; its running sum from f(0) = 0 is f
+        # the step _f_head sums; its running sum from f(0) = 0 is f
         value = 0
         for m in range(3000):
             step = 2 * bin(m).count("1") + (2 if m % 4 in (2, 3) else 0)
@@ -247,15 +247,17 @@ class TestConditionalAndCyclic:
 
 class TestProfileInvariants:
     def test_profile_matches_pointwise(self):
-        # lam against lambda_fast, which builds no table
+        # the streamed rows against the pointwise forms; lam also against lambda_fast,
+        # which builds no table, and the scan table against the streamed lam
         for n in (3, 6, 9, 12):
-            profile = cf.full_profile(n)
+            rows = [row for columns in cf.profile_blocks(n) for row in zip(*columns)]
             half = 1 << (n - 1)
-            assert len(profile.ex) == len(profile.xi) == len(profile.lam) == half + 1
-            for m in range(1, half + 1):
-                assert profile.ex[m] == cf.f_value(m)
-                assert profile.xi[m] == cf.xi_h4(m, n)
-                assert profile.lam[m] == cf.lambda_fast(m, n)
+            assert len(rows) == len(cf.full_profile(n)) == half
+            for m, (h, ex, xi, lam) in enumerate(rows, start=1):
+                assert h == m
+                assert ex == cf.f_value(m)
+                assert xi == cf.xi_h4(m, n)
+                assert lam == cf.lambda_fast(m, n) == cf.full_profile(n)[m - 1]
 
     def test_profile_domain(self):
         with pytest.raises(ValueError):

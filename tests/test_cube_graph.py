@@ -258,6 +258,8 @@ class TestRowsMatchMasks:
     def test_pbm_equals_cell_definition(self, n):
         for g in all_kinds(n):
             assert cg.bitmap_pbm(g) == mask_pbm(g), g.kind
+            rows = [cg.bitmap_pbm(g, u, u + 1) for u in range(g.num_vertices)]  # as streamed
+            assert "".join(rows) == cg.bitmap_pbm(g, 0, 3) + cg.bitmap_pbm(g, 3) == mask_pbm(g)
 
     def test_fixed_subsets(self):
         g = probe_graph(5, 2)
