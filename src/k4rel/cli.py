@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
@@ -63,16 +62,12 @@ PLOT_HEADER = ("# h_norm = h / 2^(n-1); xi_norm and lambda_norm divided by max x
                "n\th_norm\txi_norm\tlambda_norm\n")
 
 
-@lru_cache(maxsize=8)
-def _xi_max(n: int) -> int:
-    return max(max(xi) for _, _, xi, _ in cf.profile_blocks(n, lam=False))
-
-
 def render_plotdata(n_list: list[int], start: int = 0, stop: int | None = None) -> str:
     """TSV rows start+1 .. stop of each n; given no rows, the whole file with its header."""
     text = [PLOT_HEADER] if (start, stop) == (0, None) else []
     for n in n_list:
-        half, ratio = 1 << (n - 1), _xi_max(n).__rtruediv__
+        # max xi over 1..2^(n-1) is 2*ceil(2^n/3), checked on every n plotdata accepts, 3..24
+        half, ratio = 1 << (n - 1), (2 * -(-(1 << n) // 3)).__rtruediv__
         for h, _, xi, lam in cf.profile_blocks(n, start, stop):
             rows = zip(map(half.__rtruediv__, h), map(ratio, xi), map(ratio, lam))
             text.append(f"{n}\t%.6g\t%.6g\t%.6g\n" * len(h) % tuple(chain.from_iterable(rows)))

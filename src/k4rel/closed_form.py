@@ -3,8 +3,8 @@
 Everything here is a pure function of its integer arguments: densest-subset
 degree sums for hypercubes and K4-hypercube members, the isoperimetric optimum
 xi_m, the h-extra edge-connectivity lambda_h (both the defining suffix minimum
-and the piecewise closed form), the concentration intervals where lambda_h is
-constant, the four conditional edge-connectivities, and the cyclic
+and an O(n) walk over the bits of h - 1), the concentration intervals where
+lambda_h is constant, the four conditional edge-connectivities, and the cyclic
 edge-connectivity.  All arithmetic is exact Python integers.
 """
 
@@ -148,8 +148,10 @@ def m_td(t: int, d: int, n: int) -> int:
     return value
 
 
-@lru_cache(maxsize=64)
-def _intervals(n: int) -> tuple[ConcentrationInterval, ...]:
+def concentration_intervals(n: int) -> list[ConcentrationInterval]:
+    """One interval per t = 0 .. floor(n/2)-1, with its constant lambda value."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
     out = []
     ceil_half = -(-n // 2)
     for t in range(n // 2):
@@ -164,84 +166,61 @@ def _intervals(n: int) -> tuple[ConcentrationInterval, ...]:
                 value=(n // 2 - t) << (ceil_half + t),
             )
         )
-    return tuple(out)
-
-
-def concentration_intervals(n: int) -> list[ConcentrationInterval]:
-    """One interval per t = 0 .. floor(n/2)-1, with its constant lambda value."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    return list(_intervals(n))
-
-
-def _xi_term(t: int, i: int, n: int) -> int:
-    """The term of xi_m for m's bit t when i higher bits of m are set."""
-    return (n + 1 - t - 2 * i - (t >= 2)) << t
-
-
-@lru_cache(maxsize=8)
-def _cheapest_low_bits(n: int) -> tuple[tuple[int, ...], ...]:
-    """low[j][i] = least sum of xi terms over m's bits below its set bit j, i bits above them.
-
-    Over m's set bits t_0 > t_1 > ..., the terms _xi_term(t_k, k, n) sum to xi_m,
-    but for the -2 when m = 3 (mod 4): below a set bit 1, bit 0 is worth 2 less.
-    Only i + j <= n - 1 occurs for m < 2**(n-1), so row j has n - j entries.
-    """
-    low = [(0,) * n, tuple(min(0, _xi_term(0, i, n) - 2) for i in range(n - 1))]
-    free = tuple(min(0, _xi_term(0, i, n)) for i in range(n - 1))  # bit 1 clear
-    for j in range(2, n - 1):
-        free = tuple(min(free[i], _xi_term(j - 1, i, n) + low[j - 1][i + 1])
-                     for i in range(n - j))
-        low.append(free)
-    return tuple(low)
-
-
-def _lambda_digit_dp(h: int, n: int) -> int:
-    """min of xi_m over h <= m <= 2**(n-1), by one walk down the bits of h.
-
-    Besides m = h and m = 2**(n-1), every candidate agrees with h above some
-    0-bit j of h, sets bit j, and takes the cheapest bits below j.  O(n)
-    big-integer steps per query after the O(n**2) table of the dimension.
-    """
-    half = 1 << (n - 1)
-    best = xi_h4(half, n)
-    if h == half:
-        return best
-    low = _cheapest_low_bits(n)
-    prefix = ones = 0  # the xi terms and the number of h's bits above j
-    for j in range(n - 2, -1, -1):
-        term = _xi_term(j, ones, n)
-        if h >> j & 1:
-            prefix += term
-            ones += 1
-        elif j:
-            best = min(best, prefix + term + low[j][ones + 1])
-        else:  # m = 3 (mod 4) when h has bit 1
-            best = min(best, prefix + term - 2 * (h >> 1 & 1))
-    return min(best, prefix - 2 * (h & 3 == 3))
+    return out
 
 
 def lambda_fast(h: int, n: int) -> int:
-    """h-extra edge-connectivity via the piecewise closed form.
+    """h-extra edge-connectivity, the least xi_m over h <= m <= 2**(n-1), in O(n) steps.
 
-    Monotone head, h up to the lower end of the first concentration interval,
-    2**ceil(n/2) - 2 - gamma(n): lambda_h = xi_h.
-    Concentration intervals: the constant (floor(n/2)-t) * 2**(ceil(n/2)+t);
-    the last one is [floor(2**(n-1)/3), 2**(n-1)], where lambda_h = 2**(n-1).
-    Every other h is answered exactly by a digit DP over the bits of h: O(n)
-    big-integer steps per query, after an O(n**2) table built once per n.
+    Let H = 2**(n-1) and g = h - 1.  The candidates are g rounded up at each of
+    its 0-bits j <= n-1: c_j = (g >> j | 1) << j, which agrees with g above j,
+    has bit j set and every lower bit clear.  They lie in [h, H]: c_j > g,
+    and c_j <= H as g >> j is even and below 2**(n-1-j).  They are h itself
+    (j the lowest 0-bit of g), H (j = n-1), and h rounded up at its 0-bits
+    above its lowest set bit.
+    This extends the paper's lambda_h, given for h <= 2**ceil(n/2) and on the
+    concentration intervals, to every h:  lambda_h = min over j of xi(c_j).
+
+    Exchange inequality.  For m with at least two set bits, the lowest at t,
+    xi_m > min(xi(m - 2**t), xi(m + 2**t)).  Write f(m) = Q(m) + 4*floor(m/4)
+    + 2*[m = 3 (mod 4)] with Q the hypercube sum, and m = 2**t * q, q odd.
+    From Q(2**t * q) = 2**t * Q(q) + t*q*2**t and Q(q+1) - Q(q) = 2*popcount(q),
+    the second difference of Q over m - 2**t, m, m + 2**t is
+    2**t * 2*(popcount(q) - popcount(q-1)) = 2**(t+1); that of the mod-4
+    terms is 4 at t = 1 and 0 otherwise.  So the second difference of
+    xi = (n+1)*m - f(m) is at most -2**(t+1) < 0.
+
+    Proof.  Take m in [h, H] that is no candidate.  Then m < H, and let j be
+    the highest bit where m and g differ: m has it, g does not, and bits of m
+    below j are not all 0, so m's lowest set bit t is below j.  Both
+    neighbours stay in [h, H] and are candidates or again no candidate with
+    the same j and a smaller (number of m's set bits below j, j - t), in
+    lexicographic order.  m - 2**t drops one bit below j (c_j when none is
+    left).  m + 2**t clears the run of 1-bits from t up and sets the 0-bit u
+    above it: if u < j, fewer bits below j or a higher lowest bit; otherwise
+    the run passed j, and m + 2**t = c_u for the next 0-bit u of g above j,
+    at most n-1.  By induction on that pair, xi_m >= the least xi(c_j).
+
+    Walk.  Over m's set bits t_0 > t_1 > ... the terms
+    (n + 1 - t_k - 2k - [t_k >= 2]) * 2**t_k sum to xi_m, less 2 when
+    m = 3 (mod 4); of the candidates only c_0 can be, when g has bit 1.  One
+    pass down the bits of g keeps the sum of the terms above j.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     half = 1 << (n - 1)
     if not 1 <= h <= half:
         raise ValueError(f"h must be in [1, {half}], got {h}")
-    if h <= _intervals(n)[0].lower:
-        return xi_h4(h, n)
-    for interval in _intervals(n):
-        if interval.lower <= h <= interval.upper:
-            return interval.value
-    return _lambda_digit_dp(h, n)
+    g, best = h - 1, half  # c_{n-1} = H, and xi_H = H
+    prefix = ones = 0  # the xi terms of g's bits above j, and how many bits
+    for j in range(n - 2, -1, -1):
+        term = (n + 1 - j - 2 * ones - (j >= 2)) << j
+        if g >> j & 1:
+            prefix += term
+            ones += 1
+        else:  # c_j; c_0 = 3 (mod 4) when g has bit 1
+            best = min(best, prefix + term - (j == 0 and g & 2))
+    return best
 
 
 def conditional_lambda(pattern: FaultPattern, l: int, n: int) -> int:

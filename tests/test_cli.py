@@ -141,6 +141,14 @@ class TestScalarCommands:
         done = run_limited(["lambda", "--n", "40", "--h", "1048577"], 2 << 30)
         assert (done.returncode, done.stdout, done.stderr) == (0, "20971559\n", "")
 
+    def test_lambda_at_n10000_under_2gb_address_space(self):
+        # an O(n^2) table of n-bit ints (31 GB here) does not fit; the walk keeps O(1) ints
+        n, h = 10000, (1 << 9999) // 5 + 12345
+        done = run_limited(["lambda", "--n", str(n), "--h", str(h)], 2 << 30)
+        assert (done.returncode, done.stderr) == (0, "")
+        candidates = {h, 1 << (n - 1)} | {(h >> j | 1) << j for j in range(n - 1) if not h >> j & 1}
+        assert int(done.stdout) == min(cf.xi_h4(c, n) for c in candidates)
+
     def test_lambda_bad_h(self, capsys):
         code, _, err = run(["lambda", "--n", "5", "--h", "17"], capsys)
         assert code == 2 and err != ""
@@ -247,6 +255,15 @@ class TestPlotdata:
         _, out, _ = run(["plotdata", "--n", "7"], capsys)
         vals = [float(line.split("\t")[3]) for line in out.strip().split("\n")[2:]]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def test_normalized_by_max_xi(self):
+        # the divisor 2*ceil(2^n/3) is the max of xi over h = 1..2^(n-1)
+        for n in range(3, 17):
+            xi = [x for _, _, column, _ in cf.profile_blocks(n, lam=False) for x in column]
+            xi_max = max(xi)
+            assert xi_max == 2 * -(-(1 << n) // 3), n
+            rows = cli.render_plotdata([n]).split("\n")[2:-1]
+            assert [row.split("\t")[2] for row in rows] == ["%.6g" % (x / xi_max) for x in xi]
 
     def test_out_of_range(self, tmp_path, capsys):
         target = tmp_path / "d.tsv"

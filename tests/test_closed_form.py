@@ -122,34 +122,40 @@ class TestLambda:
                 assert cf.lambda_fast(h, n) == expect, (n, h)
 
     def test_fast_equals_scan(self):
-        # the digit DP also on the h that the head and interval branches answer first
+        # the one walk also on the head and interval h that the paper's theorems give
         for n in range(3, 15):
             for h in range(1, (1 << (n - 1)) + 1):
-                scan = cf.lambda_scan(h, n)
-                assert cf.lambda_fast(h, n) == cf._lambda_digit_dp(h, n) == scan, (n, h)
+                assert cf.lambda_fast(h, n) == cf.lambda_scan(h, n), (n, h)
 
-    def test_cheapest_low_bits_by_enumeration(self):
-        # low[j][i]: best change of xi from adding bits below j to an m whose
-        # lowest of i set bits is j
-        for n in range(3, 10):
-            low = cf._cheapest_low_bits(n)
-            for j in range(1, n - 1):
-                for i in range(1, n - j):
-                    m = ((1 << (i - 1)) - 1) << (j + 1) | 1 << j
-                    best = min(cf.xi_h4(m + s, n) for s in range(1 << j)) - cf.xi_h4(m, n)
-                    assert low[j][i] == best, (n, j, i)
+    @staticmethod
+    def assert_exchange(m, n):
+        # the step of lambda_fast's proof: xi has no local minimum at m between m -+ lowbit
+        low = m & -m
+        assert cf.xi_h4(m, n) > min(cf.xi_h4(m - low, n), cf.xi_h4(m + low, n)), (n, m)
+
+    def test_exchange_inequality(self):
+        for n in range(3, 15):
+            for m in range(1, 1 << (n - 1)):
+                if m.bit_count() >= 2:
+                    self.assert_exchange(m, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(21, 200), st.data())
+    def test_exchange_inequality_at_large_n(self, n, data):
+        m = data.draw(st.integers(3, (1 << (n - 1)) - 1).filter(lambda m: m.bit_count() >= 2))
+        self.assert_exchange(m, n)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(21, 200), st.data())
     def test_digit_dp_at_large_n(self, n, data):
-        # no scan table fits here: check the DP against the closed regimes
+        # no scan table fits here: check the walk against the closed regimes
         intervals = cf.concentration_intervals(n)
         head = st.integers(1, (1 << -(-n // 2)) - 2 - cf.gamma(n))
         iv = data.draw(st.sampled_from(intervals))
         h = data.draw(head)
-        assert cf._lambda_digit_dp(h, n) == cf.xi_h4(h, n) == cf.lambda_fast(h, n)
+        assert cf.lambda_fast(h, n) == cf.xi_h4(h, n)
         h = data.draw(st.integers(max(iv.lower, 1), iv.upper))
-        assert cf._lambda_digit_dp(h, n) == iv.value == cf.lambda_fast(h, n)
+        assert cf.lambda_fast(h, n) == iv.value
         lo, hi = sorted(data.draw(st.integers(1, 1 << (n - 1))) for _ in range(2))
         assert cf.lambda_fast(lo, n) <= cf.lambda_fast(hi, n) <= cf.xi_h4(hi, n)
 
