@@ -60,13 +60,9 @@ def decompose(m: int) -> BinaryDecomposition:
     """Greedy descending binary expansion of a positive integer."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    exponents = []
-    rest = m
-    while rest:
-        t = rest.bit_length() - 1
-        exponents.append(t)
-        rest -= 1 << t
-    return BinaryDecomposition(m=m, exponents=tuple(exponents))
+    top = m.bit_length() + 1  # bin(m) is "0b" and then the digits: index i has exponent top - i
+    return BinaryDecomposition(
+        m=m, exponents=tuple(top - i for i, digit in enumerate(bin(m)) if digit == "1"))
 
 
 def ex_qn(m: int, n: int) -> int:

@@ -3,14 +3,16 @@
 Everything here is search, not formula: densest subsets, minimum boundaries,
 conditional and cyclic cuts are found by enumeration so the closed forms can
 be validated against an independent path.  Exhaustive mode (up to 16 vertices)
-builds one transient table of the doubled induced edges and the boundary of
-every vertex subset; the per-size optima, the connected bipartitions and the
-average-degree check are all read from it.  Bounded mode (one dimension
-further) runs one cached search over connected m-sets that yields both the
-densest set and the smallest boundary with a connected complement, and a
-branch-and-bound over bipartitions for the cyclic cut.  Any search that would
-exceed its budget raises BudgetExceededError rather than returning a partial
-answer.
+builds one transient table of the boundary of every vertex subset; the
+per-size minima, the connected bipartitions and the average-degree check are
+all read from it, and every densest-subset value is degree * m minus the
+minimum boundary, as every CubeGraph is regular.  One dimension further, the
+same per-size minima come exactly from the two label halves (a member is two
+smaller members joined by a perfect matching), and a canonical witness with
+both sides connected turns a minimum into xi; a branch-and-bound over
+bipartitions finds the cyclic cut.  Any check that would exceed its budget, or
+that has no witness, raises BudgetExceededError rather than returning a
+partial answer.
 
 The restriction of cut searches to connected bipartitions rests on the fact
 that a minimum cut leaving three or more components could drop the edges
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
+from operator import itemgetter
 
 from .closed_form import (
     FaultPattern,
@@ -40,7 +44,7 @@ from .cube_graph import (
     build_k4cube,
     canonical_member,
     canonical_set,
-    induced_edge_count,
+    is_connected_induced,
     random_matching_tree,
     subset_mask,
 )
@@ -53,11 +57,10 @@ class BudgetExceededError(RuntimeError):
 @dataclass(frozen=True)
 class OracleBudget:
     max_n_exhaustive: int = 4
-    max_subset_size_bounded: int = 10
     node_limit: int = 50_000_000
 
     def __post_init__(self):
-        if self.max_n_exhaustive < 1 or self.max_subset_size_bounded < 1 or self.node_limit < 1:
+        if self.max_n_exhaustive < 1 or self.node_limit < 1:
             raise ValueError("budget fields must be positive")
 
 
@@ -105,37 +108,91 @@ def _exhaustive(g: CubeGraph, budget: OracleBudget) -> bool:
     return g.num_vertices <= (1 << budget.max_n_exhaustive)
 
 
-def _mask_table(g: CubeGraph) -> tuple[bytearray, bytearray]:
-    """Doubled induced edges and boundary of every vertex subset, indexed by mask.
+def _mask_table(adjacency: tuple[int, ...]) -> bytearray:
+    """Boundary of every vertex subset of the graph with these bitmask rows, by mask.
 
     Each entry extends the one for its mask without the highest vertex.  Every
     value fits a byte up to 16 vertices; the table is transient, so callers
     reduce it and let it go.
     """
-    e2 = bytearray(1 << g.num_vertices)
-    bd = bytearray(1 << g.num_vertices)
-    for v, row in enumerate(g.adjacency):
-        low = 1 << v
-        inner = bytes(2 * (row & rest).bit_count() for rest in range(low))
-        deg = row.bit_count()
-        e2[low:2 * low] = bytes(a + c for a, c in zip(e2[:low], inner))
-        bd[low:2 * low] = bytes(b + deg - c for b, c in zip(bd[:low], inner))
-    return e2, bd
+    bd = bytearray(1 << len(adjacency))
+    for v, row in enumerate(adjacency):
+        low, deg = 1 << v, row.bit_count()
+        bd[low:2 * low] = bytes(b + deg - 2 * (row & rest).bit_count()
+                                for rest, b in enumerate(bd[:low]))
+    return bd
 
 
 @lru_cache(maxsize=32)
-def _subset_tables(g: CubeGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per subset size m: (max doubled edge count, min unconstrained boundary)."""
+def _subset_tables(g: CubeGraph) -> tuple[int, ...]:
+    """Per subset size m: the minimum boundary over all m-subsets, read per mask."""
     nv = g.num_vertices
-    max_e2 = [0] * (nv + 1)
-    min_bd = [0] + [nv * nv] * nv
-    for mask, (e2, bd) in enumerate(zip(*_mask_table(g))):
+    min_bd = [nv * nv] * (nv + 1)
+    for mask, bd in enumerate(_mask_table(g.adjacency)):
         m = mask.bit_count()
-        if e2 > max_e2[m]:
-            max_e2[m] = e2
         if bd < min_bd[m]:
             min_bd[m] = bd
-    return tuple(max_e2), tuple(min_bd)
+    return tuple(min_bd)
+
+
+_FAR = 126  # a byte lane above every distance, so far + 1 stays below the lane's top bit
+
+
+@lru_cache(maxsize=32)
+def _size_table(g: CubeGraph) -> tuple[int, ...]:
+    """Per subset size m: the minimum boundary over all m-subsets, from the label halves.
+
+    The cross edges must be one perfect matching pi from the low half L onto
+    the high half R.  Then S = S_L + S_R has bd(S) = bd_L(S_L) + bd_R(S_R) +
+    |pi(S_L) ^ S_R|.  With c(T) = bd_L(pi^-1 T), the distance transform
+    D_k(X) = min over |T| = k of c(T) + |T ^ X| is separable per bit:
+    D_k(X) <- min(D_k(X), D_k(X ^ 2^i) + 1).  Then the answer at m is the
+    minimum of bd_R(X) + D_{m-|X|}(X).  Each D_k is one big int of byte
+    lanes, one per X; the lanes stay below 128, so one subtraction per bit
+    compares all lanes at once.
+    """
+    w = g.num_vertices >> 1
+    low = (1 << w) - 1
+    adj = g.adjacency
+    cross = [row >> w for row in adj[:w]] + [row & low for row in adj[w:]]
+    if any(c.bit_count() != 1 for c in cross):
+        raise BudgetExceededError("the edges between the label halves are not one perfect matching")
+    pi = [c.bit_length() - 1 for c in cross[:w]]
+    moved = [0] * w  # L relabelled by pi, so that its table is c
+    for u in range(w):
+        moved[pi[u]] = subset_mask(pi[v] for v in _bits(adj[u] & low))
+    lanes = 1 << w
+    c = int.from_bytes(_mask_table(moved), "little")
+    right = int.from_bytes(_mask_table([row >> w for row in adj[w:]]), "little")
+    ones = int.from_bytes(b"\1" * lanes, "little")
+    high, far = ones << 7, _FAR * ones
+    clears = [int.from_bytes((b"\xff" * (1 << i) + bytes(1 << i)) * (lanes >> (i + 1)), "little")
+              for i in range(w)]
+    pop = bytes(x.bit_count() for x in range(lanes))
+    gather = itemgetter(*sorted(range(lanes), key=pop.__getitem__))
+    starts = list(accumulate((comb(w, j) for j in range(w + 1)), initial=0))
+    best = [2 * w * w] * (2 * w + 1)
+    for k in range(w + 1):
+        own = int.from_bytes(pop.translate(bytes(255 * (p == k) for p in range(256))), "little")
+        d = (c & own) | (far & ~own)
+        for i, clear in enumerate(clears):
+            near = (((d >> (8 << i)) & clear) | ((d & clear) << (8 << i))) + ones
+            ge = (((d | high) - near) & high) >> 7
+            d ^= (d ^ near) & ((ge << 8) - ge)
+        by_size = gather((d + right).to_bytes(lanes, "little"))
+        for j in range(w + 1):
+            best[k + j] = min(best[k + j], min(by_size[starts[j]:starts[j + 1]]))
+    return tuple(best)
+
+
+def _min_boundaries(g: CubeGraph, budget: OracleBudget) -> tuple[int, ...]:
+    """Minimum boundary over all m-subsets for every m: per mask, or from the halves."""
+    if _exhaustive(g, budget):
+        return _subset_tables(g)
+    if g.n == budget.max_n_exhaustive + 1:
+        return _size_table(g)
+    raise BudgetExceededError(
+        f"n={g.n} is beyond the exact tables (n <= {budget.max_n_exhaustive + 1})")
 
 
 @lru_cache(maxsize=32)
@@ -143,7 +200,7 @@ def _bipartitions(g: CubeGraph) -> tuple[tuple[int, int], ...]:
     """All (mask, boundary) with both sides connected and nonempty; vertex 0 in mask."""
     adj = g.adjacency
     full = (1 << g.num_vertices) - 1
-    bd = _mask_table(g)[1]
+    bd = _mask_table(adj)
     return tuple(
         (mask, bd[mask])
         for mask in range(1, full, 2)
@@ -151,95 +208,28 @@ def _bipartitions(g: CubeGraph) -> tuple[tuple[int, int], ...]:
     )
 
 
-@lru_cache(maxsize=32)
-def _connected_search(
-    g: CubeGraph, m: int, budget: OracleBudget
-) -> tuple[int, int] | BudgetExceededError:
-    """Over connected m-sets: (max doubled edge count, min boundary with connected complement).
-
-    A search that runs out of budget returns its error, so the cache keeps
-    that outcome too and no later caller runs the same search again.
-
-    Each connected set is grown once, from its lowest vertex through higher
-    neighbours only.  Both optima start from the canonical set, and a branch
-    is cut only when neither can still improve: its doubled edges can gain at
-    most add_bound[size], and its boundary can fall at most to the degree sum
-    of a minimum-degree finish minus those edges.
-    """
-    nv = g.num_vertices
-    adj = g.adjacency
-    full = (1 << nv) - 1
-    degs = [row.bit_count() for row in adj]
-    mindeg, maxdeg = min(degs), max(degs)
-    # add_bound[k]: most doubled edges that k..m-1 further insertions can add
-    add_bound = [0] * (m + 1)
-    for k in range(m - 1, 0, -1):
-        add_bound[k] = add_bound[k + 1] + 2 * min(maxdeg, k)
-    seed = canonical_set(m, g.n)
-    best_e2, best_bd = 2 * induced_edge_count(g, seed), boundary_size(g, seed)
-    counter = _NodeCounter(budget.node_limit)
-
-    def grow(smask, size, e2, degsum, ext, forbidden, allowed):
-        nonlocal best_e2, best_bd
-        counter.tick()
-        if size == m:
-            best_e2 = max(best_e2, e2)
-            if degsum - e2 < best_bd and _mask_connected(adj, full ^ smask):
-                best_bd = degsum - e2
-            return
-        if (e2 + add_bound[size] <= best_e2
-                and degsum + (m - size) * mindeg - e2 - add_bound[size] >= best_bd):
-            return
-        while ext:
-            u_bit = ext & -ext
-            ext ^= u_bit
-            u = u_bit.bit_length() - 1
-            new_s = smask | u_bit
-            grow(new_s, size + 1, e2 + 2 * (adj[u] & smask).bit_count(), degsum + degs[u],
-                 (ext | (adj[u] & allowed)) & ~new_s & ~forbidden, forbidden, allowed)
-            forbidden |= u_bit
-
-    try:
-        for v in range(nv):
-            allowed = ~((2 << v) - 1)
-            grow(1 << v, 1, 0, degs[v], adj[v] & allowed, 0, allowed)
-    except BudgetExceededError as exc:
-        return exc
-    return best_e2, best_bd
-
-
-def _searched(g: CubeGraph, m: int, budget: OracleBudget, index: int) -> int:
-    """One optimum of the cached connected search; raises its budget error, if any."""
-    if m > budget.max_subset_size_bounded:
-        raise BudgetExceededError(
-            f"m={m} exceeds bounded subset size {budget.max_subset_size_bounded}"
-        )
-    outcome = _connected_search(g, m, budget)
-    if isinstance(outcome, BudgetExceededError):
-        raise outcome.with_traceback(None)
-    return outcome[index]
-
-
 def brute_ex(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Maximum doubled edge count over m-vertex subsets.
 
-    Bounded mode searches connected subsets only (a disconnected optimum can
-    be merged component-by-component without losing edges); exhaustive mode
-    reads every subset from the mask table.
+    Every CubeGraph is regular, and an m-set S of a d-regular graph has
+    2 * edges(S) + bd(S) = d * m, so this is d * m minus the minimum boundary
+    over all m-subsets.
     """
     nv = g.num_vertices
     if not 0 <= m <= nv:
         raise ValueError(f"m must be in [0, {nv}], got {m}")
-    if m <= 1:
-        return 0
-    if _exhaustive(g, budget):
-        return _subset_tables(g)[0][m]
-    return _searched(g, m, budget, 0)
+    return g.degree(0) * m - _min_boundaries(g, budget)[m]
 
 
 @lru_cache(maxsize=4096)
 def brute_xi(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """Minimum boundary over m-subsets with both sides connected."""
+    """Minimum boundary over m-subsets with both sides connected.
+
+    Exhaustive scale scans the connected bipartitions.  One dimension up, the
+    minimum over all m-subsets is a lower bound; it is the answer when the
+    canonical m-set reaches it with both sides connected, and otherwise the
+    check raises BudgetExceededError.
+    """
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
@@ -253,21 +243,27 @@ def brute_xi(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int
         if best is None:
             raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
         return best
-    return _searched(g, m, budget, 1)
+    best = _min_boundaries(g, budget)[m]
+    seed = canonical_set(m, g.n)
+    found = boundary_size(g, seed)
+    if found != best or not (is_connected_induced(g, seed)
+                             and is_connected_induced(g, range(m, nv))):
+        raise BudgetExceededError(
+            f"the canonical {m}-set has boundary {found}, the minimum over all {m}-sets is "
+            f"{best}, and no connected witness of the minimum is known")
+    return best
 
 
 def brute_xi_unconstrained(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Minimum boundary over all m-subsets, no connectivity requirement.
 
-    Only exhaustive scale: connected enumeration cannot rule out disconnected
-    optima, and this quantity exists precisely to test that they do not occur.
+    Read per mask at exhaustive scale and from the two label halves one
+    dimension up; it exists to test that disconnected optima do not occur.
     """
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    if not _exhaustive(g, budget):
-        raise BudgetExceededError("unconstrained minimum needs exhaustive scale")
-    return _subset_tables(g)[1][m]
+    return _min_boundaries(g, budget)[m]
 
 
 def brute_lambda_h(g: CubeGraph, h: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -430,8 +426,10 @@ def average_degree_floor_check(g: CubeGraph, budget: OracleBudget = DEFAULT_BUDG
     """Every subset with integer average-degree floor l has at least 2**(l-1) vertices."""
     if not _exhaustive(g, budget):
         raise BudgetExceededError("average degree check needs exhaustive scale")
-    for mask, e2 in enumerate(_mask_table(g)[0]):
+    degree = g.degree(0)
+    for mask, bd in enumerate(_mask_table(g.adjacency)):
         k = mask.bit_count()
+        e2 = degree * k - bd  # doubled induced edges: the graph is regular
         if k and e2 >= k and k < (1 << (e2 // k - 1)):
             return False
     return True

@@ -314,6 +314,14 @@ class TestVerify:
         )
         assert code == 0 and err == ""
         assert out.startswith("verification n=5: PASS") and "  skipped  skipped" in out
+        # the 12 conditional rows are skipped at any budget; 1000 nodes skips the cyclic cut
+        rows = [row.split("  ") for row in out.splitlines()[3:]]
+        skipped = [row for row in rows if row[-2:] == ["skipped", "skipped"]]
+        assert [row for row in skipped if not row[1].startswith("cond_")] == [
+            ["canonical", "cyclic", "-", "12", "skipped", "skipped"]]
+        assert len(skipped) == 13 and len(rows) == 77
+        compared = [row for row in rows if row[1] in ("ex", "xi", "xi_e", "lambda")]
+        assert len(compared) == 4 * 16 and all(row[-1] == "true" for row in compared)
 
 
 class TestResourceErrors:

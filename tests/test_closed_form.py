@@ -31,6 +31,13 @@ class TestDecompose:
             assert sum(1 << t for t in d.exponents) == m
             assert list(d.exponents) == sorted(d.exponents, reverse=True)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=(1 << 5000) - 1))
+    def test_roundtrip_up_to_20000_bits(self, m):
+        exponents = cf.decompose(m).exponents
+        assert sum(1 << t for t in exponents) == m
+        assert list(exponents) == sorted(set(exponents), reverse=True)
+
 
 class TestHypercubeDensity:
     def test_known_values(self):

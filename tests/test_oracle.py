@@ -24,77 +24,106 @@ class TestBudget:
             oc.OracleBudget(node_limit=0)
 
     def test_node_limit_raises(self):
-        tight = oc.OracleBudget(max_n_exhaustive=3, node_limit=10)
+        # the limit caps the bounded cyclic branch-and-bound, the one bounded search
         with pytest.raises(oc.BudgetExceededError):
-            oc.brute_ex(member(4), 6, tight)
-
-    def test_node_limit_raises_in_xi(self):
-        tight = oc.OracleBudget(max_n_exhaustive=3, node_limit=10)
+            oc.brute_cyclic(member(5), oc.OracleBudget(node_limit=10))
         with pytest.raises(oc.BudgetExceededError):
-            oc.brute_xi(member(4), 6, tight)
-
-    def test_budget_failure_searched_once(self, monkeypatch):
-        # ex and xi at one m share a search, also one that ran out of budget
-        started = []
-
-        class Counting(oc._NodeCounter):
-            def __init__(self, limit):
-                started.append(limit)
-                super().__init__(limit)
-
-        monkeypatch.setattr(oc, "_NodeCounter", Counting)
-        oc._connected_search.cache_clear()
-        tight = oc.OracleBudget(max_n_exhaustive=3, node_limit=10)
-        with pytest.raises(oc.BudgetExceededError):
-            oc.brute_ex(member(4), 7, tight)
-        with pytest.raises(oc.BudgetExceededError):
-            oc.brute_xi(member(4), 7, tight)
-        assert started == [10]
-
-    def test_subset_size_cap(self):
-        small = oc.OracleBudget(max_n_exhaustive=3, max_subset_size_bounded=4)
-        with pytest.raises(oc.BudgetExceededError):
-            oc.brute_ex(member(4), 5, small)
-        with pytest.raises(oc.BudgetExceededError):
-            oc.brute_xi(member(4), 5, small)
+            oc.brute_cyclic(member(4), oc.OracleBudget(max_n_exhaustive=3, node_limit=10))
 
     def test_unconstrained_needs_exhaustive(self):
-        with pytest.raises(oc.BudgetExceededError):
-            oc.brute_xi_unconstrained(member(5), 2)
+        # exact one dimension past the exhaustive scale, from the halves, and no further
+        g = member(5)
+        assert [oc.brute_xi_unconstrained(g, m) for m in range(1, 17)] == [
+            cf.xi_h4(m, 5) for m in range(1, 17)]
+        g = member(6)
+        for search in (oc.brute_xi_unconstrained, oc.brute_ex, oc.brute_xi):
+            with pytest.raises(oc.BudgetExceededError):
+                search(g, 2)
+
+
+def shuffled_member(n, seed, shuffle_seed):
+    """A seeded member relabelled at random: its label halves are no longer its halves."""
+    g = member(n, seed)
+    nv = 1 << n
+    perm = random.Random(shuffle_seed).sample(range(nv), nv)
+    rows = [None] * nv
+    for u in range(nv):
+        rows[perm[u]] = [perm[v] for v in g.row(u)]
+    neighbours = array("I", [v for row in rows for v in row]).tobytes()
+    shuffled = cg.CubeGraph(n=n, kind="shuffled", neighbours=neighbours)
+    for u in range(nv):  # the same relabelled member as a bitmask relabelling gives
+        assert shuffled.adjacency[perm[u]] == cg.subset_mask(
+            perm[v] for v in range(nv) if (g.adjacency[u] >> v) & 1)
+    return shuffled
+
+
+def glued(seed):
+    """A relabelled 3-cube and two disjoint K4s joined by a seeded perfect matching.
+
+    No family member: a member's profile does not depend on its matchings, so
+    there a table read through the inverse matching would go unseen.
+    """
+    rng = random.Random(seed)
+    perm, pi = rng.sample(range(8), 8), rng.sample(range(8), 8)
+    left = [None] * 8
+    for u in range(8):
+        left[perm[u]] = [perm[u ^ 1 << i] for i in range(3)]
+    rows = [left[u] + [8 + pi[u]] for u in range(8)]
+    rows += [[8 + (t ^ f) for f in (1, 2, 3)] + [pi.index(t)] for t in range(8)]
+    neighbours = array("I", [v for row in rows for v in row]).tobytes()
+    return cg.CubeGraph(n=4, kind=f"glued{seed}", neighbours=neighbours)
+
+
+HALVES = oc.OracleBudget(max_n_exhaustive=3)  # n = 4 read from two n = 3 halves
 
 
 class TestBoundedMode:
     def test_agrees_with_exhaustive_on_the_same_graphs(self):
-        bounded = oc.OracleBudget(max_n_exhaustive=3)
         for seed in (None, 1, 2, 3):
             g = member(4, seed)
-            for m in range(0, 11):
-                assert oc.brute_ex(g, m, bounded) == oc.brute_ex(g, m), (seed, m)
+            for m in range(0, 17):
+                assert oc.brute_ex(g, m, HALVES) == oc.brute_ex(g, m), (seed, m)
             for m in range(1, 9):
-                assert oc.brute_xi(g, m, bounded) == oc.brute_xi(g, m), (seed, m)
-            assert oc.brute_cyclic(g, bounded) == oc.brute_cyclic(g), seed
+                assert oc.brute_xi(g, m, HALVES) == oc.brute_xi(g, m), (seed, m)
+            assert oc.brute_cyclic(g, HALVES) == oc.brute_cyclic(g), seed
 
-    def test_finds_optima_the_canonical_set_misses(self):
-        # relabelled at random, the first m labels no longer seed the optimum
-        g = member(4, 5)
-        perm = random.Random(9).sample(range(16), 16)
-        rows = [None] * 16
-        for u in range(16):
-            rows[perm[u]] = [perm[v] for v in g.row(u)]
-        neighbours = array("I", [v for row in rows for v in row]).tobytes()
-        shuffled = cg.CubeGraph(n=4, kind="shuffled", neighbours=neighbours)
-        for u in range(16):  # the same relabelled member as a bitmask relabelling gives
-            assert shuffled.adjacency[perm[u]] == cg.subset_mask(
-                perm[v] for v in range(16) if (g.adjacency[u] >> v) & 1)
-        bounded = oc.OracleBudget(max_n_exhaustive=3)
-        seeds = [cg.canonical_set(m, 4) for m in range(11)]
-        assert any(2 * cg.induced_edge_count(shuffled, s) < cf.f_value(len(s)) for s in seeds)
-        for m in range(0, 11):
-            assert oc.brute_ex(shuffled, m, bounded) == cf.f_value(m), m
-        for m in range(1, 9):
-            assert oc.brute_xi(shuffled, m, bounded) == cf.xi_h4(m, 4), m
+    def test_halves_table_equals_the_per_mask_table(self):
+        graphs = [member(4, seed) for seed in (None, 1, 2, 3, 4, 5)] + [cg.build_hypercube(4)]
+        for g in graphs:
+            assert oc._size_table(g) == oc._subset_tables(g), g.kind
+            for m in range(0, 17):
+                assert oc.brute_ex(g, m, HALVES) == oc.brute_ex(g, m), (g.kind, m)
+            for m in range(1, 9):
+                assert oc.brute_xi_unconstrained(g, m, HALVES) == oc.brute_xi_unconstrained(
+                    g, m), (g.kind, m)
+
+    def test_halves_table_outside_the_family(self):
+        for seed in range(20):
+            g = glued(seed)
+            assert oc._size_table(g) == oc._subset_tables(g), seed
+            for m in range(0, 17):
+                assert oc.brute_ex(g, m, HALVES) == oc.brute_ex(g, m), (seed, m)
+
+    def test_rejects_halves_not_joined_by_one_matching(self):
+        # enhanced(4, 1) joins each vertex to the other half twice; the shuffle mixes the halves
+        shuffled = shuffled_member(4, 5, 9)
+        for g in (cg.build_enhanced(4, 1), shuffled):
+            for search in (oc.brute_ex, oc.brute_xi, oc.brute_xi_unconstrained):
+                with pytest.raises(oc.BudgetExceededError):
+                    search(g, 5, HALVES)
         with pytest.raises(RuntimeError):  # the bounded cyclic cut seeds from a K4 at 0..3
-            oc.brute_cyclic(shuffled, bounded)
+            oc.brute_cyclic(shuffled, HALVES)
+
+    def test_n5_equals_the_closed_forms(self):
+        for seed in (None, 1):
+            g = member(5, seed)
+            for m in range(0, 33):
+                assert oc.brute_ex(g, m) == cf.f_value(m), (seed, m)
+            for m in range(1, 17):
+                assert oc.brute_xi(g, m) == cf.xi_h4(m, 5), (seed, m)
+                assert oc.brute_xi_unconstrained(g, m) == cf.xi_h4(m, 5), (seed, m)
+            for h in range(1, 17):
+                assert oc.brute_lambda_h(g, h) == cf.lambda_scan(h, 5), (seed, h)
 
 
 class TestDensestSubset:
