@@ -243,6 +243,16 @@ def _f_head(block: int) -> tuple[int, ...]:
     return tuple(accumulate((2 * r.bit_count() + (r & 2) for r in range(block - 1)), initial=0))
 
 
+def _suffix_min(values, best):
+    """values[i] = min(best, *values[i:]) in place; accumulate(min) calls min per row, far slower."""
+    for i in range(len(values) - 1, -1, -1):
+        if values[i] < best:
+            best = values[i]
+        else:
+            values[i] = best
+    return values
+
+
 def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam: bool = True):
     """Yield the columns h, ex, xi, lambda of rows start+1 .. stop (default 2**(n-1)), B at a time.
 
@@ -257,7 +267,7 @@ def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam: bool = 
         ex = [*map(add, _f_head(min(block, half))[1:hi - lo], count(_f(lo) + step, step)), _f(hi)]
         xi = list(map(sub, range((n + 1) * (lo + 1), (n + 1) * hi + 1, n + 1), ex))
         if lam:  # min(lambda_hi, xi_hi) = lambda_hi, so lambda at the top row seeds the block
-            lam_column = list(accumulate(reversed(xi), min, initial=lambda_fast(hi, n)))[:0:-1]
+            lam_column = _suffix_min(xi[:], lambda_fast(hi, n))
         yield range(lo + 1, hi + 1), ex, xi, lam_column if lam else None
 
 
@@ -267,6 +277,4 @@ def full_profile(n: int) -> array:
     if not 3 <= n <= 24:
         raise ValueError(f"n must be in [3, 24], got {n}")
     xi = array("q", chain.from_iterable(column for _, _, column, _ in profile_blocks(n, lam=False)))
-    lam = array("q", accumulate(reversed(xi), min))
-    lam.reverse()
-    return lam
+    return _suffix_min(xi, xi[-1])

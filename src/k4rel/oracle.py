@@ -3,10 +3,11 @@
 Everything here is search, not formula: densest subsets, minimum boundaries,
 conditional and cyclic cuts are found by enumeration so the closed forms can
 be validated against an independent path.  Exhaustive mode (up to 16 vertices)
-builds one transient table of the boundary of every vertex subset; the
-per-size minima, the connected bipartitions and the average-degree check are
-all read from it, and every densest-subset value is degree * m minus the
-minimum boundary, as every CubeGraph is regular.  One dimension further, the
+builds, per graph, one table of the boundary of every vertex subset and one
+bitmap of the connected subsets (reachability over all subsets at once); the
+per-size minima, the connected bipartitions and the average-degree check read
+them, and every densest-subset value is degree * m minus the minimum
+boundary, as every CubeGraph is regular.  One dimension further, the
 same per-size minima come exactly from the two label halves (a member is two
 smaller members joined by a perfect matching), and a canonical witness with
 both sides connected turns a minimum into xi; a branch-and-bound over
@@ -24,10 +25,10 @@ unrestricted edge-subset search confirms this independently
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import comb
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 
 from .closed_form import (
     FaultPattern,
@@ -59,9 +60,9 @@ class OracleBudget:
     max_n_exhaustive: int = 4
     node_limit: int = 50_000_000
 
-    def __post_init__(self):
-        if self.max_n_exhaustive < 1 or self.node_limit < 1:
-            raise ValueError("budget fields must be positive")
+    def __post_init__(self):  # exhaustive at n = 5 would be a 2^32-entry subset table
+        if not 1 <= self.max_n_exhaustive <= 4 or self.node_limit < 1:
+            raise ValueError("budget fields must be positive, max_n_exhaustive at most 4")
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -108,19 +109,37 @@ def _exhaustive(g: CubeGraph, budget: OracleBudget) -> bool:
     return g.num_vertices <= (1 << budget.max_n_exhaustive)
 
 
-def _mask_table(adjacency: tuple[int, ...]) -> bytearray:
+@lru_cache(maxsize=1)  # the exhaustive checks read one graph's table before the next's
+def _mask_table(adjacency: tuple[int, ...]) -> bytes:
     """Boundary of every vertex subset of the graph with these bitmask rows, by mask.
 
     Each entry extends the one for its mask without the highest vertex.  Every
-    value fits a byte up to 16 vertices; the table is transient, so callers
-    reduce it and let it go.
+    value fits a byte up to 16 vertices.
     """
     bd = bytearray(1 << len(adjacency))
     for v, row in enumerate(adjacency):
         low, deg = 1 << v, row.bit_count()
         bd[low:2 * low] = bytes(b + deg - 2 * (row & rest).bit_count()
                                 for rest, b in enumerate(bd[:low]))
-    return bd
+    return bytes(bd)
+
+
+def _connected_masks(adjacency: tuple[int, ...]) -> int:
+    """Bit `mask` is set iff mask induces a connected subgraph (the empty mask counts).
+
+    Bit mask of reach[v]: v is reachable inside mask from mask's lowest vertex.
+    has[v], the masks holding v, is 2^v zeros then 2^v ones, repeated; reach[v]
+    starts at the masks whose lowest vertex is v and takes in its neighbours'
+    until no reach changes.
+    """
+    nv, last = len(adjacency), None
+    has = [int(("1" * (1 << v) + "0" * (1 << v)) * (1 << nv - v - 1), 2) for v in range(nv)]
+    reach = [h & ~reduce(or_, has[:v], 0) for v, h in enumerate(has)]
+    while reach != last:
+        last = reach[:]
+        for v, row in enumerate(adjacency):
+            reach[v] = has[v] & reduce(or_, (reach[u] for u in _bits(row)), reach[v])
+    return reduce(and_, (r | ~h for h, r in zip(has, reach)), (1 << (1 << nv)) - 1)
 
 
 @lru_cache(maxsize=32)
@@ -162,8 +181,8 @@ def _size_table(g: CubeGraph) -> tuple[int, ...]:
     for u in range(w):
         moved[pi[u]] = subset_mask(pi[v] for v in _bits(adj[u] & low))
     lanes = 1 << w
-    c = int.from_bytes(_mask_table(moved), "little")
-    right = int.from_bytes(_mask_table([row >> w for row in adj[w:]]), "little")
+    c = int.from_bytes(_mask_table(tuple(moved)), "little")
+    right = int.from_bytes(_mask_table(tuple(row >> w for row in adj[w:])), "little")
     ones = int.from_bytes(b"\1" * lanes, "little")
     high, far = ones << 7, _FAR * ones
     clears = [int.from_bytes((b"\xff" * (1 << i) + bytes(1 << i)) * (lanes >> (i + 1)), "little")
@@ -198,14 +217,22 @@ def _min_boundaries(g: CubeGraph, budget: OracleBudget) -> tuple[int, ...]:
 @lru_cache(maxsize=32)
 def _bipartitions(g: CubeGraph) -> tuple[tuple[int, int], ...]:
     """All (mask, boundary) with both sides connected and nonempty; vertex 0 in mask."""
-    adj = g.adjacency
-    full = (1 << g.num_vertices) - 1
-    bd = _mask_table(adj)
-    return tuple(
-        (mask, bd[mask])
-        for mask in range(1, full, 2)
-        if _mask_connected(adj, mask) and _mask_connected(adj, full ^ mask)
-    )
+    size, connected = 1 << g.num_vertices, _connected_masks(g.adjacency)
+    odd = int("10" * (size >> 1), 2) ^ (1 << size - 1)  # the full mask has no other side
+    # the reversed bitmap holds each complement's bit; x & -x per set bit would copy 2^16 bits
+    both = connected & int(format(connected, f"0{size}b")[::-1], 2) & odd
+    bd = _mask_table(g.adjacency)
+    return tuple((mask, bd[mask]) for mask, bit in enumerate(reversed(f"{both:b}")) if bit == "1")
+
+
+@lru_cache(maxsize=32)
+def _bipartition_minima(g: CubeGraph) -> tuple[int | None, ...]:
+    """Per small-side size m: the least boundary over the connected bipartitions, None if none."""
+    nv, best = g.num_vertices, {}
+    for mask, bd in _bipartitions(g):
+        m = min(mask.bit_count(), nv - mask.bit_count())
+        best[m] = min(bd, best.get(m, bd))
+    return tuple(best.get(m) for m in range(nv // 2 + 1))
 
 
 def brute_ex(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -234,12 +261,7 @@ def brute_xi(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
     if _exhaustive(g, budget):
-        best = None
-        for mask, bd in _bipartitions(g):
-            size = mask.bit_count()
-            if size == m or nv - size == m:
-                if best is None or bd < best:
-                    best = bd
+        best = _bipartition_minima(g)[m]
         if best is None:
             raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
         return best

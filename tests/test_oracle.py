@@ -23,6 +23,13 @@ class TestBudget:
         with pytest.raises(ValueError):
             oc.OracleBudget(node_limit=0)
 
+    def test_rejects_exhaustive_scale_beyond_16_vertices(self):
+        # one dimension more would be a 2^32-entry subset table: a clean error, not MemoryError
+        assert oc.OracleBudget(max_n_exhaustive=4).max_n_exhaustive == 4
+        for too_big in (5, 9):
+            with pytest.raises(ValueError, match="at most 4"):
+                oc.OracleBudget(max_n_exhaustive=too_big)
+
     def test_node_limit_raises(self):
         # the limit caps the bounded cyclic branch-and-bound, the one bounded search
         with pytest.raises(oc.BudgetExceededError):
@@ -124,6 +131,47 @@ class TestBoundedMode:
                 assert oc.brute_xi_unconstrained(g, m) == cf.xi_h4(m, 5), (seed, m)
             for h in range(1, 17):
                 assert oc.brute_lambda_h(g, h) == cf.lambda_scan(h, 5), (seed, h)
+
+
+def two_cubes():
+    """Two disjoint 3-cubes on 16 vertices: a graph whose full mask is disconnected."""
+    neighbours = array("I", [u ^ 1 << i for u in range(16) for i in range(3)]).tobytes()
+    return cg.CubeGraph(n=4, kind="two 3-cubes", neighbours=neighbours)
+
+
+def bitmap_graphs():
+    return ([member(3), member(4)] + [member(4, seed) for seed in (1, 2, 3)]
+            + [cg.build_hypercube(4)] + [cg.build_enhanced(4, k) for k in (1, 2, 3)]
+            + [glued(seed) for seed in range(3)] + [two_cubes()])
+
+
+def bfs_bipartitions(g):
+    """The connected bipartitions by two BFS tests per mask holding vertex 0."""
+    adj, full = g.adjacency, (1 << g.num_vertices) - 1
+    bd = oc._mask_table(adj)
+    return tuple((mask, bd[mask]) for mask in range(1, full, 2)
+                 if oc._mask_connected(adj, mask) and oc._mask_connected(adj, full ^ mask))
+
+
+class TestConnectivityBitmap:
+    def test_every_mask_agrees_with_bfs(self):
+        for g in bitmap_graphs():
+            connected = oc._connected_masks(g.adjacency)
+            for mask in range(1 << g.num_vertices):
+                assert (connected >> mask) & 1 == oc._mask_connected(g.adjacency, mask), (
+                    g.kind, mask)
+
+    def test_bipartitions_and_per_size_minima_agree_with_the_per_mask_scan(self):
+        for g in bitmap_graphs():
+            nv, expected = g.num_vertices, bfs_bipartitions(g)
+            assert oc._bipartitions(g) == expected, g.kind
+            minima = [None]  # no bipartition has an empty side
+            for m in range(1, nv // 2 + 1):
+                bds = [bd for mask, bd in expected
+                         if m in (mask.bit_count(), nv - mask.bit_count())]
+                minima.append(min(bds, default=None))
+            assert oc._bipartition_minima(g) == tuple(minima), g.kind
+        assert oc._bipartitions(two_cubes()) == ((0xFF, 0),)  # the two cubes, nothing else
 
 
 class TestDensestSubset:
