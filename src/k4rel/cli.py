@@ -112,7 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     command("plotdata", "TSV of normalized xi/lambda curves", nargs="+")
     p = command("verify", "run the brute-force verification suite")
     p.add_argument("--seeds", type=int, default=5, help="number of random members")
-    p.add_argument("--budget-nodes", type=int, default=oc.DEFAULT_BUDGET.node_limit)
     for p in sub.choices.values():
         p.add_argument("--out", default="-")
 
@@ -148,8 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "verify":
             if args.seeds < 0:
                 raise ValueError(f"verify needs --seeds >= 0, got {args.seeds}")
-            budget = oc.OracleBudget(node_limit=args.budget_nodes)
-            report = oc.verify_member(args.n, list(range(1, args.seeds + 1)), budget)
+            report = oc.verify_member(args.n, list(range(1, args.seeds + 1)))
             _write(args.out, [report.to_text()])
             if not report.passed:
                 return 1

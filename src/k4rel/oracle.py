@@ -9,11 +9,10 @@ per-size minima, the connected bipartitions and the average-degree check read
 them, and every densest-subset value is degree * m minus the minimum
 boundary, as every CubeGraph is regular.  One dimension further, the
 same per-size minima come exactly from the two label halves (a member is two
-smaller members joined by a perfect matching), and a canonical witness with
-both sides connected turns a minimum into xi; a branch-and-bound over
-bipartitions finds the cyclic cut.  Any check that would exceed its budget, or
-that has no witness, raises BudgetExceededError rather than returning a
-partial answer.
+smaller members joined by a perfect matching).  They bound xi and the cyclic
+cut from below, and a canonical witness that meets the bound, with both sides
+connected, makes it exact.  A check with no such witness, or beyond that
+scale, raises BudgetExceededError rather than returning a partial answer.
 
 The restriction of cut searches to connected bipartitions rests on the fact
 that a minimum cut leaving three or more components could drop the edges
@@ -51,34 +50,11 @@ from .cube_graph import (
 )
 
 
+EXHAUSTIVE_N = 4  # one dimension more would be a 2^32-entry subset table
+
+
 class BudgetExceededError(RuntimeError):
-    """A search would exceed its OracleBudget."""
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_n_exhaustive: int = 4
-    node_limit: int = 50_000_000
-
-    def __post_init__(self):  # exhaustive at n = 5 would be a 2^32-entry subset table
-        if not 1 <= self.max_n_exhaustive <= 4 or self.node_limit < 1:
-            raise ValueError("budget fields must be positive, max_n_exhaustive at most 4")
-
-
-DEFAULT_BUDGET = OracleBudget()
-
-
-class _NodeCounter:
-    __slots__ = ("count", "limit")
-
-    def __init__(self, limit: int):
-        self.count = 0
-        self.limit = limit
-
-    def tick(self, amount: int = 1) -> None:
-        self.count += amount
-        if self.count > self.limit:
-            raise BudgetExceededError(f"search exceeded node limit {self.limit}")
+    """The oracle cannot settle this check: no witness meets its bound, or n is past its scale."""
 
 
 def _bits(mask: int):
@@ -105,8 +81,8 @@ def _mask_connected(adjacency: tuple[int, ...], mask: int) -> bool:
     return _component(adjacency, mask) == mask
 
 
-def _exhaustive(g: CubeGraph, budget: OracleBudget) -> bool:
-    return g.num_vertices <= (1 << budget.max_n_exhaustive)
+def _exhaustive(g: CubeGraph) -> bool:
+    return g.num_vertices <= 1 << EXHAUSTIVE_N
 
 
 @lru_cache(maxsize=1)  # the exhaustive checks read one graph's table before the next's
@@ -204,17 +180,16 @@ def _size_table(g: CubeGraph) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _min_boundaries(g: CubeGraph, budget: OracleBudget) -> tuple[int, ...]:
+def _min_boundaries(g: CubeGraph) -> tuple[int, ...]:
     """Minimum boundary over all m-subsets for every m: per mask, or from the halves."""
-    if _exhaustive(g, budget):
+    if _exhaustive(g):
         return _subset_tables(g)
-    if g.n == budget.max_n_exhaustive + 1:
+    if g.n == EXHAUSTIVE_N + 1:
         return _size_table(g)
-    raise BudgetExceededError(
-        f"n={g.n} is beyond the exact tables (n <= {budget.max_n_exhaustive + 1})")
+    raise BudgetExceededError(f"n={g.n} is beyond the exact tables (n <= {EXHAUSTIVE_N + 1})")
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)  # verify_member finishes each member before the next
 def _bipartitions(g: CubeGraph) -> tuple[tuple[int, int], ...]:
     """All (mask, boundary) with both sides connected and nonempty; vertex 0 in mask."""
     size, connected = 1 << g.num_vertices, _connected_masks(g.adjacency)
@@ -235,7 +210,7 @@ def _bipartition_minima(g: CubeGraph) -> tuple[int | None, ...]:
     return tuple(best.get(m) for m in range(nv // 2 + 1))
 
 
-def brute_ex(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def brute_ex(g: CubeGraph, m: int) -> int:
     """Maximum doubled edge count over m-vertex subsets.
 
     Every CubeGraph is regular, and an m-set S of a d-regular graph has
@@ -245,11 +220,10 @@ def brute_ex(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int
     nv = g.num_vertices
     if not 0 <= m <= nv:
         raise ValueError(f"m must be in [0, {nv}], got {m}")
-    return g.degree(0) * m - _min_boundaries(g, budget)[m]
+    return g.degree(0) * m - _min_boundaries(g)[m]
 
 
-@lru_cache(maxsize=4096)
-def brute_xi(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def brute_xi(g: CubeGraph, m: int) -> int:
     """Minimum boundary over m-subsets with both sides connected.
 
     Exhaustive scale scans the connected bipartitions.  One dimension up, the
@@ -260,12 +234,12 @@ def brute_xi(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    if _exhaustive(g, budget):
+    if _exhaustive(g):
         best = _bipartition_minima(g)[m]
         if best is None:
             raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
         return best
-    best = _min_boundaries(g, budget)[m]
+    best = _min_boundaries(g)[m]
     seed = canonical_set(m, g.n)
     found = boundary_size(g, seed)
     if found != best or not (is_connected_induced(g, seed)
@@ -276,7 +250,7 @@ def brute_xi(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int
     return best
 
 
-def brute_xi_unconstrained(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def brute_xi_unconstrained(g: CubeGraph, m: int) -> int:
     """Minimum boundary over all m-subsets, no connectivity requirement.
 
     Read per mask at exhaustive scale and from the two label halves one
@@ -285,20 +259,18 @@ def brute_xi_unconstrained(g: CubeGraph, m: int, budget: OracleBudget = DEFAULT_
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    return _min_boundaries(g, budget)[m]
+    return _min_boundaries(g)[m]
 
 
-def brute_lambda_h(g: CubeGraph, h: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def brute_lambda_h(g: CubeGraph, h: int) -> int:
     """Minimum boundary over connected bipartitions whose small side has >= h vertices."""
     nv = g.num_vertices
     if not 1 <= h <= nv // 2:
         raise ValueError(f"h must be in [1, {nv // 2}], got {h}")
-    return min(brute_xi(g, m, budget) for m in range(h, nv // 2 + 1))
+    return min(brute_xi(g, m) for m in range(h, nv // 2 + 1))
 
 
-def brute_lambda_h_unrestricted(
-    g: CubeGraph, h: int, budget: OracleBudget = DEFAULT_BUDGET, max_cut: int = 8
-) -> int:
+def brute_lambda_h_unrestricted(g: CubeGraph, h: int, max_cut: int = 8) -> int:
     """h-extra edge-connectivity by raw edge-subset search, no bipartition assumption.
 
     Tries every edge subset of size 1, 2, ... up to max_cut and returns the
@@ -309,11 +281,9 @@ def brute_lambda_h_unrestricted(
     nv = g.num_vertices
     adj = list(g.adjacency)
     edges = sorted((u, v) for u in range(nv) for v in g.row(u) if u < v)
-    counter = _NodeCounter(budget.node_limit)
     full = (1 << nv) - 1
     for size in range(1, max_cut + 1):
         for cut in combinations(edges, size):
-            counter.tick()
             reduced = list(adj)
             for u, v in cut:
                 reduced[u] &= ~(1 << v)
@@ -353,22 +323,24 @@ def _pattern_ok(g: CubeGraph, pattern: FaultPattern, l: int, mask: int) -> bool:
         return mind >= l
     if pattern is FaultPattern.AVERAGE_DEGREE:
         return e2 >= l * size
-    if pattern is FaultPattern.EXTRA_SIZE:
-        return size >= (1 << l)
     if pattern is FaultPattern.EMBEDDED:
         return _embedded_ok(g.n, l, mask)
     raise ValueError(f"unsupported pattern {pattern}")
 
 
-def brute_conditional(
-    g: CubeGraph, pattern: FaultPattern, l: int, budget: OracleBudget = DEFAULT_BUDGET
-) -> int:
-    """Minimum boundary over connected bipartitions where both sides satisfy the pattern."""
+def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
+    """Minimum boundary over connected bipartitions where both sides satisfy the pattern.
+
+    Both sides of EXTRA_SIZE hold at least 2^l vertices, which is the small side
+    holding at least 2^l: that is brute_lambda_h(g, 2^l).
+    """
     if pattern is FaultPattern.CYCLIC:
         raise ValueError("use brute_cyclic for the cyclic pattern")
     if not 2 <= l <= g.n - 1:
         raise ValueError(f"l must be in [2, {g.n - 1}], got {l}")
-    if not _exhaustive(g, budget):
+    if pattern is FaultPattern.EXTRA_SIZE:
+        return brute_lambda_h(g, 1 << l)
+    if not _exhaustive(g):
         raise BudgetExceededError("conditional search needs exhaustive scale")
     full = (1 << g.num_vertices) - 1
     best = None
@@ -388,21 +360,22 @@ def _cyclic_side_ok(adj, mask):
     return size >= 3 and e2 >= 2 * size
 
 
-def brute_cyclic(g: CubeGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def brute_cyclic(g: CubeGraph) -> int:
     """Minimum boundary over connected bipartitions with a cycle on both sides.
 
-    Exhaustive mode scans all bipartitions.  Bounded mode (one dimension up)
-    starts from the cut around the canonical 4-set, a K4 on every member, then
-    runs a branch-and-bound over two-sided vertex assignments: crossing edges
-    among decided vertices only grow, so any partial assignment at or above the
-    best value is pruned.
+    Exhaustive mode scans all bipartitions.  One dimension up, a side of m
+    vertices that holds a cycle has at least m internal edges, so its boundary
+    is at most (degree - 2) * m; the least per-size minimum over the sizes
+    m <= nv/2 that allow this bounds the cut from below.  The cut around the
+    canonical 4-set, a K4 on every member, bounds it from above, and the answer
+    is exact when the two meet.
     """
     if g.n < 3:
         raise ValueError(f"n must be >= 3, got {g.n}")
     adj = g.adjacency
     nv = g.num_vertices
     full = (1 << nv) - 1
-    if _exhaustive(g, budget):
+    if _exhaustive(g):
         best = None
         for mask, bd in _bipartitions(g):
             if (best is None or bd < best) and _cyclic_side_ok(adj, mask) and _cyclic_side_ok(
@@ -418,35 +391,17 @@ def brute_cyclic(g: CubeGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     if not (_mask_connected(adj, mask) and _mask_connected(adj, full ^ mask)
             and _cyclic_side_ok(adj, mask) and _cyclic_side_ok(adj, full ^ mask)):
         raise RuntimeError("no small-side cyclic candidate found")
-    best = boundary_size(g, seed)
-    counter = _NodeCounter(budget.node_limit)
-    back = [adj[i] & ((1 << i) - 1) for i in range(nv)]
-
-    def dfs(i, mask_x, mask_y, crossing):
-        nonlocal best
-        counter.tick()
-        if crossing >= best:
-            return
-        if i == nv:
-            if (
-                _cyclic_side_ok(adj, mask_x)
-                and _cyclic_side_ok(adj, mask_y)
-                and _mask_connected(adj, mask_x)
-                and _mask_connected(adj, mask_y)
-            ):
-                best = crossing
-            return
-        bit = 1 << i
-        dfs(i + 1, mask_x | bit, mask_y, crossing + (back[i] & mask_y).bit_count())
-        dfs(i + 1, mask_x, mask_y | bit, crossing + (back[i] & mask_x).bit_count())
-
-    dfs(1, 1, 0, 0)  # vertex 0 pinned to one side; complements are symmetric
-    return best
+    found, room, least = boundary_size(g, seed), g.degree(0) - 2, _min_boundaries(g)
+    bound = min(least[m] for m in range(1, nv // 2 + 1) if least[m] <= room * m)
+    if bound < found:
+        raise BudgetExceededError(
+            f"the canonical 4-set has boundary {found}, above the lower bound {bound}")
+    return bound
 
 
-def average_degree_floor_check(g: CubeGraph, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def average_degree_floor_check(g: CubeGraph) -> bool:
     """Every subset with integer average-degree floor l has at least 2**(l-1) vertices."""
-    if not _exhaustive(g, budget):
+    if not _exhaustive(g):
         raise BudgetExceededError("average degree check needs exhaustive scale")
     degree = g.degree(0)
     for mask, bd in enumerate(_mask_table(g.adjacency)):
@@ -463,7 +418,7 @@ class CheckEntry:
     quantity: str
     input: str
     closed: int
-    brute: int | None  # None when the search was skipped on budget
+    brute: int | None  # None when the oracle could not settle it (BudgetExceededError)
     match: bool | None
 
     @property
@@ -504,9 +459,7 @@ def _guarded(entries, member, quantity, inp, closed, search):
     entries.append(CheckEntry(member, quantity, inp, closed, brute, brute == closed))
 
 
-def verify_member(
-    n: int, member_seeds: list[int], budget: OracleBudget = DEFAULT_BUDGET
-) -> VerificationReport:
+def verify_member(n: int, member_seeds: list[int]) -> VerificationReport:
     """Cross-check every closed form against brute force on concrete members.
 
     The closed values are those the package serves: lambda_h comes from
@@ -525,18 +478,18 @@ def verify_member(
     for name, g in members:
         for m in range(1, half + 1):
             _guarded(entries, name, "ex", str(m), f_value(m),
-                     lambda g=g, m=m: brute_ex(g, m, budget))
+                     lambda g=g, m=m: brute_ex(g, m))
             closed_xi = xi_h4(m, n)
             _guarded(entries, name, "xi", str(m), closed_xi,
-                     lambda g=g, m=m: brute_xi(g, m, budget))
+                     lambda g=g, m=m: brute_xi(g, m))
             _guarded(entries, name, "xi_e", str(m), closed_xi,
-                     lambda g=g, m=m: brute_xi_unconstrained(g, m, budget))
+                     lambda g=g, m=m: brute_xi_unconstrained(g, m))
         for h in range(1, half + 1):
             closed, defined = lambda_fast(h, n), lambda_scan(h, n)
             if closed != defined:  # the served value must equal its defining minimum
                 entries.append(CheckEntry(name, "lambda_scan", str(h), closed, defined, False))
             _guarded(entries, name, "lambda", str(h), closed,
-                     lambda g=g, h=h: brute_lambda_h(g, h, budget))
+                     lambda g=g, h=h: brute_lambda_h(g, h))
         for l in range(2, n):
             for pattern in (
                 FaultPattern.SUPER_DEGREE,
@@ -546,9 +499,9 @@ def verify_member(
             ):
                 _guarded(entries, name, f"cond_{pattern.name.lower()}", str(l),
                          conditional_lambda(pattern, l, n),
-                         lambda g=g, p=pattern, l=l: brute_conditional(g, p, l, budget))
+                         lambda g=g, p=pattern, l=l: brute_conditional(g, p, l))
         _guarded(entries, name, "cyclic", "-", cyclic_lambda(n),
-                 lambda g=g: brute_cyclic(g, budget))
+                 lambda g=g: brute_cyclic(g))
     return VerificationReport(
         n=n, members=tuple(name for name, _ in members), entries=tuple(entries)
     )

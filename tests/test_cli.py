@@ -302,26 +302,21 @@ class TestVerify:
         code, out, err = run(["verify", "--n", "3", "--seeds", "-1"], capsys)
         assert code == 2 and out == "" and "--seeds >= 0" in err
 
-    def test_budget_flag_parses(self, capsys):
-        code, out, _ = run(
-            ["verify", "--n", "3", "--seeds", "1", "--budget-nodes", "1000000"], capsys
-        )
-        assert code == 0 and "PASS" in out
+    def test_budget_nodes_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", "--n", "3", "--budget-nodes", "10"])
+        assert exit_info.value.code == 2 and "--budget-nodes" in capsys.readouterr().err
 
-    def test_tight_budget_skips_cleanly(self, capsys):
-        code, out, err = run(
-            ["verify", "--n", "5", "--seeds", "0", "--budget-nodes", "1000"], capsys
-        )
+    def test_n5_skips_three_conditional_patterns(self, capsys):
+        code, out, err = run(["verify", "--n", "5", "--seeds", "0"], capsys)
         assert code == 0 and err == ""
-        assert out.startswith("verification n=5: PASS") and "  skipped  skipped" in out
-        # the 12 conditional rows are skipped at any budget; 1000 nodes skips the cyclic cut
+        assert out.startswith("verification n=5: PASS")
         rows = [row.split("  ") for row in out.splitlines()[3:]]
         skipped = [row for row in rows if row[-2:] == ["skipped", "skipped"]]
-        assert [row for row in skipped if not row[1].startswith("cond_")] == [
-            ["canonical", "cyclic", "-", "12", "skipped", "skipped"]]
-        assert len(skipped) == 13 and len(rows) == 77
-        compared = [row for row in rows if row[1] in ("ex", "xi", "xi_e", "lambda")]
-        assert len(compared) == 4 * 16 and all(row[-1] == "true" for row in compared)
+        assert len(rows) == 77 and len(skipped) == 9
+        assert {row[1] for row in skipped} == {
+            "cond_super_degree", "cond_average_degree", "cond_embedded"}
+        assert all(row[-1] == "true" for row in rows if row not in skipped)
 
 
 class TestResourceErrors:

@@ -16,27 +16,16 @@ def member(n, seed=None):
     return cg.build_k4cube(cg.random_matching_tree(n, seed))
 
 
+def halves(search, *args):
+    """search(*args) with an n = 4 graph read from its two n = 3 label halves."""
+    saved, oc.EXHAUSTIVE_N = oc.EXHAUSTIVE_N, 3
+    try:
+        return search(*args)
+    finally:
+        oc.EXHAUSTIVE_N = saved
+
+
 class TestBudget:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            oc.OracleBudget(max_n_exhaustive=0)
-        with pytest.raises(ValueError):
-            oc.OracleBudget(node_limit=0)
-
-    def test_rejects_exhaustive_scale_beyond_16_vertices(self):
-        # one dimension more would be a 2^32-entry subset table: a clean error, not MemoryError
-        assert oc.OracleBudget(max_n_exhaustive=4).max_n_exhaustive == 4
-        for too_big in (5, 9):
-            with pytest.raises(ValueError, match="at most 4"):
-                oc.OracleBudget(max_n_exhaustive=too_big)
-
-    def test_node_limit_raises(self):
-        # the limit caps the bounded cyclic branch-and-bound, the one bounded search
-        with pytest.raises(oc.BudgetExceededError):
-            oc.brute_cyclic(member(5), oc.OracleBudget(node_limit=10))
-        with pytest.raises(oc.BudgetExceededError):
-            oc.brute_cyclic(member(4), oc.OracleBudget(max_n_exhaustive=3, node_limit=10))
-
     def test_unconstrained_needs_exhaustive(self):
         # exact one dimension past the exhaustive scale, from the halves, and no further
         g = member(5)
@@ -46,6 +35,15 @@ class TestBudget:
         for search in (oc.brute_xi_unconstrained, oc.brute_ex, oc.brute_xi):
             with pytest.raises(oc.BudgetExceededError):
                 search(g, 2)
+        with pytest.raises(oc.BudgetExceededError):
+            oc.brute_cyclic(g)
+
+    def test_cyclic_bound_below_the_witness_is_skipped(self):
+        # enhanced(4, 2) has an 8-edge cyclic cut; the 4-set at labels 0..3 has boundary 12
+        g = cg.build_enhanced(4, 2)
+        assert oc.brute_cyclic(g) == 8
+        with pytest.raises(oc.BudgetExceededError, match="boundary 12, above the lower bound 8"):
+            halves(oc.brute_cyclic, g)
 
 
 def shuffled_member(n, seed, shuffle_seed):
@@ -81,27 +79,24 @@ def glued(seed):
     return cg.CubeGraph(n=4, kind=f"glued{seed}", neighbours=neighbours)
 
 
-HALVES = oc.OracleBudget(max_n_exhaustive=3)  # n = 4 read from two n = 3 halves
-
-
 class TestBoundedMode:
     def test_agrees_with_exhaustive_on_the_same_graphs(self):
         for seed in (None, 1, 2, 3):
             g = member(4, seed)
             for m in range(0, 17):
-                assert oc.brute_ex(g, m, HALVES) == oc.brute_ex(g, m), (seed, m)
+                assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (seed, m)
             for m in range(1, 9):
-                assert oc.brute_xi(g, m, HALVES) == oc.brute_xi(g, m), (seed, m)
-            assert oc.brute_cyclic(g, HALVES) == oc.brute_cyclic(g), seed
+                assert halves(oc.brute_xi, g, m) == oc.brute_xi(g, m), (seed, m)
+            assert halves(oc.brute_cyclic, g) == oc.brute_cyclic(g), seed
 
     def test_halves_table_equals_the_per_mask_table(self):
         graphs = [member(4, seed) for seed in (None, 1, 2, 3, 4, 5)] + [cg.build_hypercube(4)]
         for g in graphs:
             assert oc._size_table(g) == oc._subset_tables(g), g.kind
             for m in range(0, 17):
-                assert oc.brute_ex(g, m, HALVES) == oc.brute_ex(g, m), (g.kind, m)
+                assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (g.kind, m)
             for m in range(1, 9):
-                assert oc.brute_xi_unconstrained(g, m, HALVES) == oc.brute_xi_unconstrained(
+                assert halves(oc.brute_xi_unconstrained, g, m) == oc.brute_xi_unconstrained(
                     g, m), (g.kind, m)
 
     def test_halves_table_outside_the_family(self):
@@ -109,7 +104,7 @@ class TestBoundedMode:
             g = glued(seed)
             assert oc._size_table(g) == oc._subset_tables(g), seed
             for m in range(0, 17):
-                assert oc.brute_ex(g, m, HALVES) == oc.brute_ex(g, m), (seed, m)
+                assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (seed, m)
 
     def test_rejects_halves_not_joined_by_one_matching(self):
         # enhanced(4, 1) joins each vertex to the other half twice; the shuffle mixes the halves
@@ -117,9 +112,10 @@ class TestBoundedMode:
         for g in (cg.build_enhanced(4, 1), shuffled):
             for search in (oc.brute_ex, oc.brute_xi, oc.brute_xi_unconstrained):
                 with pytest.raises(oc.BudgetExceededError):
-                    search(g, 5, HALVES)
-        with pytest.raises(RuntimeError):  # the bounded cyclic cut seeds from a K4 at 0..3
-            oc.brute_cyclic(shuffled, HALVES)
+                    halves(search, g, 5)
+        # the bounded cyclic cut needs a cyclic 4-set at labels 0..3, which the shuffle breaks
+        with pytest.raises(RuntimeError, match="no small-side cyclic candidate"):
+            halves(oc.brute_cyclic, shuffled)
 
     def test_n5_equals_the_closed_forms(self):
         for seed in (None, 1):
@@ -131,6 +127,9 @@ class TestBoundedMode:
                 assert oc.brute_xi_unconstrained(g, m) == cf.xi_h4(m, 5), (seed, m)
             for h in range(1, 17):
                 assert oc.brute_lambda_h(g, h) == cf.lambda_scan(h, 5), (seed, h)
+            for l in (2, 3, 4):
+                assert oc.brute_conditional(g, cf.FaultPattern.EXTRA_SIZE, l) == (
+                    cf.conditional_lambda(cf.FaultPattern.EXTRA_SIZE, l, 5)), (seed, l)
 
 
 def two_cubes():
@@ -272,7 +271,7 @@ class TestConditionalAndCyclic:
         with pytest.raises(ValueError):
             oc.brute_conditional(g, oc.FaultPattern.EXTRA_SIZE, 3)
         with pytest.raises(oc.BudgetExceededError):
-            oc.brute_conditional(member(5), oc.FaultPattern.EXTRA_SIZE, 2)
+            oc.brute_conditional(member(5), oc.FaultPattern.EMBEDDED, 2)
 
     def test_cyclic_values(self):
         assert oc.brute_cyclic(member(3)) == 4
@@ -281,8 +280,24 @@ class TestConditionalAndCyclic:
             assert oc.brute_cyclic(member(3, seed)) == 4
 
     def test_cyclic_bounded_n5(self):
-        assert oc.brute_cyclic(member(5)) == 12
-        assert oc.brute_cyclic(member(5, 1)) == 12
+        # the values a branch-and-bound over all bipartitions finds
+        for seed in (None, 1, 2, 3):
+            assert oc.brute_cyclic(member(5, seed)) == 12, seed
+        assert oc.brute_cyclic(cg.build_hypercube(5)) == 12
+        assert [oc.brute_cyclic(cg.build_enhanced(5, k)) for k in (2, 3, 4)] == [16, 16, 12]
+
+    def test_k4_cut_meets_super_and_average_degree_at_n5(self):
+        # both sides of the K4 cut pass both patterns at l = 3 with 12 crossing edges, yet
+        # the closed form is 16: the oracle and the formula disagree, and the rows stay skipped
+        k4 = cg.subset_mask(range(4))
+        rest = (1 << 32) - 1 ^ k4
+        for seed in (None, 1):
+            g = member(5, seed)
+            assert oc._mask_connected(g.adjacency, k4) and oc._mask_connected(g.adjacency, rest)
+            assert cg.boundary_size(g, range(4)) == 12
+            for pattern in (oc.FaultPattern.SUPER_DEGREE, oc.FaultPattern.AVERAGE_DEGREE):
+                assert oc._pattern_ok(g, pattern, 3, k4) and oc._pattern_ok(g, pattern, 3, rest)
+                assert cf.conditional_lambda(pattern, 3, 5) == 16
 
     def test_average_degree_floor(self):
         for seed in (None, 1, 2):
