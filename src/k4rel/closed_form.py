@@ -1,10 +1,10 @@
 """Exact integer evaluation of the reliability formulas.
 
 Everything here is a pure function of its integer arguments: densest-subset
-degree sums for hypercubes and K4-hypercube members, the isoperimetric optimum
-xi_m, the h-extra edge-connectivity lambda_h (both the defining suffix minimum
-and an O(n) walk over the bits of h - 1), the concentration intervals where
-lambda_h is constant, the four conditional edge-connectivities, and the cyclic
+degree sums of K4-hypercube members, the isoperimetric optimum xi_m, the
+h-extra edge-connectivity lambda_h (both the defining suffix minimum and an
+O(n) walk over the bits of h - 1), the concentration intervals where lambda_h
+is constant, the four conditional edge-connectivities, and the cyclic
 edge-connectivity.  All arithmetic is exact Python integers.
 """
 
@@ -18,18 +18,7 @@ from itertools import accumulate, chain, count
 from operator import add, sub
 
 PROFILE_BLOCK = 1 << 14  # rows per block of profile_blocks: a power of two >= 4
-
-
-@dataclass(frozen=True)
-class BinaryDecomposition:
-    """m written as a sum of distinct powers of two, exponents descending."""
-
-    m: int
-    exponents: tuple[int, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.exponents) - 1
+_CHUNK = 60  # binary digits of m whose hypercube-sum terms are summed before one shift
 
 
 @dataclass(frozen=True)
@@ -56,39 +45,30 @@ def gamma(n: int) -> int:
     return n & 1
 
 
-def decompose(m: int) -> BinaryDecomposition:
-    """Greedy descending binary expansion of a positive integer."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    top = m.bit_length() + 1  # bin(m) is "0b" and then the digits: index i has exponent top - i
-    return BinaryDecomposition(
-        m=m, exponents=tuple(top - i for i, digit in enumerate(bin(m)) if digit == "1"))
-
-
-def ex_qn(m: int, n: int) -> int:
-    """Densest m-subset degree sum in the hypercube (independent of n)."""
-    if not 0 <= m <= (1 << n):
-        raise ValueError(f"m must be in [0, {1 << n}], got {m}")
-    return _hypercube_sum(m)
-
-
 def _hypercube_sum(m: int) -> int:
-    """Sum of (t + 2i) * 2**t over the exponents t of m, the i-th from the top."""
-    if m == 0:
-        return 0
-    return sum((t + 2 * i) << t for i, t in enumerate(decompose(m).exponents))
+    """Sum of (t + 2i) * 2**t over the exponents t of m, the i-th from the top.
+
+    One pass down bin(m), _CHUNK digits at a time: a chunk's terms are summed
+    as small ints relative to its lowest exponent, and the total is shifted
+    once per chunk (Horner), not once per set bit.
+    """
+    digits = bin(m)[2:]
+    total = ones = 0
+    for start in range(0, len(digits), _CHUNK):
+        chunk = digits[start:start + _CHUNK]
+        top = len(digits) - 1 - start  # the exponent of the chunk's first digit
+        part = 0
+        for k, digit in enumerate(chunk):
+            if digit == "1":
+                part += (top - k + 2 * ones) << (len(chunk) - 1 - k)
+                ones += 1
+        total = (total << len(chunk)) + part
+    return total
 
 
 def _f(m: int) -> int:
     """f(m) without the range check: the hypercube sum + 4*floor(m/4), + 2 if m = 3 (mod 4)."""
     return _hypercube_sum(m) + 4 * (m >> 2) + (2 if m & 3 == 3 else 0)
-
-
-def xi_qn(m: int, n: int) -> int:
-    """Isoperimetric optimum of the hypercube: n*m - ex_m."""
-    if not 1 <= m <= (1 << (n - 1)):
-        raise ValueError(f"m must be in [1, {1 << (n - 1)}], got {m}")
-    return n * m - ex_qn(m, n)
 
 
 def f_value(m: int) -> int:

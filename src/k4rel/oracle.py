@@ -2,17 +2,18 @@
 
 Everything here is search, not formula: densest subsets, minimum boundaries,
 conditional and cyclic cuts are found by enumeration so the closed forms can
-be validated against an independent path.  Exhaustive mode (up to 16 vertices)
-builds, per graph, one table of the boundary of every vertex subset and one
-bitmap of the connected subsets (reachability over all subsets at once); the
-per-size minima, the connected bipartitions and the average-degree check read
-them, and every densest-subset value is degree * m minus the minimum
-boundary, as every CubeGraph is regular.  One dimension further, the
-same per-size minima come exactly from the two label halves (a member is two
-smaller members joined by a perfect matching).  They bound xi and the cyclic
-cut from below, and a canonical witness that meets the bound, with both sides
-connected, makes it exact.  A check with no such witness, or beyond that
-scale, raises BudgetExceededError rather than returning a partial answer.
+be validated against an independent path.  One table per graph, exact up to
+n = EXHAUSTIVE_N + 1, holds the minimum boundary over all m-subsets for every
+m; it comes from the two label halves, which must be joined by one perfect
+matching (as in every member, every hypercube and enhanced(n, k >= 2)).  As
+every CubeGraph is regular, each densest-subset value is degree * m minus
+that minimum.  Up to 16 vertices, one bitmap of the connected subsets gives
+the connected bipartitions, and xi, the conditional and the cyclic cuts are
+least boundaries over them.  One dimension up, the per-size minima bound xi
+and the cyclic cut from below; the cut around the canonical m-set (or the K4
+at labels 0..3) with both sides connected makes the bound exact when it meets
+it.  A check with no such witness, or beyond that scale, raises
+BudgetExceededError rather than returning a partial answer.
 
 The restriction of cut searches to connected bipartitions rests on the fact
 that a minimum cut leaving three or more components could drop the edges
@@ -44,7 +45,6 @@ from .cube_graph import (
     build_k4cube,
     canonical_member,
     canonical_set,
-    is_connected_induced,
     random_matching_tree,
     subset_mask,
 )
@@ -118,18 +118,6 @@ def _connected_masks(adjacency: tuple[int, ...]) -> int:
     return reduce(and_, (r | ~h for h, r in zip(has, reach)), (1 << (1 << nv)) - 1)
 
 
-@lru_cache(maxsize=32)
-def _subset_tables(g: CubeGraph) -> tuple[int, ...]:
-    """Per subset size m: the minimum boundary over all m-subsets, read per mask."""
-    nv = g.num_vertices
-    min_bd = [nv * nv] * (nv + 1)
-    for mask, bd in enumerate(_mask_table(g.adjacency)):
-        m = mask.bit_count()
-        if bd < min_bd[m]:
-            min_bd[m] = bd
-    return tuple(min_bd)
-
-
 _FAR = 126  # a byte lane above every distance, so far + 1 stays below the lane's top bit
 
 
@@ -146,6 +134,8 @@ def _size_table(g: CubeGraph) -> tuple[int, ...]:
     lanes, one per X; the lanes stay below 128, so one subtraction per bit
     compares all lanes at once.
     """
+    if g.n > EXHAUSTIVE_N + 1:
+        raise BudgetExceededError(f"n={g.n} is beyond the exact tables (n <= {EXHAUSTIVE_N + 1})")
     w = g.num_vertices >> 1
     low = (1 << w) - 1
     adj = g.adjacency
@@ -180,15 +170,6 @@ def _size_table(g: CubeGraph) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _min_boundaries(g: CubeGraph) -> tuple[int, ...]:
-    """Minimum boundary over all m-subsets for every m: per mask, or from the halves."""
-    if _exhaustive(g):
-        return _subset_tables(g)
-    if g.n == EXHAUSTIVE_N + 1:
-        return _size_table(g)
-    raise BudgetExceededError(f"n={g.n} is beyond the exact tables (n <= {EXHAUSTIVE_N + 1})")
-
-
 @lru_cache(maxsize=1)  # verify_member finishes each member before the next
 def _bipartitions(g: CubeGraph) -> tuple[tuple[int, int], ...]:
     """All (mask, boundary) with both sides connected and nonempty; vertex 0 in mask."""
@@ -200,14 +181,36 @@ def _bipartitions(g: CubeGraph) -> tuple[tuple[int, int], ...]:
     return tuple((mask, bd[mask]) for mask, bit in enumerate(reversed(f"{both:b}")) if bit == "1")
 
 
-@lru_cache(maxsize=32)
-def _bipartition_minima(g: CubeGraph) -> tuple[int | None, ...]:
-    """Per small-side size m: the least boundary over the connected bipartitions, None if none."""
-    nv, best = g.num_vertices, {}
-    for mask, bd in _bipartitions(g):
-        m = min(mask.bit_count(), nv - mask.bit_count())
-        best[m] = min(bd, best.get(m, bd))
-    return tuple(best.get(m) for m in range(nv // 2 + 1))
+def _canonical_cut(g: CubeGraph, m: int) -> int | None:
+    """Boundary of the canonical m-set (labels 0..m-1) if both sides are connected, else None."""
+    mask, full = (1 << m) - 1, (1 << g.num_vertices) - 1
+    if _mask_connected(g.adjacency, mask) and _mask_connected(g.adjacency, full ^ mask):
+        return boundary_size(g, canonical_set(m, g.n))
+    return None
+
+
+@lru_cache(maxsize=32)  # per graph at one scale; the tests that lower EXHAUSTIVE_N clear it
+def _xi_table(g: CubeGraph) -> tuple[int | str | None, ...]:
+    """Per small-side size m: xi_m, None if no bipartition has that size, or why it is unsettled.
+
+    Exhaustive scale takes the least boundary over the connected bipartitions.
+    One dimension up, the minimum over all m-subsets is a lower bound; it is
+    xi_m when the canonical m-set reaches it with both sides connected.
+    """
+    nv = g.num_vertices
+    if _exhaustive(g):
+        best = {}
+        for mask, bd in _bipartitions(g):
+            m = min(mask.bit_count(), nv - mask.bit_count())
+            best[m] = min(bd, best.get(m, bd))
+        return tuple(best.get(m) for m in range(nv // 2 + 1))
+    least, entries = _size_table(g), [None]
+    for m in range(1, nv // 2 + 1):
+        entries.append(least[m] if _canonical_cut(g, m) == least[m] else (
+            f"the canonical {m}-set has boundary {boundary_size(g, canonical_set(m, g.n))}, "
+            f"the minimum over all {m}-sets is {least[m]}, and no connected witness of the "
+            "minimum is known"))
+    return tuple(entries)
 
 
 def brute_ex(g: CubeGraph, m: int) -> int:
@@ -220,7 +223,7 @@ def brute_ex(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 0 <= m <= nv:
         raise ValueError(f"m must be in [0, {nv}], got {m}")
-    return g.degree(0) * m - _min_boundaries(g)[m]
+    return g.degree(0) * m - _size_table(g)[m]
 
 
 def brute_xi(g: CubeGraph, m: int) -> int:
@@ -234,32 +237,24 @@ def brute_xi(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    if _exhaustive(g):
-        best = _bipartition_minima(g)[m]
-        if best is None:
-            raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
-        return best
-    best = _min_boundaries(g)[m]
-    seed = canonical_set(m, g.n)
-    found = boundary_size(g, seed)
-    if found != best or not (is_connected_induced(g, seed)
-                             and is_connected_induced(g, range(m, nv))):
-        raise BudgetExceededError(
-            f"the canonical {m}-set has boundary {found}, the minimum over all {m}-sets is "
-            f"{best}, and no connected witness of the minimum is known")
-    return best
+    entry = _xi_table(g)[m]
+    if entry is None:
+        raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
+    if isinstance(entry, str):
+        raise BudgetExceededError(entry)
+    return entry
 
 
 def brute_xi_unconstrained(g: CubeGraph, m: int) -> int:
     """Minimum boundary over all m-subsets, no connectivity requirement.
 
-    Read per mask at exhaustive scale and from the two label halves one
-    dimension up; it exists to test that disconnected optima do not occur.
+    Read from the per-size table of the two label halves; it exists to test
+    that disconnected optima do not occur.
     """
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    return _min_boundaries(g)[m]
+    return _size_table(g)[m]
 
 
 def brute_lambda_h(g: CubeGraph, h: int) -> int:
@@ -328,6 +323,15 @@ def _pattern_ok(g: CubeGraph, pattern: FaultPattern, l: int, mask: int) -> bool:
     raise ValueError(f"unsupported pattern {pattern}")
 
 
+def _least_cut(g: CubeGraph, side_ok) -> int | None:
+    """Least boundary over the connected bipartitions whose two sides pass side_ok, else None."""
+    full, best = (1 << g.num_vertices) - 1, None
+    for mask, bd in _bipartitions(g):
+        if (best is None or bd < best) and side_ok(mask) and side_ok(full ^ mask):
+            best = bd
+    return best
+
+
 def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
     """Minimum boundary over connected bipartitions where both sides satisfy the pattern.
 
@@ -342,13 +346,7 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
         return brute_lambda_h(g, 1 << l)
     if not _exhaustive(g):
         raise BudgetExceededError("conditional search needs exhaustive scale")
-    full = (1 << g.num_vertices) - 1
-    best = None
-    for mask, bd in _bipartitions(g):
-        if (best is None or bd < best) and _pattern_ok(g, pattern, l, mask) and _pattern_ok(
-            g, pattern, l, full ^ mask
-        ):
-            best = bd
+    best = _least_cut(g, lambda side: _pattern_ok(g, pattern, l, side))
     if best is None:
         raise RuntimeError(f"no feasible bipartition for {pattern.name} at l={l}")
     return best
@@ -373,26 +371,17 @@ def brute_cyclic(g: CubeGraph) -> int:
     if g.n < 3:
         raise ValueError(f"n must be >= 3, got {g.n}")
     adj = g.adjacency
-    nv = g.num_vertices
-    full = (1 << nv) - 1
     if _exhaustive(g):
-        best = None
-        for mask, bd in _bipartitions(g):
-            if (best is None or bd < best) and _cyclic_side_ok(adj, mask) and _cyclic_side_ok(
-                adj, full ^ mask
-            ):
-                best = bd
+        best = _least_cut(g, lambda side: _cyclic_side_ok(adj, side))
         if best is None:
             raise RuntimeError("no cyclic bipartition found; graph is malformed")
         return best
 
-    seed = canonical_set(4, g.n)
-    mask = subset_mask(seed)
-    if not (_mask_connected(adj, mask) and _mask_connected(adj, full ^ mask)
-            and _cyclic_side_ok(adj, mask) and _cyclic_side_ok(adj, full ^ mask)):
+    rest, found = (1 << g.num_vertices) - 1 ^ 0xF, _canonical_cut(g, 4)  # 0xF: labels 0..3
+    if found is None or not (_cyclic_side_ok(adj, 0xF) and _cyclic_side_ok(adj, rest)):
         raise RuntimeError("no small-side cyclic candidate found")
-    found, room, least = boundary_size(g, seed), g.degree(0) - 2, _min_boundaries(g)
-    bound = min(least[m] for m in range(1, nv // 2 + 1) if least[m] <= room * m)
+    room, least = g.degree(0) - 2, _size_table(g)
+    bound = min(least[m] for m in range(1, len(least) // 2 + 1) if least[m] <= room * m)
     if bound < found:
         raise BudgetExceededError(
             f"the canonical 4-set has boundary {found}, above the lower bound {bound}")

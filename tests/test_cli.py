@@ -294,6 +294,14 @@ class TestVerify:
         assert code == 0
         assert out.startswith("verification n=3: PASS")
 
+    @pytest.mark.parametrize("n, seeds", [(4, 2), (5, 1)])
+    def test_golden(self, n, seeds, tmp_path, capsys):
+        target = tmp_path / "v.txt"
+        code, out, err = run(["verify", "--n", str(n), "--seeds", str(seeds),
+                              "--out", str(target)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes() == (GOLDEN / f"verify_n{n}_seeds{seeds}.txt").read_bytes()
+
     def test_bad_n(self, capsys):
         code, _, err = run(["verify", "--n", "9"], capsys)
         assert code == 2 and err != ""

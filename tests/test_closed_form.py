@@ -8,58 +8,62 @@ from k4rel import closed_form as cf
 from table_data import CONDITIONAL_TABLE, CYCLIC_TABLE, LAMBDA_TABLE, XI_TABLE
 
 
+def explicit_sum(m):
+    """The sum of (t + 2i) * 2**t over the exponents t of bin(m), the i-th from the top."""
+    exponents = [t for t, digit in enumerate(reversed(bin(m)[2:])) if digit == "1"][::-1]
+    assert sum(1 << t for t in exponents) == m
+    return sum((t + 2 * i) << t for i, t in enumerate(exponents))
+
+
 class TestDecompose:
+    """The binary decomposition of m, as _hypercube_sum walks it."""
+
     def test_fifteen(self):
-        assert cf.decompose(15).exponents == (3, 2, 1, 0)
-        assert cf.decompose(15).s == 3
+        # 8 + 4 + 2 + 1: 3*8 + (2+2)*4 + (1+4)*2 + (0+6)*1
+        assert cf._hypercube_sum(15) == explicit_sum(15) == 56
 
     def test_twenty(self):
-        assert cf.decompose(20).exponents == (4, 2)
-        assert cf.decompose(20).s == 1
+        # 16 + 4: 4*16 + (2+2)*4
+        assert cf._hypercube_sum(20) == explicit_sum(20) == 80
 
     def test_power_of_two(self):
-        assert cf.decompose(64).exponents == (6,)
-        assert cf.decompose(64).s == 0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            cf.decompose(0)
+        assert cf._hypercube_sum(64) == explicit_sum(64) == 6 * 64
 
     def test_roundtrip(self):
-        for m in range(1, 2000):
-            d = cf.decompose(m)
-            assert sum(1 << t for t in d.exponents) == m
-            assert list(d.exponents) == sorted(d.exponents, reverse=True)
+        for m in range(0, 2000):
+            assert cf._hypercube_sum(m) == explicit_sum(m), m
+        for k in range(1, 200):  # lengths on both sides of each multiple of the chunk width
+            for m in ((1 << k) - 1, 1 << k, (1 << k) + 1, ((1 << k) - 1) // 3):
+                assert cf._hypercube_sum(m) == explicit_sum(m), m
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=(1 << 5000) - 1))
     def test_roundtrip_up_to_20000_bits(self, m):
-        exponents = cf.decompose(m).exponents
-        assert sum(1 << t for t in exponents) == m
-        assert list(exponents) == sorted(set(exponents), reverse=True)
+        assert cf._hypercube_sum(m) == explicit_sum(m)
 
 
 class TestHypercubeDensity:
     def test_known_values(self):
-        assert cf.ex_qn(1, 5) == 0
-        assert cf.ex_qn(2, 5) == 2
-        assert cf.ex_qn(4, 5) == 8
-        assert cf.ex_qn(8, 5) == 24
+        assert cf._hypercube_sum(1) == 0
+        assert cf._hypercube_sum(2) == 2
+        assert cf._hypercube_sum(4) == 8
+        assert cf._hypercube_sum(8) == 24
 
     def test_power_step(self):
         # adding the 2**s block past 2**t costs 2s+2 per appended exponent
         for n in (6, 8):
             for m in range(1, 1 << n):
-                d = cf.decompose(m)
-                total = sum(t << t for t in d.exponents) + sum(
-                    2 * i * (1 << t) for i, t in enumerate(d.exponents)
+                exponents = [t for t in range(n, -1, -1) if m >> t & 1]
+                total = sum(t << t for t in exponents) + sum(
+                    2 * i * (1 << t) for i, t in enumerate(exponents)
                 )
-                assert cf.ex_qn(m, n) == total
+                assert cf._hypercube_sum(m) == total, (n, m)
 
     def test_xi_qn(self):
-        assert cf.xi_qn(4, 3) == 4
-        assert cf.xi_qn(4, 4) == 8
-        assert cf.xi_qn(1, 7) == 7
+        # the hypercube's isoperimetric optimum n*m - ex_m
+        assert 3 * 4 - cf._hypercube_sum(4) == 4
+        assert 4 * 4 - cf._hypercube_sum(4) == 8
+        assert 7 * 1 - cf._hypercube_sum(1) == 7
 
 
 class TestMemberDensity:
@@ -82,9 +86,9 @@ class TestMemberDensity:
             assert cf.f_value(m) % 2 == 0
 
     def test_dominates_hypercube(self):
-        # f(m) >= ex_qn(m) with equality exactly for m <= 2
+        # f(m) >= the hypercube's densest sum, with equality exactly for m <= 2
         for m in range(0, 1 << 10):
-            gap = cf.f_value(m) - cf.ex_qn(m, 10)
+            gap = cf.f_value(m) - cf._hypercube_sum(m)
             assert gap >= 0
             assert (gap == 0) == (m <= 2)
 

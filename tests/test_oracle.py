@@ -17,12 +17,27 @@ def member(n, seed=None):
 
 
 def halves(search, *args):
-    """search(*args) with an n = 4 graph read from its two n = 3 label halves."""
+    """search(*args) with an n = 4 graph read from its two n = 3 label halves.
+
+    The xi table is cached per graph at one scale, so it is cleared on each side.
+    """
     saved, oc.EXHAUSTIVE_N = oc.EXHAUSTIVE_N, 3
+    oc._xi_table.cache_clear()
     try:
         return search(*args)
     finally:
         oc.EXHAUSTIVE_N = saved
+        oc._xi_table.cache_clear()
+
+
+def per_mask_sizes(g):
+    """Per subset size m, the least boundary over all m-subsets, read mask by mask."""
+    best = [None] * (g.num_vertices + 1)
+    for mask, bd in enumerate(oc._mask_table(g.adjacency)):
+        m = mask.bit_count()
+        if best[m] is None or bd < best[m]:
+            best[m] = bd
+    return tuple(best)
 
 
 class TestBudget:
@@ -92,7 +107,7 @@ class TestBoundedMode:
     def test_halves_table_equals_the_per_mask_table(self):
         graphs = [member(4, seed) for seed in (None, 1, 2, 3, 4, 5)] + [cg.build_hypercube(4)]
         for g in graphs:
-            assert oc._size_table(g) == oc._subset_tables(g), g.kind
+            assert oc._size_table(g) == per_mask_sizes(g), g.kind
             for m in range(0, 17):
                 assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (g.kind, m)
             for m in range(1, 9):
@@ -102,9 +117,33 @@ class TestBoundedMode:
     def test_halves_table_outside_the_family(self):
         for seed in range(20):
             g = glued(seed)
-            assert oc._size_table(g) == oc._subset_tables(g), seed
+            assert oc._size_table(g) == per_mask_sizes(g), seed
             for m in range(0, 17):
                 assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (seed, m)
+
+    def test_size_table_needs_one_matching_at_exhaustive_scale(self):
+        # enhanced(4, 1) joins each vertex to the other half twice, so no size table reads it
+        with pytest.raises(oc.BudgetExceededError, match="not one perfect matching"):
+            oc.brute_ex(cg.build_enhanced(4, 1), 5)
+
+    def test_unsettled_xi_names_its_reason(self):
+        # the least 2-set boundary of glued(0) is 6, but the 2-set at labels 0, 1 has 8
+        g = glued(0)
+        reason = ("the canonical 2-set has boundary 8, the minimum over all 2-sets is 6, "
+                  "and no connected witness of the minimum is known")
+        assert halves(oc.brute_xi, g, 1) == 4
+        for search, arg in ((oc.brute_xi, 2), (oc.brute_lambda_h, 1)):
+            with pytest.raises(oc.BudgetExceededError) as info:
+                halves(search, g, arg)
+            assert str(info.value) == reason, search.__name__
+
+    def test_n5_checks_one_canonical_cut_per_size(self, monkeypatch):
+        # one xi entry per size serves the xi, lambda and extra-size rows; the K4 serves cyclic
+        cut, calls = oc._canonical_cut, []
+        monkeypatch.setattr(oc, "_canonical_cut", lambda g, m: calls.append(m) or cut(g, m))
+        oc._xi_table.cache_clear()
+        oc.verify_member(5, [])
+        assert sorted(calls) == sorted([*range(1, 17), 4])
 
     def test_rejects_halves_not_joined_by_one_matching(self):
         # enhanced(4, 1) joins each vertex to the other half twice; the shuffle mixes the halves
@@ -169,7 +208,7 @@ class TestConnectivityBitmap:
                 bds = [bd for mask, bd in expected
                          if m in (mask.bit_count(), nv - mask.bit_count())]
                 minima.append(min(bds, default=None))
-            assert oc._bipartition_minima(g) == tuple(minima), g.kind
+            assert oc._xi_table(g) == tuple(minima), g.kind
         assert oc._bipartitions(two_cubes()) == ((0xFF, 0),)  # the two cubes, nothing else
 
 
@@ -191,7 +230,7 @@ class TestDensestSubset:
     def test_hypercube_matches_ex_qn(self):
         g = cg.build_hypercube(3)
         for m in range(0, 9):
-            assert oc.brute_ex(g, m) == cf.ex_qn(m, 3)
+            assert oc.brute_ex(g, m) == cf._hypercube_sum(m)
 
     def test_bounded_mode_agrees(self):
         g = member(5, 7)
@@ -212,7 +251,7 @@ class TestIsoperimetric:
         assert oc.brute_xi_unconstrained(g, 3) == 9
 
     def test_hypercube_value(self):
-        assert oc.brute_xi(cg.build_hypercube(3), 4) == cf.xi_qn(4, 3)
+        assert oc.brute_xi(cg.build_hypercube(3), 4) == 3 * 4 - cf._hypercube_sum(4)
 
     def test_unconstrained_equals_constrained(self):
         # disconnected subsets never beat connected ones at this scale
