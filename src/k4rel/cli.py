@@ -1,5 +1,8 @@
 """Command-line front end: table and figure data files, plus the verification run.
 
+Only closed_form loads with this module; bitmap imports cube_graph and verify
+imports oracle when they run, so a closed-form query compiles neither.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 out of memory
 or recursion depth (a smaller n may fit).  All outputs are
 byte-stable for fixed inputs: integers everywhere except the plotdata ratios,
@@ -11,12 +14,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from itertools import chain
-from typing import Iterable
 
 from . import closed_form as cf
-from . import cube_graph as cg
-from . import oracle as oc
 
 
 def _write(out_path: str, chunks: Iterable[str]) -> None:
@@ -32,9 +33,12 @@ def _write(out_path: str, chunks: Iterable[str]) -> None:
 
 def render_profile(n: int, start: int = 0, stop: int | None = None) -> str:
     """CSV rows start+1 .. stop (all by default), after the header when start is 0."""
-    head = "h,ex,xi,lambda\n" if start == 0 else ""
-    return head + "".join("%d,%d,%d,%d\n" * len(h) % tuple(chain.from_iterable(zip(h, *rest)))
-                          for h, *rest in cf.profile_blocks(n, start, stop))
+    text = ["h,ex,xi,lambda\n" if start == 0 else ""]
+    for columns in cf.profile_blocks(n, start, stop):
+        rows = [0] * (4 * len(columns[0]))  # the four columns interleaved, all ints: %s as %d
+        rows[0::4], rows[1::4], rows[2::4], rows[3::4] = columns
+        text.append("%s,%s,%s,%s\n" * len(columns[0]) % tuple(rows))
+    return "".join(text)
 
 
 def render_intervals(n: int) -> str:
@@ -74,16 +78,21 @@ def render_plotdata(n_list: list[int], start: int = 0, stop: int | None = None) 
     return "".join(text)
 
 
-def _build_graph(n: int, kind: str, seed: int, k: int | None) -> cg.CubeGraph:
+def _bitmap_rows(n: int, kind: str, seed: int, k: int | None) -> Iterable[str]:
+    """Build the graph now, and give its P1 bitmap one row at a time."""
+    from . import cube_graph as cg
+
     if kind == "canonical":
-        return cg.canonical_member(n)
-    if kind == "random":
-        return cg.build_k4cube(cg.random_matching_tree(n, seed))
-    if kind == "hypercube":
-        return cg.build_hypercube(n)
-    if kind == "enhanced":
-        return cg.build_enhanced(n, k if k is not None else n - 1)
-    raise ValueError(f"unknown kind {kind!r}")
+        graph = cg.canonical_member(n)
+    elif kind == "random":
+        graph = cg.build_k4cube(cg.random_matching_tree(n, seed))
+    elif kind == "hypercube":
+        graph = cg.build_hypercube(n)
+    elif kind == "enhanced":
+        graph = cg.build_enhanced(n, k if k is not None else n - 1)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return (cg.bitmap_pbm(graph, u, u + 1) for u in range(graph.num_vertices))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,8 +144,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"bitmap needs 2 <= n <= 12, got {args.n}")
             if args.k is not None and args.kind != "enhanced":
                 raise ValueError(f"bitmap: --k applies only to --kind enhanced, not {args.kind}")
-            graph = _build_graph(args.n, args.kind, args.seed, args.k)
-            _write(args.out, (cg.bitmap_pbm(graph, u, u + 1) for u in range(graph.num_vertices)))
+            _write(args.out, _bitmap_rows(args.n, args.kind, args.seed, args.k))
         elif args.command == "plotdata":
             for n in args.n:
                 if not 3 <= n <= 24:
@@ -147,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "verify":
             if args.seeds < 0:
                 raise ValueError(f"verify needs --seeds >= 0, got {args.seeds}")
+            from . import oracle as oc
+
             report = oc.verify_member(args.n, list(range(1, args.seeds + 1)))
             _write(args.out, [report.to_text()])
             if not report.passed:

@@ -11,7 +11,7 @@ edge-connectivity.  All arithmetic is exact Python integers.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, chain, count
@@ -21,15 +21,10 @@ PROFILE_BLOCK = 1 << 14  # rows per block of profile_blocks: a power of two >= 4
 _CHUNK = 60  # binary digits of m whose hypercube-sum terms are summed before one shift
 
 
-@dataclass(frozen=True)
-class ConcentrationInterval:
+class ConcentrationInterval(namedtuple("ConcentrationInterval", "t length lower upper value")):
     """A range [lower, upper] of h over which lambda_h is the constant `value`."""
 
-    t: int
-    length: int
-    lower: int
-    upper: int
-    value: int
+    __slots__ = ()
 
 
 class FaultPattern(Enum):

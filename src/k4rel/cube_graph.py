@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional
 
 # Ceiling for materialized graphs; closed-form evaluation has no such limit.  Measured
 # under a 2 GB address-space limit (Python 3.11, x86-64 Xeon): build_k4cube of
@@ -22,8 +22,7 @@ from typing import Iterable, Optional
 MAX_DIM = 21
 
 
-@dataclass(frozen=True)
-class MatchingTree:
+class MatchingTree(namedtuple("MatchingTree", "dimension left right matching", defaults=[None] * 3)):
     """Recursive recipe for one member of the K4-hypercube family.
 
     A leaf (dimension 2) stands for K4.  An inner node of dimension d glues two
@@ -32,10 +31,7 @@ class MatchingTree:
     reproduces the enhanced hypercube with all (n-1)-complementary edges.
     """
 
-    dimension: int
-    left: Optional["MatchingTree"] = None
-    right: Optional["MatchingTree"] = None
-    matching: Optional[tuple[int, ...]] = None
+    __slots__ = ()
 
     def validate(self) -> None:
         if self.dimension < 2:
@@ -55,16 +51,15 @@ class MatchingTree:
         self.right.validate()
 
 
-@dataclass(frozen=True)
-class CubeGraph:
+class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
     """An immutable graph: `neighbours` packs one row of labels per vertex, all
     of one length, as native unsigned ints.  kind ("hypercube", "enhanced(k)",
     "k4member") is a descriptor used in reports and carries no structure.
+    Instances keep a __dict__ for the cached views.
     """
 
-    n: int
-    kind: str
-    neighbours: bytes = field(repr=False)
+    def __repr__(self) -> str:  # the rows are left out
+        return f"CubeGraph(n={self.n!r}, kind={self.kind!r})"
 
     @cached_property
     def _flat(self) -> memoryview:

@@ -24,7 +24,7 @@ unrestricted edge-subset search confirms this independently
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import comb
@@ -121,8 +121,8 @@ def _connected_masks(adjacency: tuple[int, ...]) -> int:
 _FAR = 126  # a byte lane above every distance, so far + 1 stays below the lane's top bit
 
 
-@lru_cache(maxsize=32)
-def _size_table(g: CubeGraph) -> tuple[int, ...]:
+@lru_cache(maxsize=32)  # keyed on the scale too, so a lowered EXHAUSTIVE_N refuses the graph
+def _size_table(g: CubeGraph, scale: int) -> tuple[int, ...]:
     """Per subset size m: the minimum boundary over all m-subsets, from the label halves.
 
     The cross edges must be one perfect matching pi from the low half L onto
@@ -134,8 +134,8 @@ def _size_table(g: CubeGraph) -> tuple[int, ...]:
     lanes, one per X; the lanes stay below 128, so one subtraction per bit
     compares all lanes at once.
     """
-    if g.n > EXHAUSTIVE_N + 1:
-        raise BudgetExceededError(f"n={g.n} is beyond the exact tables (n <= {EXHAUSTIVE_N + 1})")
+    if g.n > scale + 1:
+        raise BudgetExceededError(f"n={g.n} is beyond the exact tables (n <= {scale + 1})")
     w = g.num_vertices >> 1
     low = (1 << w) - 1
     adj = g.adjacency
@@ -189,8 +189,8 @@ def _canonical_cut(g: CubeGraph, m: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=32)  # per graph at one scale; the tests that lower EXHAUSTIVE_N clear it
-def _xi_table(g: CubeGraph) -> tuple[int | str | None, ...]:
+@lru_cache(maxsize=32)  # keyed on the scale too: the entries of one graph differ between scales
+def _xi_table(g: CubeGraph, scale: int) -> tuple[int | str | None, ...]:
     """Per small-side size m: xi_m, None if no bipartition has that size, or why it is unsettled.
 
     Exhaustive scale takes the least boundary over the connected bipartitions.
@@ -198,13 +198,13 @@ def _xi_table(g: CubeGraph) -> tuple[int | str | None, ...]:
     xi_m when the canonical m-set reaches it with both sides connected.
     """
     nv = g.num_vertices
-    if _exhaustive(g):
+    if nv <= 1 << scale:
         best = {}
         for mask, bd in _bipartitions(g):
             m = min(mask.bit_count(), nv - mask.bit_count())
             best[m] = min(bd, best.get(m, bd))
         return tuple(best.get(m) for m in range(nv // 2 + 1))
-    least, entries = _size_table(g), [None]
+    least, entries = _size_table(g, scale), [None]
     for m in range(1, nv // 2 + 1):
         entries.append(least[m] if _canonical_cut(g, m) == least[m] else (
             f"the canonical {m}-set has boundary {boundary_size(g, canonical_set(m, g.n))}, "
@@ -223,7 +223,7 @@ def brute_ex(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 0 <= m <= nv:
         raise ValueError(f"m must be in [0, {nv}], got {m}")
-    return g.degree(0) * m - _size_table(g)[m]
+    return g.degree(0) * m - _size_table(g, EXHAUSTIVE_N)[m]
 
 
 def brute_xi(g: CubeGraph, m: int) -> int:
@@ -237,7 +237,7 @@ def brute_xi(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    entry = _xi_table(g)[m]
+    entry = _xi_table(g, EXHAUSTIVE_N)[m]
     if entry is None:
         raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
     if isinstance(entry, str):
@@ -254,7 +254,7 @@ def brute_xi_unconstrained(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    return _size_table(g)[m]
+    return _size_table(g, EXHAUSTIVE_N)[m]
 
 
 def brute_lambda_h(g: CubeGraph, h: int) -> int:
@@ -380,7 +380,7 @@ def brute_cyclic(g: CubeGraph) -> int:
     rest, found = (1 << g.num_vertices) - 1 ^ 0xF, _canonical_cut(g, 4)  # 0xF: labels 0..3
     if found is None or not (_cyclic_side_ok(adj, 0xF) and _cyclic_side_ok(adj, rest)):
         raise RuntimeError("no small-side cyclic candidate found")
-    room, least = g.degree(0) - 2, _size_table(g)
+    room, least = g.degree(0) - 2, _size_table(g, EXHAUSTIVE_N)
     bound = min(least[m] for m in range(1, len(least) // 2 + 1) if least[m] <= room * m)
     if bound < found:
         raise BudgetExceededError(
@@ -401,25 +401,18 @@ def average_degree_floor_check(g: CubeGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CheckEntry:
-    member: str
-    quantity: str
-    input: str
-    closed: int
-    brute: int | None  # None when the oracle could not settle it (BudgetExceededError)
-    match: bool | None
+class CheckEntry(namedtuple("CheckEntry", "member quantity input closed brute match")):
+    """One compared row; brute and match are None when the oracle could not settle it."""
+
+    __slots__ = ()
 
     @property
     def skipped(self) -> bool:
         return self.brute is None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n: int
-    members: tuple[str, ...]
-    entries: tuple[CheckEntry, ...] = field(default_factory=tuple)
+class VerificationReport(namedtuple("VerificationReport", "n members entries", defaults=((),))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

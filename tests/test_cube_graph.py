@@ -275,6 +275,7 @@ class TestRowsMatchMasks:
 
     def test_equal_hashable_and_picklable_after_use(self):
         g = probe_graph(4, 1)
+        assert pickle.loads(pickle.dumps(g)) == g  # before the cached views exist
         assert g.degree(0) == 5 and g.adjacency
         twin = pickle.loads(pickle.dumps(g))
         assert twin == g and hash(twin) == hash(g) and twin.adjacency == g.adjacency

@@ -17,17 +17,12 @@ def member(n, seed=None):
 
 
 def halves(search, *args):
-    """search(*args) with an n = 4 graph read from its two n = 3 label halves.
-
-    The xi table is cached per graph at one scale, so it is cleared on each side.
-    """
+    """search(*args) with an n = 4 graph read from its two n = 3 label halves."""
     saved, oc.EXHAUSTIVE_N = oc.EXHAUSTIVE_N, 3
-    oc._xi_table.cache_clear()
     try:
         return search(*args)
     finally:
         oc.EXHAUSTIVE_N = saved
-        oc._xi_table.cache_clear()
 
 
 def per_mask_sizes(g):
@@ -107,7 +102,7 @@ class TestBoundedMode:
     def test_halves_table_equals_the_per_mask_table(self):
         graphs = [member(4, seed) for seed in (None, 1, 2, 3, 4, 5)] + [cg.build_hypercube(4)]
         for g in graphs:
-            assert oc._size_table(g) == per_mask_sizes(g), g.kind
+            assert oc._size_table(g, oc.EXHAUSTIVE_N) == per_mask_sizes(g), g.kind
             for m in range(0, 17):
                 assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (g.kind, m)
             for m in range(1, 9):
@@ -117,7 +112,7 @@ class TestBoundedMode:
     def test_halves_table_outside_the_family(self):
         for seed in range(20):
             g = glued(seed)
-            assert oc._size_table(g) == per_mask_sizes(g), seed
+            assert oc._size_table(g, oc.EXHAUSTIVE_N) == per_mask_sizes(g), seed
             for m in range(0, 17):
                 assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (seed, m)
 
@@ -136,6 +131,18 @@ class TestBoundedMode:
             with pytest.raises(oc.BudgetExceededError) as info:
                 halves(search, g, arg)
             assert str(info.value) == reason, search.__name__
+
+    def test_cached_tables_answer_only_at_their_own_scale(self):
+        # a graph checked exhaustively is refused once the scale is lowered, and back again
+        g = glued(0)
+        assert oc.brute_xi(g, 2) == 6
+        with pytest.raises(oc.BudgetExceededError, match="no connected witness"):
+            halves(oc.brute_xi, g, 2)
+        assert oc.brute_xi(g, 2) == 6
+        g = member(5)
+        assert oc.brute_xi_unconstrained(g, 2) == cf.xi_h4(2, 5)
+        with pytest.raises(oc.BudgetExceededError, match="beyond the exact tables"):
+            halves(oc.brute_xi_unconstrained, g, 2)
 
     def test_n5_checks_one_canonical_cut_per_size(self, monkeypatch):
         # one xi entry per size serves the xi, lambda and extra-size rows; the K4 serves cyclic
@@ -208,7 +215,7 @@ class TestConnectivityBitmap:
                 bds = [bd for mask, bd in expected
                          if m in (mask.bit_count(), nv - mask.bit_count())]
                 minima.append(min(bds, default=None))
-            assert oc._xi_table(g) == tuple(minima), g.kind
+            assert oc._xi_table(g, oc.EXHAUSTIVE_N) == tuple(minima), g.kind
         assert oc._bipartitions(two_cubes()) == ((0xFF, 0),)  # the two cubes, nothing else
 
 
