@@ -2,18 +2,19 @@
 
 Everything here is search, not formula: densest subsets, minimum boundaries,
 conditional and cyclic cuts are found by enumeration so the closed forms can
-be validated against an independent path.  One table per graph, exact up to
-n = EXHAUSTIVE_N + 1, holds the minimum boundary over all m-subsets for every
-m; it comes from the two label halves, which must be joined by one perfect
-matching (as in every member, every hypercube and enhanced(n, k >= 2)).  As
-every CubeGraph is regular, each densest-subset value is degree * m minus
-that minimum.  Up to 16 vertices, one bitmap of the connected subsets gives
-the connected bipartitions, and xi, the conditional and the cyclic cuts are
-least boundaries over them.  One dimension up, the per-size minima bound xi
-and the cyclic cut from below; the cut around the canonical m-set (or the K4
-at labels 0..3) with both sides connected makes the bound exact when it meets
-it.  A check with no such witness, or beyond that scale, raises
-BudgetExceededError rather than returning a partial answer.
+be validated against an independent path.  Each subset table is one big int
+with a byte lane (or bit) per subset, built in whole-table passes.  One table
+per graph, exact up to n = EXHAUSTIVE_N + 1, holds the minimum boundary over
+all m-subsets for every m; it comes from the two label halves, which must be
+joined by one perfect matching (as in every member, every hypercube and
+enhanced(n, k >= 2)).  As every CubeGraph is regular, each densest-subset
+value is degree * m minus that minimum.  Up to 16 vertices, one bitmap of the
+connected subsets gives the connected bipartitions by boundary, and xi, the
+conditional and the cyclic cuts are the first that qualify.  One dimension up,
+the per-size minima bound xi and the cyclic cut from below; the cut around the
+canonical m-set (or the K4 at labels 0..3) with both sides connected makes the
+bound exact when it meets it.  A check with no such witness, or beyond that
+scale, raises BudgetExceededError rather than returning a partial answer.
 
 The restriction of cut searches to connected bipartitions rests on the fact
 that a minimum cut leaving three or more components could drop the edges
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 from math import comb
 from operator import and_, itemgetter, or_
 
@@ -51,6 +52,9 @@ from .cube_graph import (
 
 
 EXHAUSTIVE_N = 4  # one dimension more would be a 2^32-entry subset table
+_FAR = 126  # a byte lane above every distance, so far + 1 stays below the lane's top bit
+_DIGITS, _ZERO = bytes.maketrans(b"\0\xff", b"01"), bytes.maketrans(b"0", b"\0")
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 class BudgetExceededError(RuntimeError):
@@ -85,40 +89,48 @@ def _exhaustive(g: CubeGraph) -> bool:
     return g.num_vertices <= 1 << EXHAUSTIVE_N
 
 
+@lru_cache(maxsize=2)  # the vertex counts of one graph and of its label halves
+def _holds(nv: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex v, the masks that hold v (2^v no, 2^v yes, repeated) as bits and as 0xff lanes."""
+    lanes = [(bytes(1 << v) + b"\xff" * (1 << v)) * (1 << nv - v - 1) for v in range(nv)]
+    return (tuple(int(p.translate(_DIGITS)[::-1], 2) for p in lanes),
+            tuple(int.from_bytes(p, "little") for p in lanes))
+
+
 @lru_cache(maxsize=1)  # the exhaustive checks read one graph's table before the next's
 def _mask_table(adjacency: tuple[int, ...]) -> bytes:
     """Boundary of every vertex subset of the graph with these bitmask rows, by mask.
 
-    Each entry extends the one for its mask without the highest vertex.  Every
-    value fits a byte up to 16 vertices.
+    The masks with highest vertex v extend the 2^v masks below them at once, one
+    byte lane per mask: + deg(v), then - 2 where the mask holds a neighbour.  No
+    lane goes below 0 (it ends at a boundary), so none borrows, and none passes
+    a byte and carries: 16 vertices have at most 8 * 8 edges across.
     """
-    bd = bytearray(1 << len(adjacency))
+    nv = len(adjacency)
+    if nv > 16:
+        raise BudgetExceededError(f"{nv} vertices pass the 16-vertex bound of a byte-lane table")
+    holds, table = _holds(nv)[1], 0
     for v, row in enumerate(adjacency):
-        low, deg = 1 << v, row.bit_count()
-        bd[low:2 * low] = bytes(b + deg - 2 * (row & rest).bit_count()
-                                for rest, b in enumerate(bd[:low]))
-    return bytes(bd)
+        ones = ((1 << (8 << v)) - 1) // 255
+        step = row.bit_count() * ones - 2 * sum(holds[u] & ones for u in _bits(row))
+        table |= (table + step) << (8 << v)
+    return table.to_bytes(1 << nv, "little")
 
 
 def _connected_masks(adjacency: tuple[int, ...]) -> int:
     """Bit `mask` is set iff mask induces a connected subgraph (the empty mask counts).
 
     Bit mask of reach[v]: v is reachable inside mask from mask's lowest vertex.
-    has[v], the masks holding v, is 2^v zeros then 2^v ones, repeated; reach[v]
-    starts at the masks whose lowest vertex is v and takes in its neighbours'
-    until no reach changes.
+    reach[v] starts at the masks whose lowest vertex is v and takes in its
+    neighbours' until no reach changes.
     """
-    nv, last = len(adjacency), None
-    has = [int(("1" * (1 << v) + "0" * (1 << v)) * (1 << nv - v - 1), 2) for v in range(nv)]
+    has, last = _holds(len(adjacency))[0], None
     reach = [h & ~reduce(or_, has[:v], 0) for v, h in enumerate(has)]
     while reach != last:
         last = reach[:]
         for v, row in enumerate(adjacency):
             reach[v] = has[v] & reduce(or_, (reach[u] for u in _bits(row)), reach[v])
-    return reduce(and_, (r | ~h for h, r in zip(has, reach)), (1 << (1 << nv)) - 1)
-
-
-_FAR = 126  # a byte lane above every distance, so far + 1 stays below the lane's top bit
+    return reduce(and_, (r | ~h for h, r in zip(has, reach)), (1 << (1 << len(has))) - 1)
 
 
 @lru_cache(maxsize=32)  # keyed on the scale too, so a lowered EXHAUSTIVE_N refuses the graph
@@ -132,13 +144,13 @@ def _size_table(g: CubeGraph, scale: int) -> tuple[int, ...]:
     D_k(X) <- min(D_k(X), D_k(X ^ 2^i) + 1).  Then the answer at m is the
     minimum of bd_R(X) + D_{m-|X|}(X).  Each D_k is one big int of byte
     lanes, one per X; the lanes stay below 128, so one subtraction per bit
-    compares all lanes at once.
+    compares all lanes at once.  As bd(S) = bd(V - S), and S or V - S has
+    |S_L| <= w/2, the k <= w/2 transforms reach each m-subset or its complement.
     """
     if g.n > scale + 1:
         raise BudgetExceededError(f"n={g.n} is beyond the exact tables (n <= {scale + 1})")
-    w = g.num_vertices >> 1
+    w, adj = g.num_vertices >> 1, g.adjacency
     low = (1 << w) - 1
-    adj = g.adjacency
     cross = [row >> w for row in adj[:w]] + [row & low for row in adj[w:]]
     if any(c.bit_count() != 1 for c in cross):
         raise BudgetExceededError("the edges between the label halves are not one perfect matching")
@@ -151,34 +163,38 @@ def _size_table(g: CubeGraph, scale: int) -> tuple[int, ...]:
     right = int.from_bytes(_mask_table(tuple(row >> w for row in adj[w:])), "little")
     ones = int.from_bytes(b"\1" * lanes, "little")
     high, far = ones << 7, _FAR * ones
-    clears = [int.from_bytes((b"\xff" * (1 << i) + bytes(1 << i)) * (lanes >> (i + 1)), "little")
-              for i in range(w)]
-    pop = bytes(x.bit_count() for x in range(lanes))
+    # the popcounts of each upper half are those of its lower half + 1
+    pop = reduce(lambda pop, _: pop + pop.translate(_PLUS_ONE), range(w), b"\0")
     gather = itemgetter(*sorted(range(lanes), key=pop.__getitem__))
     starts = list(accumulate((comb(w, j) for j in range(w + 1)), initial=0))
     best = [2 * w * w] * (2 * w + 1)
-    for k in range(w + 1):
+    for k in range(w // 2 + 1):
         own = int.from_bytes(pop.translate(bytes(255 * (p == k) for p in range(256))), "little")
         d = (c & own) | (far & ~own)
-        for i, clear in enumerate(clears):
-            near = (((d >> (8 << i)) & clear) | ((d & clear) << (8 << i))) + ones
+        for i, h in enumerate(_holds(w)[1]):
+            near = (((d & h) >> (8 << i)) | ((d << (8 << i)) & h)) + ones
             ge = (((d | high) - near) & high) >> 7
             d ^= (d ^ near) & ((ge << 8) - ge)
         by_size = gather((d + right).to_bytes(lanes, "little"))
         for j in range(w + 1):
             best[k + j] = min(best[k + j], min(by_size[starts[j]:starts[j + 1]]))
-    return tuple(best)
+    return tuple(map(min, best, reversed(best)))
 
 
 @lru_cache(maxsize=1)  # verify_member finishes each member before the next
 def _bipartitions(g: CubeGraph) -> tuple[tuple[int, int], ...]:
-    """All (mask, boundary) with both sides connected and nonempty; vertex 0 in mask."""
+    """All (mask, boundary) with both sides connected and nonempty, vertex 0 in mask.
+
+    By boundary, then mask, so a scan for the least cut can stop at its first pass.
+    """
     size, connected = 1 << g.num_vertices, _connected_masks(g.adjacency)
     odd = int("10" * (size >> 1), 2) ^ (1 << size - 1)  # the full mask has no other side
     # the reversed bitmap holds each complement's bit; x & -x per set bit would copy 2^16 bits
     both = connected & int(format(connected, f"0{size}b")[::-1], 2) & odd
     bd = _mask_table(g.adjacency)
-    return tuple((mask, bd[mask]) for mask, bit in enumerate(reversed(f"{both:b}")) if bit == "1")
+    masks = sorted(compress(range(size), f"{both:0{size}b}"[::-1].encode().translate(_ZERO)),
+                   key=bd.__getitem__)
+    return tuple(zip(masks, map(bd.__getitem__, masks)))
 
 
 def _canonical_cut(g: CubeGraph, m: int) -> int | None:
@@ -193,7 +209,7 @@ def _canonical_cut(g: CubeGraph, m: int) -> int | None:
 def _xi_table(g: CubeGraph, scale: int) -> tuple[int | str | None, ...]:
     """Per small-side size m: xi_m, None if no bipartition has that size, or why it is unsettled.
 
-    Exhaustive scale takes the least boundary over the connected bipartitions.
+    Exhaustive scale takes the first, so least, boundary of each size in _bipartitions.
     One dimension up, the minimum over all m-subsets is a lower bound; it is
     xi_m when the canonical m-set reaches it with both sides connected.
     """
@@ -201,8 +217,9 @@ def _xi_table(g: CubeGraph, scale: int) -> tuple[int | str | None, ...]:
     if nv <= 1 << scale:
         best = {}
         for mask, bd in _bipartitions(g):
-            m = min(mask.bit_count(), nv - mask.bit_count())
-            best[m] = min(bd, best.get(m, bd))
+            best.setdefault(min(mask.bit_count(), nv - mask.bit_count()), bd)
+            if len(best) == nv // 2:
+                break
         return tuple(best.get(m) for m in range(nv // 2 + 1))
     least, entries = _size_table(g, scale), [None]
     for m in range(1, nv // 2 + 1):
@@ -325,11 +342,9 @@ def _pattern_ok(g: CubeGraph, pattern: FaultPattern, l: int, mask: int) -> bool:
 
 def _least_cut(g: CubeGraph, side_ok) -> int | None:
     """Least boundary over the connected bipartitions whose two sides pass side_ok, else None."""
-    full, best = (1 << g.num_vertices) - 1, None
-    for mask, bd in _bipartitions(g):
-        if (best is None or bd < best) and side_ok(mask) and side_ok(full ^ mask):
-            best = bd
-    return best
+    full = (1 << g.num_vertices) - 1
+    return next((bd for mask, bd in _bipartitions(g) if side_ok(mask) and side_ok(full ^ mask)),
+                None)
 
 
 def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:

@@ -209,7 +209,7 @@ class TestConnectivityBitmap:
     def test_bipartitions_and_per_size_minima_agree_with_the_per_mask_scan(self):
         for g in bitmap_graphs():
             nv, expected = g.num_vertices, bfs_bipartitions(g)
-            assert oc._bipartitions(g) == expected, g.kind
+            assert oc._bipartitions(g) == tuple(sorted(expected, key=lambda p: p[::-1])), g.kind
             minima = [None]  # no bipartition has an empty side
             for m in range(1, nv // 2 + 1):
                 bds = [bd for mask, bd in expected
@@ -217,6 +217,56 @@ class TestConnectivityBitmap:
                 minima.append(min(bds, default=None))
             assert oc._xi_table(g, oc.EXHAUSTIVE_N) == tuple(minima), g.kind
         assert oc._bipartitions(two_cubes()) == ((0xFF, 0),)  # the two cubes, nothing else
+
+    def test_least_cut_stops_at_the_full_scan_minimum(self):
+        def full_scan(g, side_ok):
+            full, best = (1 << g.num_vertices) - 1, None
+            for mask, bd in oc._bipartitions(g):
+                if (best is None or bd < best) and side_ok(mask) and side_ok(full ^ mask):
+                    best = bd
+            return best
+
+        patterns = (cf.FaultPattern.SUPER_DEGREE, cf.FaultPattern.AVERAGE_DEGREE,
+                    cf.FaultPattern.EMBEDDED)
+        for g in bitmap_graphs():
+            side_oks = [lambda side, g=g: oc._cyclic_side_ok(g.adjacency, side)]
+            side_oks += [lambda side, g=g, p=p, l=l: oc._pattern_ok(g, p, l, side)
+                         for p in patterns for l in range(2, g.n)]
+            for side_ok in side_oks:
+                assert oc._least_cut(g, side_ok) == full_scan(g, side_ok), g.kind
+
+
+def boundary_table(g):
+    """cube_graph.boundary_size of every vertex subset of g, by mask."""
+    subsets = [()]
+    for v in range(g.num_vertices):  # the subsets holding v follow those below, as masks do
+        subsets += [s + (v,) for s in subsets]
+    return bytes(cg.boundary_size(g, s) for s in subsets)
+
+
+def rows_graph(adjacency):
+    """The regular graph with these bitmask rows."""
+    rows = [[v for v in range(len(adjacency)) if row >> v & 1] for row in adjacency]
+    assert len({len(row) for row in rows}) == 1
+    neighbours = array("I", [v for row in rows for v in row]).tobytes()
+    return cg.CubeGraph(n=len(adjacency).bit_length() - 1, kind="rows", neighbours=neighbours)
+
+
+class TestMaskTable:
+    def test_every_entry_is_the_boundary_of_its_set(self, monkeypatch):
+        graphs = [g for g in bitmap_graphs() if g.num_vertices == 8]
+        graphs += [member(4), member(4, 1), cg.build_enhanced(4, 2)]
+        mask_table, halves_read = oc._mask_table, []
+        monkeypatch.setattr(oc, "_mask_table", lambda adj: halves_read.append(adj) or mask_table(adj))
+        oc._size_table.__wrapped__(member(5), oc.EXHAUSTIVE_N)
+        assert [len(adj) for adj in halves_read] == [16, 16]
+        graphs += [rows_graph(adj) for adj in halves_read]
+        for g in graphs:
+            assert mask_table(g.adjacency) == boundary_table(g), g.kind
+
+    def test_refuses_more_vertices_than_a_byte_lane_holds(self):
+        with pytest.raises(oc.BudgetExceededError, match="16-vertex bound"):
+            oc._mask_table(member(5).adjacency)
 
 
 class TestDensestSubset:
