@@ -17,9 +17,9 @@ from itertools import chain
 
 # Ceiling for materialized graphs; closed-form evaluation has no such limit.  Measured
 # under a 2 GB address-space limit (Python 3.11, x86-64 Xeon): build_k4cube of
-# random_matching_tree(21, 1) takes 35 s and peaks at 1.14 GB RSS, mostly the tree's
-# matchings; at n = 22 the tree fills most of the limit and the rows no longer fit.
-MAX_DIM = 21
+# random_matching_tree(22, 1) takes 56 s (37 s of it shuffling) and peaks at 1.13 GB RSS;
+# at n = 23 the 805 MB of rows, held twice while they are copied to bytes, do not fit.
+MAX_DIM = 22
 
 
 class MatchingTree(namedtuple("MatchingTree", "dimension left right matching", defaults=[None] * 3)):
@@ -27,28 +27,17 @@ class MatchingTree(namedtuple("MatchingTree", "dimension left right matching", d
 
     A leaf (dimension 2) stands for K4.  An inner node of dimension d glues two
     (d-1)-dimensional members along a perfect matching: vertex u of the 0-half
-    is joined to vertex matching[u] of the 1-half.  The all-identity tree
-    reproduces the enhanced hypercube with all (n-1)-complementary edges.
+    is joined to vertex matching[u] of the 1-half.  The trees made here pack each
+    matching in an array('I'), 4 bytes per entry (any sequence of ints is accepted),
+    and the all-identity tree reproduces the enhanced hypercube enhanced(n, n-1).
     """
 
     __slots__ = ()
 
     def validate(self) -> None:
-        if self.dimension < 2:
-            raise ValueError(f"matching tree dimension must be >= 2, got {self.dimension}")
-        if self.dimension == 2:
-            if self.left is not None or self.right is not None or self.matching is not None:
-                raise ValueError("dimension-2 node must be a bare leaf (the K4)")
-            return
-        if self.left is None or self.right is None or self.matching is None:
-            raise ValueError(f"inner node of dimension {self.dimension} needs children and a matching")
-        if self.left.dimension != self.dimension - 1 or self.right.dimension != self.dimension - 1:
-            raise ValueError("child dimensions must be one less than the parent's")
-        half = 1 << (self.dimension - 1)
-        if len(self.matching) != half or sorted(self.matching) != list(range(half)):
-            raise ValueError(f"matching must be a permutation of [0, {half})")
-        self.left.validate()
-        self.right.validate()
+        """ValueError unless the tree is well formed: the walk build_k4cube makes."""
+        for _ in _matching_columns(self):
+            pass
 
 
 class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
@@ -79,11 +68,13 @@ class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
 
     def row(self, v: int) -> memoryview:
         """The neighbours of v."""
-        d = len(self._flat) >> self.n
+        d = self.degree(v)
         return self._flat[v * d:(v + 1) * d]
 
     def degree(self, v: int) -> int:
-        return len(self.row(v))
+        if not 0 <= v < 1 << self.n:
+            raise ValueError(f"vertex must be in [0, {1 << self.n}), got {v}")
+        return len(self._flat) >> self.n
 
     def edge_count(self) -> int:
         return len(self._flat) // 2
@@ -94,9 +85,9 @@ def _from_columns(n: int, kind: str, slots: int, flips, columns=()) -> CubeGraph
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
     flat = array("I", [0]) * (slots << n)
-    xors = ((v ^ flip for v in range(1 << n)) for flip in flips)
+    xors = (array("I", (v ^ flip for v in range(1 << n))) for flip in flips)
     for j, column in enumerate(chain(xors, columns)):
-        flat[j::slots] = array("I", column)
+        flat[j::slots] = column
     return CubeGraph(n=n, kind=kind, neighbours=flat.tobytes())
 
 
@@ -117,27 +108,24 @@ def identity_matching_tree(n: int) -> MatchingTree:
     """The tree whose every matching is the identity; yields enhanced(n, n-1)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n == 2:
-        return MatchingTree(dimension=2)
-    sub = identity_matching_tree(n - 1)
-    return MatchingTree(
-        dimension=n, left=sub, right=sub, matching=tuple(range(1 << (n - 1)))
-    )
+    tree = MatchingTree(dimension=2)
+    for d in range(3, n + 1):  # both children are the one (d-1)-dimensional tree
+        tree = MatchingTree(d, tree, tree, array("I", range(1 << (d - 1))))
+    return tree
 
 
 def random_matching_tree(n: int, seed: int) -> MatchingTree:
     """Deterministic random member recipe: every matching is a seeded shuffle."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rng = random.Random(seed)
+    rng, leaf = random.Random(seed), MatchingTree(dimension=2)
 
     def grow(d: int) -> MatchingTree:
         if d == 2:
-            return MatchingTree(dimension=2)
-        left, right = grow(d - 1), grow(d - 1)
-        perm = list(range(1 << (d - 1)))
-        rng.shuffle(perm)
-        return MatchingTree(dimension=d, left=left, right=right, matching=tuple(perm))
+            return leaf  # one K4 leaf serves every slot, as in identity_matching_tree
+        left, right, perm = grow(d - 1), grow(d - 1), list(range(1 << (d - 1)))
+        rng.shuffle(perm)  # a list shuffles faster than an array
+        return MatchingTree(dimension=d, left=left, right=right, matching=array("I", perm))
 
     return grow(n)
 
@@ -149,23 +137,42 @@ def build_k4cube(spec: MatchingTree) -> CubeGraph:
     labels [0, 2**(d-1)), the 1-half takes [2**(d-1), 2**d).  This is what makes
     the canonical sets {0, ..., m-1} meaningful on every member.
     """
-    spec.validate()
     n = spec.dimension  # flips 1, 2, 3 join each aligned 4-block: the K4 leaves
     return _from_columns(n, "k4member", n + 1, (1, 2, 3), _matching_columns(spec))
 
 
 def _matching_columns(spec: MatchingTree):
-    """One column per inner level: each vertex's partner across its node's matching."""
+    """One column per inner level, each vertex's partner across its node's matching;
+    each node is checked as its level is walked, after _from_columns has checked n."""
+    if spec.dimension < 2:
+        raise ValueError(f"matching tree dimension must be >= 2, got {spec.dimension}")
     level = [spec]
     for d in range(spec.dimension, 2, -1):
         half = 1 << (d - 1)
-        column = []
-        for k, node in enumerate(level):
-            first, top = k << d, (k << d) + half
-            column += [top + v for v in node.matching]
-            column += [first + u for u in sorted(range(half), key=node.matching.__getitem__)]
+        column = array("I")
+        for first, node in zip(range(0, len(level) << d, 1 << d), level):
+            if None in node[1:] or node.left.dimension != d - 1 or node.right.dimension != d - 1:
+                raise ValueError(f"dimension-{d} node needs dimension-{d - 1} children and a matching")
+            inverse = _inverse(node.matching, first, half)  # checks the matching before its use
+            column += array("I", map((first + half).__add__, node.matching))
+            column += inverse
         yield column
         level = [child for node in level for child in (node.left, node.right)]
+    if any(node[1:] != (None, None, None) for node in level):
+        raise ValueError("dimension-2 node must be a bare leaf (the K4)")
+
+
+def _inverse(matching, first: int, half: int) -> array:
+    """first + the inverse of matching; ValueError unless matching permutes [0, half)."""
+    inverse = array("I", [first + half]) * half  # first + half marks a slot no entry fills
+    try:
+        for u, v in enumerate(array("I", matching), first):
+            inverse[v] = u
+        if len(matching) == half and first + half not in inverse:
+            return inverse
+    except (IndexError, OverflowError):  # an entry >= half, or < 0
+        pass
+    raise ValueError(f"matching must be a permutation of [0, {half})")
 
 
 def canonical_member(n: int) -> CubeGraph:
@@ -190,8 +197,8 @@ def subset_mask(members: Iterable[int]) -> int:
 def _marked(g: CubeGraph, members: Iterable[int]) -> tuple[bytearray, list[int]]:
     """A membership mark per vertex, and each member once."""
     verts = list(dict.fromkeys(members))
-    if min(verts, default=0) < 0:
-        raise ValueError(f"vertex labels must be >= 0, got {min(verts)}")
+    if verts and not 0 <= min(verts) <= max(verts) < g.num_vertices:
+        raise ValueError(f"labels must be in [0, {g.num_vertices}), got {min(verts)}..{max(verts)}")
     mark = bytearray(g.num_vertices)
     for v in verts:
         mark[v] = 1

@@ -1,10 +1,13 @@
 """Unit tests for graph construction and subset primitives."""
 
+import hashlib
 import os
 import pathlib
 import pickle
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from functools import lru_cache
 
 import pytest
@@ -35,6 +38,14 @@ class TestHypercube:
             cg.build_hypercube(0)
         with pytest.raises(ValueError):
             cg.build_hypercube(cg.MAX_DIM + 1)
+
+    def test_members_past_max_dim_are_refused_before_the_tree_is_walked(self):
+        with pytest.raises(ValueError, match=f"dimension must be in \\[1, {cg.MAX_DIM}\\]"):
+            cg.build_k4cube(cg.identity_matching_tree(cg.MAX_DIM + 1))
+        # a malformed matching would be named if the tree were walked first
+        bad = cg.MatchingTree(cg.MAX_DIM + 1, cg.MatchingTree(2), cg.MatchingTree(2), ())
+        with pytest.raises(ValueError, match="dimension must be in"):
+            cg.build_k4cube(bad)
 
 
 class TestEnhanced:
@@ -76,6 +87,17 @@ class TestMatchingTree:
         with pytest.raises(ValueError):
             cg.MatchingTree(dimension=4, left=leaf, right=leaf,
                             matching=tuple(range(8))).validate()
+        bad_matchings = [(0, 1, 2, 4), (-1, 0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 0, 0),
+                         array("I", [0, 1, 1, 2])]
+        for matching in bad_matchings:  # an entry = half, a negative, too short, too long, a repeat
+            with pytest.raises(ValueError, match=r"permutation of \[0, 4\)"):
+                cg.MatchingTree(dimension=3, left=leaf, right=leaf, matching=matching).validate()
+        deep = cg.MatchingTree(4, cg.identity_matching_tree(3),
+                               cg.MatchingTree(3, leaf, leaf, (3, 3, 1, 0)), array("I", range(8)))
+        with pytest.raises(ValueError):
+            deep.validate()
+        with pytest.raises(ValueError, match="bare leaf"):
+            cg.MatchingTree(3, leaf, cg.MatchingTree(2, matching=()), (0, 1, 2, 3)).validate()
 
     def test_member_regularity(self):
         for n in range(2, 9):
@@ -106,11 +128,42 @@ class TestMatchingTree:
                 assert g1.adjacency == g2.adjacency
 
     def test_different_seeds_differ(self):
-        trees = {cg.random_matching_tree(6, s) for s in range(8)}
-        assert len(trees) == 8
+        members = {cg.build_k4cube(cg.random_matching_tree(6, s)).neighbours for s in range(8)}
+        assert len(members) == 8
+
+    def test_members_are_pinned(self):
+        # the rows of the canonical member and seeds 0..3 at n = 2..10, as first recorded
+        digest = hashlib.sha256()
+        for n in range(2, 11):
+            digest.update(cg.canonical_member(n).neighbours)
+            for s in range(4):
+                digest.update(cg.build_k4cube(cg.random_matching_tree(n, s)).neighbours)
+        assert digest.hexdigest() == "6766af002b5270daad7073f7727f043c36422b1981e4b8620b2c8ae5dd4c2509"
+
+    def test_random_tree_packs_its_matchings(self):
+        # 12 levels of 2^13 entries: 0.4 MB as 4-byte entries.  The whole tree peaks at
+        # about 1.4 MB in its making, where tuples of ints peak at about 2.7 MB.
+        tracemalloc.start()
+        try:
+            tree = cg.random_matching_tree(14, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(tree.matching, array) and peak < 2e6
 
 
 class TestSubsetPrimitives:
+    def test_labels_out_of_range(self):
+        g = cg.canonical_member(3)
+        for v in (-2, -1, 8, 9):
+            for query in (g.row, g.degree):
+                with pytest.raises(ValueError, match=r"\[0, 8\)"):
+                    query(v)
+            for query in (cg.boundary_size, cg.induced_edge_count, cg.is_connected_induced):
+                with pytest.raises(ValueError, match=r"\[0, 8\)"):
+                    query(g, [0, v])
+        assert g.degree(7) == 4 and sorted(g.row(7)) == [3, 4, 5, 6]
+
     def test_canonical_set(self):
         assert cg.canonical_set(0, 4) == frozenset()
         assert cg.canonical_set(5, 4) == frozenset({0, 1, 2, 3, 4})
