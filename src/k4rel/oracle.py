@@ -9,8 +9,10 @@ all m-subsets for every m; it comes from the two label halves, which must be
 joined by one perfect matching (as in every member, every hypercube and
 enhanced(n, k >= 2)).  As every CubeGraph is regular, each densest-subset
 value is degree * m minus that minimum.  Up to 16 vertices, one bitmap of the
-connected subsets gives the connected bipartitions by boundary, and xi, the
-conditional and the cyclic cuts are the first that qualify.  One dimension up,
+connected subsets gives a lane table holding each connected bipartition's
+boundary (255 on the other masks); xi, the conditional and the cyclic cuts are
+the first that qualify, found boundary by boundary with bytes.find, and a side's
+edge count is read from its boundary.  One dimension up,
 the per-size minima bound xi and the cyclic cut from below; the cut around the
 canonical m-set (or the K4 at labels 0..3) with both sides connected makes the
 bound exact when it meets it.  A check with no such witness, or beyond that
@@ -27,9 +29,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations, compress
-from math import comb
-from operator import and_, itemgetter, or_
+from itertools import combinations
+from operator import and_, or_
 
 from .closed_form import (
     FaultPattern,
@@ -53,7 +54,7 @@ from .cube_graph import (
 
 EXHAUSTIVE_N = 4  # one dimension more would be a 2^32-entry subset table
 _FAR = 126  # a byte lane above every distance, so far + 1 stays below the lane's top bit
-_DIGITS, _ZERO = bytes.maketrans(b"\0\xff", b"01"), bytes.maketrans(b"0", b"\0")
+_DIGITS, _OUTSIDE = bytes.maketrans(b"\0\xff", b"01"), bytes.maketrans(b"01", b"\xff\0")
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
@@ -146,6 +147,8 @@ def _size_table(g: CubeGraph, scale: int) -> tuple[int, ...]:
     lanes, one per X; the lanes stay below 128, so one subtraction per bit
     compares all lanes at once.  As bd(S) = bd(V - S), and S or V - S has
     |S_L| <= w/2, the k <= w/2 transforms reach each m-subset or its complement.
+    The sums bd_R + D_k are kept; then per size j of X, their lanes of other
+    sizes are set to 0xff and the least byte left is found by ascending bytes.find.
     """
     if g.n > scale + 1:
         raise BudgetExceededError(f"n={g.n} is beyond the exact tables (n <= {scale + 1})")
@@ -165,36 +168,54 @@ def _size_table(g: CubeGraph, scale: int) -> tuple[int, ...]:
     high, far = ones << 7, _FAR * ones
     # the popcounts of each upper half are those of its lower half + 1
     pop = reduce(lambda pop, _: pop + pop.translate(_PLUS_ONE), range(w), b"\0")
-    gather = itemgetter(*sorted(range(lanes), key=pop.__getitem__))
-    starts = list(accumulate((comb(w, j) for j in range(w + 1)), initial=0))
-    best = [2 * w * w] * (2 * w + 1)
+
+    def outside(j):  # 0xff on the lanes of the X with |X| != j, 0 on the others
+        return int.from_bytes(pop.translate(b"\xff" * j + b"\0" + b"\xff" * (255 - j)), "little")
+
+    sums = []  # bd_R + D_k per k: its lanes stay below 126 + 64, so below 0xff
     for k in range(w // 2 + 1):
-        own = int.from_bytes(pop.translate(bytes(255 * (p == k) for p in range(256))), "little")
-        d = (c & own) | (far & ~own)
+        out = outside(k)
+        d = (c & ~out) | (far & out)
         for i, h in enumerate(_holds(w)[1]):
             near = (((d & h) >> (8 << i)) | ((d << (8 << i)) & h)) + ones
             ge = (((d | high) - near) & high) >> 7
             d ^= (d ^ near) & ((ge << 8) - ge)
-        by_size = gather((d + right).to_bytes(lanes, "little"))
-        for j in range(w + 1):
-            best[k + j] = min(best[k + j], min(by_size[starts[j]:starts[j + 1]]))
+        sums.append(d + right)
+    best = [255] * (2 * w + 1)
+    for j in range(w + 1):
+        out = outside(j)
+        for k, total in enumerate(sums):
+            size_j = (total | out).to_bytes(lanes, "little")
+            best[k + j] = next((b for b in range(best[k + j]) if size_j.find(b) >= 0), best[k + j])
     return tuple(map(min, best, reversed(best)))
 
 
 @lru_cache(maxsize=1)  # verify_member finishes each member before the next
-def _bipartitions(g: CubeGraph) -> tuple[tuple[int, int], ...]:
-    """All (mask, boundary) with both sides connected and nonempty, vertex 0 in mask.
+def _cut_lanes(g: CubeGraph) -> bytes:
+    """Per mask holding vertex 0 with both sides connected and nonempty, its boundary; else 255.
 
-    By boundary, then mask, so a scan for the least cut can stop at its first pass.
+    16 vertices have at most 8 * 8 edges across, so 255 is never a boundary.
     """
     size, connected = 1 << g.num_vertices, _connected_masks(g.adjacency)
     odd = int("10" * (size >> 1), 2) ^ (1 << size - 1)  # the full mask has no other side
     # the reversed bitmap holds each complement's bit; x & -x per set bit would copy 2^16 bits
     both = connected & int(format(connected, f"0{size}b")[::-1], 2) & odd
-    bd = _mask_table(g.adjacency)
-    masks = sorted(compress(range(size), f"{both:0{size}b}"[::-1].encode().translate(_ZERO)),
-                   key=bd.__getitem__)
-    return tuple(zip(masks, map(bd.__getitem__, masks)))
+    outside = f"{both:0{size}b}"[::-1].encode().translate(_OUTSIDE)
+    bd = int.from_bytes(_mask_table(g.adjacency), "little")
+    return (bd | int.from_bytes(outside, "little")).to_bytes(size, "little")
+
+
+def _bipartitions(g: CubeGraph):
+    """Each (mask, boundary) of _cut_lanes, by boundary, then mask.
+
+    A scan for the least cut stops at its first pass, so later boundaries are never looked up.
+    """
+    lanes = _cut_lanes(g)
+    for bd in range(255):
+        mask = lanes.find(bd)
+        while mask >= 0:
+            yield mask, bd
+            mask = lanes.find(bd, mask + 1)
 
 
 def _canonical_cut(g: CubeGraph, m: int) -> int | None:
@@ -311,40 +332,30 @@ def brute_lambda_h_unrestricted(g: CubeGraph, h: int, max_cut: int = 8) -> int:
     raise BudgetExceededError(f"no h-extra edge-cut of size <= {max_cut} found")
 
 
-def _side_stats(adj, mask):
-    """(size, doubled internal edges, min internal degree) of one side."""
-    degs = [(adj[v] & mask).bit_count() for v in _bits(mask)]
-    return len(degs), sum(degs), min(degs, default=0)
-
-
 def _embedded_ok(n, l, mask):
     """True iff every vertex of the side lies in a wholly contained prefix subcube."""
-    width = 1 << l
-    block = (1 << width) - 1
-    covered = 0
-    for prefix in range(1 << (n - l)):
-        sub = block << (prefix * width)
-        if sub & ~mask == 0:
-            covered |= sub
-    return mask & ~covered == 0
+    blocks = (((1 << (1 << l)) - 1) << (prefix << l) for prefix in range(1 << (n - l)))
+    return mask & ~reduce(or_, (b for b in blocks if b & ~mask == 0), 0) == 0
 
 
-def _pattern_ok(g: CubeGraph, pattern: FaultPattern, l: int, mask: int) -> bool:
-    size, e2, mind = _side_stats(g.adjacency, mask)
+def _pattern_ok(g: CubeGraph, pattern: FaultPattern, l: int, mask: int, bd=None) -> bool:
+    """Whether a side passes the pattern at l; bd is its boundary (counted here if not given)."""
     if pattern is FaultPattern.SUPER_DEGREE:
-        return mind >= l
+        return all((g.adjacency[v] & mask).bit_count() >= l for v in _bits(mask))
     if pattern is FaultPattern.AVERAGE_DEGREE:
-        return e2 >= l * size
+        # a regular graph's side of m vertices holds d * m - bd doubled edges
+        bd = boundary_size(g, _bits(mask)) if bd is None else bd
+        return bd <= (g.degree(0) - l) * mask.bit_count()
     if pattern is FaultPattern.EMBEDDED:
         return _embedded_ok(g.n, l, mask)
     raise ValueError(f"unsupported pattern {pattern}")
 
 
 def _least_cut(g: CubeGraph, side_ok) -> int | None:
-    """Least boundary over the connected bipartitions whose two sides pass side_ok, else None."""
+    """Least bd of a connected bipartition whose two sides pass side_ok(side, bd), else None."""
     full = (1 << g.num_vertices) - 1
-    return next((bd for mask, bd in _bipartitions(g) if side_ok(mask) and side_ok(full ^ mask)),
-                None)
+    return next((bd for mask, bd in _bipartitions(g)
+                 if side_ok(mask, bd) and side_ok(full ^ mask, bd)), None)
 
 
 def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
@@ -361,16 +372,15 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
         return brute_lambda_h(g, 1 << l)
     if not _exhaustive(g):
         raise BudgetExceededError("conditional search needs exhaustive scale")
-    best = _least_cut(g, lambda side: _pattern_ok(g, pattern, l, side))
+    best = _least_cut(g, lambda side, bd: _pattern_ok(g, pattern, l, side, bd))
     if best is None:
         raise RuntimeError(f"no feasible bipartition for {pattern.name} at l={l}")
     return best
 
 
-def _cyclic_side_ok(adj, mask):
-    # a connected side holds a cycle iff it has at least as many edges as vertices
-    size, e2, _ = _side_stats(adj, mask)
-    return size >= 3 and e2 >= 2 * size
+def _cyclic_side_ok(g, mask, bd):
+    # a connected side holds a cycle iff it has as many edges as vertices: average degree 2
+    return mask.bit_count() >= 3 and _pattern_ok(g, FaultPattern.AVERAGE_DEGREE, 2, mask, bd)
 
 
 def brute_cyclic(g: CubeGraph) -> int:
@@ -385,15 +395,14 @@ def brute_cyclic(g: CubeGraph) -> int:
     """
     if g.n < 3:
         raise ValueError(f"n must be >= 3, got {g.n}")
-    adj = g.adjacency
     if _exhaustive(g):
-        best = _least_cut(g, lambda side: _cyclic_side_ok(adj, side))
+        best = _least_cut(g, lambda side, bd: _cyclic_side_ok(g, side, bd))
         if best is None:
             raise RuntimeError("no cyclic bipartition found; graph is malformed")
         return best
 
     rest, found = (1 << g.num_vertices) - 1 ^ 0xF, _canonical_cut(g, 4)  # 0xF: labels 0..3
-    if found is None or not (_cyclic_side_ok(adj, 0xF) and _cyclic_side_ok(adj, rest)):
+    if found is None or not (_cyclic_side_ok(g, 0xF, found) and _cyclic_side_ok(g, rest, found)):
         raise RuntimeError("no small-side cyclic candidate found")
     room, least = g.degree(0) - 2, _size_table(g, EXHAUSTIVE_N)
     bound = min(least[m] for m in range(1, len(least) // 2 + 1) if least[m] <= room * m)

@@ -1,6 +1,7 @@
 """Unit tests for the brute-force oracle, including matching-invariance checks."""
 
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -209,14 +210,15 @@ class TestConnectivityBitmap:
     def test_bipartitions_and_per_size_minima_agree_with_the_per_mask_scan(self):
         for g in bitmap_graphs():
             nv, expected = g.num_vertices, bfs_bipartitions(g)
-            assert oc._bipartitions(g) == tuple(sorted(expected, key=lambda p: p[::-1])), g.kind
+            assert tuple(oc._bipartitions(g)) == tuple(sorted(expected, key=lambda p: p[::-1])), (
+                g.kind)
             minima = [None]  # no bipartition has an empty side
             for m in range(1, nv // 2 + 1):
                 bds = [bd for mask, bd in expected
                          if m in (mask.bit_count(), nv - mask.bit_count())]
                 minima.append(min(bds, default=None))
             assert oc._xi_table(g, oc.EXHAUSTIVE_N) == tuple(minima), g.kind
-        assert oc._bipartitions(two_cubes()) == ((0xFF, 0),)  # the two cubes, nothing else
+        assert tuple(oc._bipartitions(two_cubes())) == ((0xFF, 0),)  # the two cubes, nothing else
 
     def test_least_cut_stops_at_the_full_scan_minimum(self):
         def full_scan(g, side_ok):
@@ -226,14 +228,53 @@ class TestConnectivityBitmap:
                     best = bd
             return best
 
-        patterns = (cf.FaultPattern.SUPER_DEGREE, cf.FaultPattern.AVERAGE_DEGREE,
-                    cf.FaultPattern.EMBEDDED)
+        def counted(adj, test):
+            """test(size, doubled internal edges, least internal degree), vertex by vertex."""
+            def side_ok(mask):
+                degs = [(adj[v] & mask).bit_count() for v in range(len(adj)) if mask >> v & 1]
+                return test(len(degs), sum(degs), min(degs, default=0))
+            return side_ok
+
+        def checks(g):
+            """Each oracle side check, which is given the cut's boundary, and the same check
+            counted vertex by vertex."""
+            p, adj = cf.FaultPattern, g.adjacency
+            yield (lambda side, bd: oc._cyclic_side_ok(g, side, bd),
+                   counted(adj, lambda m, e2, least: m >= 3 and e2 >= 2 * m))
+            for l in range(2, g.n):
+                yield (lambda side, bd, l=l: oc._pattern_ok(g, p.SUPER_DEGREE, l, side, bd),
+                       counted(adj, lambda m, e2, least, l=l: least >= l))
+                yield (lambda side, bd, l=l: oc._pattern_ok(g, p.AVERAGE_DEGREE, l, side, bd),
+                       counted(adj, lambda m, e2, least, l=l: e2 >= l * m))
+                yield (lambda side, bd, l=l: oc._pattern_ok(g, p.EMBEDDED, l, side, bd),
+                       lambda side, l=l: oc._embedded_ok(g.n, l, side))
+
         for g in bitmap_graphs():
-            side_oks = [lambda side, g=g: oc._cyclic_side_ok(g.adjacency, side)]
-            side_oks += [lambda side, g=g, p=p, l=l: oc._pattern_ok(g, p, l, side)
-                         for p in patterns for l in range(2, g.n)]
-            for side_ok in side_oks:
-                assert oc._least_cut(g, side_ok) == full_scan(g, side_ok), g.kind
+            for side_ok, reference in checks(g):
+                assert oc._least_cut(g, side_ok) == full_scan(g, reference), g.kind
+
+
+class TestMemory:
+    def test_verify_peaks_below_3_5_mb_with_cold_caches(self):
+        # one byte lane per mask, where one (mask, boundary) pair per connected bipartition
+        # and a gathered tuple per size transform peaked at about 4.6 and 5.8 MB
+        for n, seeds in ((4, [1]), (5, [])):
+            for cached in vars(oc).values():
+                if hasattr(cached, "cache_clear"):
+                    cached.cache_clear()
+            tracemalloc.start()
+            try:
+                oc.verify_member(n, seeds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.5e6, (n, peak)
+
+    def test_bipartitions_are_walked_lazily(self):
+        g = member(4, 1)
+        cuts = oc._bipartitions(g)
+        assert iter(cuts) is cuts
+        assert next(cuts) == min(bfs_bipartitions(g), key=lambda p: p[::-1])
 
 
 def boundary_table(g):
