@@ -28,11 +28,13 @@ class ConcentrationInterval(namedtuple("ConcentrationInterval", "t length lower 
 
 
 class FaultPattern(Enum):
-    SUPER_DEGREE = 1  # every surviving vertex keeps degree >= l
-    AVERAGE_DEGREE = 2  # each component has average degree >= l
-    EXTRA_SIZE = 3  # each component has at least 2**l vertices
-    EMBEDDED = 4  # every vertex lies in an intact l-dimensional sub-member
-    CYCLIC = 5  # each component contains a cycle
+    """What the oracle asks of each side of a bipartition whose two sides are connected."""
+
+    SUPER_DEGREE = 1  # every vertex of the side has degree >= l inside the side
+    AVERAGE_DEGREE = 2  # the side has 2 * edges >= l * size
+    EXTRA_SIZE = 3  # the side has at least 2**l vertices
+    EMBEDDED = 4  # every vertex of the side lies in an l-dimensional sub-member inside the side
+    CYCLIC = 5  # the side contains a cycle
 
 
 def gamma(n: int) -> int:
@@ -71,13 +73,6 @@ def f_value(m: int) -> int:
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     return _f(m)
-
-
-def ex_h4(m: int, n: int) -> int:
-    """Densest m-subset degree sum in an n-dimensional member: f(m)."""
-    if not 0 <= m <= (1 << n):
-        raise ValueError(f"m must be in [0, {1 << n}], got {m}")
-    return f_value(m)
 
 
 def xi_h4(m: int, n: int) -> int:

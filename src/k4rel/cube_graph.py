@@ -231,16 +231,6 @@ def is_connected_induced(g: CubeGraph, members: Iterable[int]) -> bool:
     return len(reach) == len(verts)
 
 
-def subcube_vertices(n: int, l: int, prefix: int) -> frozenset[int]:
-    """The 2**l vertices whose top n-l bits equal prefix: an l-dimensional sub-member."""
-    if not 0 <= l <= n:
-        raise ValueError(f"l must be in [0, {n}], got {l}")
-    if not 0 <= prefix < (1 << (n - l)):
-        raise ValueError(f"prefix must be in [0, {1 << (n - l)}), got {prefix}")
-    base = prefix << l
-    return frozenset(range(base, base + (1 << l)))
-
-
 def bitmap_pbm(g: CubeGraph, start: int = 0, stop: int | None = None) -> str:
     """Portable bitmap (P1) text: 0 = white = edge present, 1 = black = no edge.
 

@@ -18,18 +18,16 @@ canonical m-set (or the K4 at labels 0..3) with both sides connected makes the
 bound exact when it meets it.  A check with no such witness, or beyond that
 scale, raises BudgetExceededError rather than returning a partial answer.
 
-The restriction of cut searches to connected bipartitions rests on the fact
-that a minimum cut leaving three or more components could drop the edges
-between two of them and still be a valid smaller cut; for n = 3 an
-unrestricted edge-subset search confirms this independently
-(brute_lambda_h_unrestricted).
+Cut searches keep to connected bipartitions: a cut leaving three or more
+components can put back the edges between two adjacent ones and stay valid,
+so no minimum cut leaves more than two.  At n = 3, an edge-subset search in
+tests/reference.py that assumes nothing about the components confirms this.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import and_, or_
 
 from .closed_form import (
@@ -47,6 +45,7 @@ from .cube_graph import (
     build_k4cube,
     canonical_member,
     canonical_set,
+    is_connected_induced,
     random_matching_tree,
     subset_mask,
 )
@@ -68,22 +67,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _component(adjacency: tuple[int, ...], mask: int) -> int:
-    """The vertices of mask reachable from its lowest vertex inside mask (0 if empty)."""
-    seen = frontier = mask & -mask
-    while frontier:
-        reach = 0
-        for v in _bits(frontier):
-            reach |= adjacency[v]
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen
-
-
-def _mask_connected(adjacency: tuple[int, ...], mask: int) -> bool:
-    return _component(adjacency, mask) == mask
 
 
 def _exhaustive(g: CubeGraph) -> bool:
@@ -220,8 +203,7 @@ def _bipartitions(g: CubeGraph):
 
 def _canonical_cut(g: CubeGraph, m: int) -> int | None:
     """Boundary of the canonical m-set (labels 0..m-1) if both sides are connected, else None."""
-    mask, full = (1 << m) - 1, (1 << g.num_vertices) - 1
-    if _mask_connected(g.adjacency, mask) and _mask_connected(g.adjacency, full ^ mask):
+    if is_connected_induced(g, range(m)) and is_connected_induced(g, range(m, g.num_vertices)):
         return boundary_size(g, canonical_set(m, g.n))
     return None
 
@@ -303,48 +285,18 @@ def brute_lambda_h(g: CubeGraph, h: int) -> int:
     return min(brute_xi(g, m) for m in range(h, nv // 2 + 1))
 
 
-def brute_lambda_h_unrestricted(g: CubeGraph, h: int, max_cut: int = 8) -> int:
-    """h-extra edge-connectivity by raw edge-subset search, no bipartition assumption.
-
-    Tries every edge subset of size 1, 2, ... up to max_cut and returns the
-    first size whose removal leaves only components of order >= h.  Exists to
-    confirm, at n = 3 scale, that restricting the main oracle to two-component
-    splits loses nothing.
-    """
-    nv = g.num_vertices
-    adj = list(g.adjacency)
-    edges = sorted((u, v) for u in range(nv) for v in g.row(u) if u < v)
-    full = (1 << nv) - 1
-    for size in range(1, max_cut + 1):
-        for cut in combinations(edges, size):
-            reduced = list(adj)
-            for u, v in cut:
-                reduced[u] &= ~(1 << v)
-                reduced[v] &= ~(1 << u)
-            remaining = full
-            while remaining:
-                part = _component(reduced, remaining)
-                if part.bit_count() < h:
-                    break
-                remaining ^= part
-            if remaining == 0 and part != full:
-                return size
-    raise BudgetExceededError(f"no h-extra edge-cut of size <= {max_cut} found")
-
-
 def _embedded_ok(n, l, mask):
     """True iff every vertex of the side lies in a wholly contained prefix subcube."""
     blocks = (((1 << (1 << l)) - 1) << (prefix << l) for prefix in range(1 << (n - l)))
     return mask & ~reduce(or_, (b for b in blocks if b & ~mask == 0), 0) == 0
 
 
-def _pattern_ok(g: CubeGraph, pattern: FaultPattern, l: int, mask: int, bd=None) -> bool:
-    """Whether a side passes the pattern at l; bd is its boundary (counted here if not given)."""
+def _pattern_ok(g: CubeGraph, pattern: FaultPattern, l: int, mask: int, bd: int) -> bool:
+    """Whether a side passes the pattern at l; bd is its boundary."""
     if pattern is FaultPattern.SUPER_DEGREE:
         return all((g.adjacency[v] & mask).bit_count() >= l for v in _bits(mask))
     if pattern is FaultPattern.AVERAGE_DEGREE:
         # a regular graph's side of m vertices holds d * m - bd doubled edges
-        bd = boundary_size(g, _bits(mask)) if bd is None else bd
         return bd <= (g.degree(0) - l) * mask.bit_count()
     if pattern is FaultPattern.EMBEDDED:
         return _embedded_ok(g.n, l, mask)
@@ -410,19 +362,6 @@ def brute_cyclic(g: CubeGraph) -> int:
         raise BudgetExceededError(
             f"the canonical 4-set has boundary {found}, above the lower bound {bound}")
     return bound
-
-
-def average_degree_floor_check(g: CubeGraph) -> bool:
-    """Every subset with integer average-degree floor l has at least 2**(l-1) vertices."""
-    if not _exhaustive(g):
-        raise BudgetExceededError("average degree check needs exhaustive scale")
-    degree = g.degree(0)
-    for mask, bd in enumerate(_mask_table(g.adjacency)):
-        k = mask.bit_count()
-        e2 = degree * k - bd  # doubled induced edges: the graph is regular
-        if k and e2 >= k and k < (1 << (e2 // k - 1)):
-            return False
-    return True
 
 
 class CheckEntry(namedtuple("CheckEntry", "member quantity input closed brute match")):

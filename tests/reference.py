@@ -1,0 +1,69 @@
+"""Reference searches that the oracle's answers are compared against.
+
+They walk the graph subset by subset, with no tables, so they only run at
+n <= 4: an edge-subset search for lambda_h that assumes nothing about how
+many components a cut leaves, the average-degree size floor, and the
+bitmask component walk both they and the connectivity tests rest on.
+"""
+
+from itertools import combinations
+
+from k4rel.oracle import BudgetExceededError, _bits, _exhaustive, _mask_table
+
+
+def component(adjacency, mask):
+    """The vertices of mask reachable from its lowest vertex inside mask (0 if empty)."""
+    seen = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= adjacency[v]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def mask_connected(adjacency, mask):
+    return component(adjacency, mask) == mask
+
+
+def brute_lambda_h_unrestricted(g, h, max_cut=8):
+    """h-extra edge-connectivity by raw edge-subset search, no bipartition assumption.
+
+    Tries every edge subset of size 1, 2, ... up to max_cut and returns the
+    first size whose removal leaves only components of order >= h.  Exists to
+    confirm, at n = 3 scale, that restricting the main oracle to two-component
+    splits loses nothing.
+    """
+    nv = g.num_vertices
+    adj = list(g.adjacency)
+    edges = sorted((u, v) for u in range(nv) for v in g.row(u) if u < v)
+    full = (1 << nv) - 1
+    for size in range(1, max_cut + 1):
+        for cut in combinations(edges, size):
+            reduced = list(adj)
+            for u, v in cut:
+                reduced[u] &= ~(1 << v)
+                reduced[v] &= ~(1 << u)
+            remaining = full
+            while remaining:
+                part = component(reduced, remaining)
+                if part.bit_count() < h:
+                    break
+                remaining ^= part
+            if remaining == 0 and part != full:
+                return size
+    raise BudgetExceededError(f"no h-extra edge-cut of size <= {max_cut} found")
+
+
+def average_degree_floor_check(g):
+    """Every subset with integer average-degree floor l has at least 2**(l-1) vertices."""
+    if not _exhaustive(g):
+        raise BudgetExceededError("average degree check needs exhaustive scale")
+    degree = g.degree(0)
+    for mask, bd in enumerate(_mask_table(g.adjacency)):
+        k = mask.bit_count()
+        e2 = degree * k - bd  # doubled induced edges: the graph is regular
+        if k and e2 >= k and k < (1 << (e2 // k - 1)):
+            return False
+    return True

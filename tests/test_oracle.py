@@ -9,6 +9,7 @@ import pytest
 from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
 from k4rel import oracle as oc
+from reference import average_degree_floor_check, brute_lambda_h_unrestricted, mask_connected
 
 
 def member(n, seed=None):
@@ -196,7 +197,7 @@ def bfs_bipartitions(g):
     adj, full = g.adjacency, (1 << g.num_vertices) - 1
     bd = oc._mask_table(adj)
     return tuple((mask, bd[mask]) for mask in range(1, full, 2)
-                 if oc._mask_connected(adj, mask) and oc._mask_connected(adj, full ^ mask))
+                 if mask_connected(adj, mask) and mask_connected(adj, full ^ mask))
 
 
 class TestConnectivityBitmap:
@@ -204,7 +205,7 @@ class TestConnectivityBitmap:
         for g in bitmap_graphs():
             connected = oc._connected_masks(g.adjacency)
             for mask in range(1 << g.num_vertices):
-                assert (connected >> mask) & 1 == oc._mask_connected(g.adjacency, mask), (
+                assert (connected >> mask) & 1 == mask_connected(g.adjacency, mask), (
                     g.kind, mask)
 
     def test_bipartitions_and_per_size_minima_agree_with_the_per_mask_scan(self):
@@ -219,6 +220,14 @@ class TestConnectivityBitmap:
                 minima.append(min(bds, default=None))
             assert oc._xi_table(g, oc.EXHAUSTIVE_N) == tuple(minima), g.kind
         assert tuple(oc._bipartitions(two_cubes())) == ((0xFF, 0),)  # the two cubes, nothing else
+
+    def test_canonical_cut_agrees_with_the_bipartition_lanes(self):
+        # two walks of the graph's rows against the lane table of the connectivity bitmap
+        for g in bitmap_graphs():
+            lanes = oc._cut_lanes(g)
+            for m in range(1, g.num_vertices):
+                bd = lanes[(1 << m) - 1]
+                assert oc._canonical_cut(g, m) == (None if bd == 255 else bd), (g.kind, m)
 
     def test_least_cut_stops_at_the_full_scan_minimum(self):
         def full_scan(g, side_ok):
@@ -381,7 +390,7 @@ class TestExtraConnectivity:
         for seed in (None, 1, 2):
             g = member(3, seed)
             for h in range(1, 5):
-                assert oc.brute_lambda_h_unrestricted(g, h) == oc.brute_lambda_h(g, h)
+                assert brute_lambda_h_unrestricted(g, h) == oc.brute_lambda_h(g, h)
 
 
 class TestConditionalAndCyclic:
@@ -430,15 +439,16 @@ class TestConditionalAndCyclic:
         rest = (1 << 32) - 1 ^ k4
         for seed in (None, 1):
             g = member(5, seed)
-            assert oc._mask_connected(g.adjacency, k4) and oc._mask_connected(g.adjacency, rest)
+            assert cg.is_connected_induced(g, range(4)) and cg.is_connected_induced(g, range(4, 32))
             assert cg.boundary_size(g, range(4)) == 12
             for pattern in (oc.FaultPattern.SUPER_DEGREE, oc.FaultPattern.AVERAGE_DEGREE):
-                assert oc._pattern_ok(g, pattern, 3, k4) and oc._pattern_ok(g, pattern, 3, rest)
+                assert oc._pattern_ok(g, pattern, 3, k4, 12)
+                assert oc._pattern_ok(g, pattern, 3, rest, 12)
                 assert cf.conditional_lambda(pattern, 3, 5) == 16
 
     def test_average_degree_floor(self):
         for seed in (None, 1, 2):
-            assert oc.average_degree_floor_check(member(3, seed))
+            assert average_degree_floor_check(member(3, seed))
 
 
 class TestVerificationReport:
