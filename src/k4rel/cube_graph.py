@@ -17,22 +17,27 @@ from itertools import chain
 
 # Ceiling for materialized graphs; closed-form evaluation has no such limit.  Measured
 # under a 2 GB address-space limit (Python 3.11, x86-64 Xeon): build_k4cube of
-# random_matching_tree(22, 1) takes 56 s (37 s of it shuffling) and peaks at 1.13 GB RSS;
+# random_matching_tree(22, 1) takes 51 s (30 s drawing the tree) and peaks at 0.98 GB RSS;
 # at n = 23 the 805 MB of rows, held twice while they are copied to bytes, do not fit.
 MAX_DIM = 22
 
 
-class MatchingTree(namedtuple("MatchingTree", "dimension left right matching", defaults=[None] * 3)):
+class MatchingTree(namedtuple("MatchingTree", "levels", defaults=[()])):
     """Recursive recipe for one member of the K4-hypercube family.
 
-    A leaf (dimension 2) stands for K4.  An inner node of dimension d glues two
-    (d-1)-dimensional members along a perfect matching: vertex u of the 0-half
-    is joined to vertex matching[u] of the 1-half.  The trees made here pack each
-    matching in an array('I'), 4 bytes per entry (any sequence of ints is accepted),
-    and the all-identity tree reproduces the enhanced hypercube enhanced(n, n-1).
+    A member of dimension n is two (n-1)-dimensional members glued along a perfect
+    matching, down to K4 leaves (dimension 2, no levels).  levels[i] packs, left
+    to right, the matchings of the 2^i gluings at dimension d = n - i: the one of
+    labels [first, first + 2^d) joins first + u to first + 2^(d-1) + matching[u].
+    Each level holds 2^(n-1) entries, which the trees made here pack in an
+    array('I'), 4 bytes per entry (any sequence of ints is accepted).
     """
 
     __slots__ = ()
+
+    @property
+    def dimension(self) -> int:
+        return len(self.levels) + 2
 
     def validate(self) -> None:
         """ValueError unless the tree is well formed: the walk build_k4cube makes."""
@@ -104,36 +109,28 @@ def build_enhanced(n: int, k: int) -> CubeGraph:
     return _from_columns(n, f"enhanced({k})", n + 1, flips)
 
 
-def identity_matching_tree(n: int) -> MatchingTree:
-    """The tree whose every matching is the identity; yields enhanced(n, n-1)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    tree = MatchingTree(dimension=2)
-    for d in range(3, n + 1):  # both children are the one (d-1)-dimensional tree
-        tree = MatchingTree(d, tree, tree, array("I", range(1 << (d - 1))))
-    return tree
-
-
 def random_matching_tree(n: int, seed: int) -> MatchingTree:
     """Deterministic random member recipe: every matching is a seeded shuffle."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rng, leaf = random.Random(seed), MatchingTree(dimension=2)
+    rng, levels = random.Random(seed), [array("I") for _ in range(n - 2)]
 
-    def grow(d: int) -> MatchingTree:
-        if d == 2:
-            return leaf  # one K4 leaf serves every slot, as in identity_matching_tree
-        left, right, perm = grow(d - 1), grow(d - 1), list(range(1 << (d - 1)))
-        rng.shuffle(perm)  # a list shuffles faster than an array
-        return MatchingTree(dimension=d, left=left, right=right, matching=array("I", perm))
+    def grow(i: int) -> None:  # both halves, then their gluing: each level fills left to right
+        if i < n - 2:
+            grow(i + 1)
+            grow(i + 1)
+            perm = list(range(1 << (n - i - 1)))
+            rng.shuffle(perm)  # a list shuffles faster than an array
+            levels[i].extend(perm)
 
-    return grow(n)
+    grow(0)
+    return MatchingTree(tuple(levels))
 
 
 def build_k4cube(spec: MatchingTree) -> CubeGraph:
     """Assemble a family member from its matching tree.
 
-    Labels follow the recursive halves: the 0-half of a dimension-d node takes
+    Labels follow the recursive halves: the 0-half of a dimension-d gluing takes
     labels [0, 2**(d-1)), the 1-half takes [2**(d-1), 2**d).  This is what makes
     the canonical sets {0, ..., m-1} meaningful on every member.
     """
@@ -142,42 +139,43 @@ def build_k4cube(spec: MatchingTree) -> CubeGraph:
 
 
 def _matching_columns(spec: MatchingTree):
-    """One column per inner level, each vertex's partner across its node's matching;
-    each node is checked as its level is walked, after _from_columns has checked n."""
-    if spec.dimension < 2:
-        raise ValueError(f"matching tree dimension must be >= 2, got {spec.dimension}")
-    level = [spec]
-    for d in range(spec.dimension, 2, -1):
-        half = 1 << (d - 1)
-        column = array("I")
-        for first, node in zip(range(0, len(level) << d, 1 << d), level):
-            if None in node[1:] or node.left.dimension != d - 1 or node.right.dimension != d - 1:
-                raise ValueError(f"dimension-{d} node needs dimension-{d - 1} children and a matching")
-            inverse = _inverse(node.matching, first, half)  # checks the matching before its use
-            column += array("I", map((first + half).__add__, node.matching))
+    """One column per level, each vertex's partner across its gluing; each level is
+    checked as it is walked, after _from_columns has checked n."""
+    n = spec.dimension
+    for i, level in enumerate(spec.levels):
+        half, column = 1 << (n - i - 1), array("I")
+        try:
+            view = memoryview(array("I", level))  # one copy per level: its blocks are views
+        except (OverflowError, TypeError):  # an entry < 0, or no sequence of ints
+            raise ValueError(f"matching must be a permutation of [0, {half})") from None
+        if len(view) != 1 << (n - 1):
+            raise ValueError(f"level {i} must hold {1 << (n - 1)} entries, got {len(view)}")
+        for first in range(0, 1 << n, 2 * half):
+            matching = view[first >> 1:(first >> 1) + half]
+            inverse = _inverse(matching, first, half)  # checks the matching before its use
+            column += array("I", map((first + half).__add__, matching))
             column += inverse
         yield column
-        level = [child for node in level for child in (node.left, node.right)]
-    if any(node[1:] != (None, None, None) for node in level):
-        raise ValueError("dimension-2 node must be a bare leaf (the K4)")
 
 
 def _inverse(matching, first: int, half: int) -> array:
-    """first + the inverse of matching; ValueError unless matching permutes [0, half)."""
+    """first + the inverse of matching; ValueError unless its entries permute [0, half)."""
     inverse = array("I", [first + half]) * half  # first + half marks a slot no entry fills
     try:
-        for u, v in enumerate(array("I", matching), first):
+        for u, v in enumerate(matching, first):
             inverse[v] = u
-        if len(matching) == half and first + half not in inverse:
+        if first + half not in inverse:
             return inverse
-    except (IndexError, OverflowError):  # an entry >= half, or < 0
+    except IndexError:  # an entry >= half
         pass
     raise ValueError(f"matching must be a permutation of [0, {half})")
 
 
 def canonical_member(n: int) -> CubeGraph:
-    """The canonical family member (identity matchings, equal to enhanced(n, n-1))."""
-    return build_k4cube(identity_matching_tree(n))
+    """The member of identity matchings, enhanced(n, n-1): each gluing joins v to v ^ 2^(d-1)."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return _from_columns(n, "k4member", n + 1, [1, 2, 3] + [1 << (d - 1) for d in range(n, 2, -1)])
 
 
 def canonical_set(m: int, n: int) -> frozenset[int]:

@@ -13,10 +13,10 @@ connected subsets gives a lane table holding each connected bipartition's
 boundary (255 on the other masks); xi, the conditional and the cyclic cuts are
 the first that qualify, found boundary by boundary with bytes.find, and a side's
 edge count is read from its boundary.  One dimension up,
-the per-size minima bound xi and the cyclic cut from below; the cut around the
-canonical m-set (or the K4 at labels 0..3) with both sides connected makes the
-bound exact when it meets it.  A check with no such witness, or beyond that
-scale, raises BudgetExceededError rather than returning a partial answer.
+the per-size minima bound xi, embedded and cyclic cuts from below; the cut
+around the canonical m-set (or the K4 at labels 0..3) with both sides connected
+makes the bound exact when it meets it.  A check with no such witness, or beyond
+that scale, raises BudgetExceededError rather than returning a partial answer.
 
 Cut searches keep to connected bipartitions: a cut leaving three or more
 components can put back the edges between two adjacent ones and stay valid,
@@ -314,7 +314,9 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
     """Minimum boundary over connected bipartitions where both sides satisfy the pattern.
 
     Both sides of EXTRA_SIZE hold at least 2^l vertices, which is the small side
-    holding at least 2^l: that is brute_lambda_h(g, 2^l).
+    holding at least 2^l: that is brute_lambda_h(g, 2^l).  Both sides of EMBEDDED are
+    unions of aligned 2^l blocks, so that bounds it; beyond exhaustive scale the
+    canonical 2^l block must meet the bound with both sides connected.
     """
     if pattern is FaultPattern.CYCLIC:
         raise ValueError("use brute_cyclic for the cyclic pattern")
@@ -322,6 +324,12 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
         raise ValueError(f"l must be in [2, {g.n - 1}], got {l}")
     if pattern is FaultPattern.EXTRA_SIZE:
         return brute_lambda_h(g, 1 << l)
+    if pattern is FaultPattern.EMBEDDED and not _exhaustive(g):
+        bound, found = brute_lambda_h(g, 1 << l), _canonical_cut(g, 1 << l)
+        if found != bound:  # None: a side of the block is disconnected
+            raise BudgetExceededError(
+                f"the canonical {1 << l}-block gives {found}, not the lower bound {bound}")
+        return bound
     if not _exhaustive(g):
         raise BudgetExceededError("conditional search needs exhaustive scale")
     best = _least_cut(g, lambda side, bd: _pattern_ok(g, pattern, l, side, bd))

@@ -3,12 +3,21 @@
 They walk the graph subset by subset, with no tables, so they only run at
 n <= 4: an edge-subset search for lambda_h that assumes nothing about how
 many components a cut leaves, the average-degree size floor, and the
-bitmask component walk both they and the connectivity tests rest on.
+bitmask component walk both they and the connectivity tests rest on.  The
+identity matching tree is the canonical member's recipe, built as a tree.
 """
 
+from array import array
 from itertools import combinations
 
+from k4rel.cube_graph import MatchingTree
 from k4rel.oracle import BudgetExceededError, _bits, _exhaustive, _mask_table
+
+
+def identity_matching_tree(n):
+    """The tree whose every matching is the identity; build_k4cube makes it enhanced(n, n-1)."""
+    return MatchingTree(tuple(array("I", range(1 << (d - 1))) * (1 << (n - d))
+                              for d in range(n, 2, -1)))
 
 
 def component(adjacency, mask):

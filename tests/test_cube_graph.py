@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
+from reference import identity_matching_tree
 
 
 class TestHypercube:
@@ -41,9 +42,9 @@ class TestHypercube:
 
     def test_members_past_max_dim_are_refused_before_the_tree_is_walked(self):
         with pytest.raises(ValueError, match=f"dimension must be in \\[1, {cg.MAX_DIM}\\]"):
-            cg.build_k4cube(cg.identity_matching_tree(cg.MAX_DIM + 1))
-        # a malformed matching would be named if the tree were walked first
-        bad = cg.MatchingTree(cg.MAX_DIM + 1, cg.MatchingTree(2), cg.MatchingTree(2), ())
+            cg.canonical_member(cg.MAX_DIM + 1)
+        # empty levels would be named if the tree were walked first
+        bad = cg.MatchingTree(((),) * (cg.MAX_DIM - 1))
         with pytest.raises(ValueError, match="dimension must be in"):
             cg.build_k4cube(bad)
 
@@ -71,33 +72,28 @@ class TestEnhanced:
 
 class TestMatchingTree:
     def test_leaf_is_k4(self):
-        g = cg.build_k4cube(cg.MatchingTree(dimension=2))
+        g = cg.build_k4cube(cg.MatchingTree())
         assert g.num_vertices == 4
         assert g.edge_count() == 6
         assert all(g.degree(v) == 3 for v in range(4))
+        assert cg.canonical_member(2) == g
+        with pytest.raises(ValueError, match="need n >= 2"):
+            cg.canonical_member(1)
 
     def test_validate_errors(self):
-        with pytest.raises(ValueError):
-            cg.MatchingTree(dimension=1).validate()
-        with pytest.raises(ValueError):
-            cg.MatchingTree(dimension=3).validate()
-        leaf = cg.MatchingTree(dimension=2)
-        with pytest.raises(ValueError):
-            cg.MatchingTree(dimension=3, left=leaf, right=leaf, matching=(0, 0, 1, 2)).validate()
-        with pytest.raises(ValueError):
-            cg.MatchingTree(dimension=4, left=leaf, right=leaf,
-                            matching=tuple(range(8))).validate()
-        bad_matchings = [(0, 1, 2, 4), (-1, 0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 0, 0),
-                         array("I", [0, 1, 1, 2])]
-        for matching in bad_matchings:  # an entry = half, a negative, too short, too long, a repeat
+        wrong_lengths = [((0, 1, 2),), ((0, 1, 2, 3, 0, 0),), (range(9), range(8)),
+                         (range(8), range(7)), (range(8), range(9))]
+        for levels in wrong_lengths:  # too short, too long, at the top level and below it
+            with pytest.raises(ValueError, match=r"level [01] must hold [48] entries"):
+                cg.MatchingTree(levels).validate()
+        bad_matchings = [(0, 1, 2, 4), (-1, 0, 1, 2), array("I", [0, 1, 1, 2]), (0, 1, 2, 3.0), None]
+        for matching in bad_matchings:  # an entry = half, a negative, a repeat, no ints
             with pytest.raises(ValueError, match=r"permutation of \[0, 4\)"):
-                cg.MatchingTree(dimension=3, left=leaf, right=leaf, matching=matching).validate()
-        deep = cg.MatchingTree(4, cg.identity_matching_tree(3),
-                               cg.MatchingTree(3, leaf, leaf, (3, 3, 1, 0)), array("I", range(8)))
-        with pytest.raises(ValueError):
+                cg.MatchingTree((matching,)).validate()
+        deep = cg.MatchingTree((array("I", range(8)), (3, 2, 1, 0, 3, 3, 1, 0)))
+        with pytest.raises(ValueError, match=r"permutation of \[0, 4\)"):  # the second block
             deep.validate()
-        with pytest.raises(ValueError, match="bare leaf"):
-            cg.MatchingTree(3, leaf, cg.MatchingTree(2, matching=()), (0, 1, 2, 3)).validate()
+        cg.MatchingTree((range(8), (3, 2, 1, 0, 3, 0, 1, 2))).validate()
 
     def test_member_regularity(self):
         for n in range(2, 9):
@@ -141,15 +137,20 @@ class TestMatchingTree:
         assert digest.hexdigest() == "6766af002b5270daad7073f7727f043c36422b1981e4b8620b2c8ae5dd4c2509"
 
     def test_random_tree_packs_its_matchings(self):
-        # 12 levels of 2^13 entries: 0.4 MB as 4-byte entries.  The whole tree peaks at
-        # about 1.4 MB in its making, where tuples of ints peak at about 2.7 MB.
+        # 12 levels of 2^13 entries: 0.39 MB as 4-byte entries, and no object per gluing
         tracemalloc.start()
         try:
             tree = cg.random_matching_tree(14, 1)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert isinstance(tree.matching, array) and peak < 2e6
+        assert all(isinstance(level, array) for level in tree.levels)
+        assert held < 5e5 and peak < 1e6
+
+    def test_canonical_member_equals_the_identity_tree(self):
+        for n in range(2, 13):
+            tree = identity_matching_tree(n)
+            assert cg.canonical_member(n).neighbours == cg.build_k4cube(tree).neighbours, n
 
 
 class TestSubsetPrimitives:
@@ -222,7 +223,7 @@ class TestBitmap:
                 assert mat[u][v] == mat[v][u]
 
     def test_pbm_text(self):
-        g = cg.build_k4cube(cg.MatchingTree(dimension=2))
+        g = cg.build_k4cube(cg.MatchingTree())
         text = cg.bitmap_pbm(g)
         lines = text.split("\n")
         assert lines[0] == "P1"
@@ -243,12 +244,13 @@ class TestBitmap:
 # The bitmask definitions the neighbour rows replace: a member assembled by
 # shifting whole rows, the PBM cell rule, and the subset formulas on masks.
 
-def mask_member(node):
-    if node.dimension == 2:
+def mask_member(tree, i=0, k=0):
+    """Rows of the k-th gluing at level i: its halves' rows, the upper ones shifted up."""
+    if i == len(tree.levels):
         return [0b1110, 0b1101, 0b1011, 0b0111]
-    half = 1 << (node.dimension - 1)
-    adj = mask_member(node.left) + [row << half for row in mask_member(node.right)]
-    for u, v in enumerate(node.matching):
+    half, upper = 1 << (tree.dimension - i - 1), mask_member(tree, i + 1, 2 * k + 1)
+    adj = mask_member(tree, i + 1, 2 * k) + [row << half for row in upper]
+    for u, v in enumerate(tree.levels[i][k * half:(k + 1) * half]):
         adj[u] |= 1 << (half + v)
         adj[half + v] |= 1 << u
     return adj
@@ -295,7 +297,7 @@ def probe_graph(n, seed):
 class TestRowsMatchMasks:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_members_match_the_shifted_rows(self, n):
-        trees = [cg.identity_matching_tree(n)] + [cg.random_matching_tree(n, s) for s in (1, 2, 3)]
+        trees = [identity_matching_tree(n)] + [cg.random_matching_tree(n, s) for s in (1, 2, 3)]
         for tree in trees:
             assert cg.build_k4cube(tree).adjacency == tuple(mask_member(tree))
 

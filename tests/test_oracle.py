@@ -146,13 +146,26 @@ class TestBoundedMode:
         with pytest.raises(oc.BudgetExceededError, match="beyond the exact tables"):
             halves(oc.brute_xi_unconstrained, g, 2)
 
+    def test_embedded_from_the_size_bound_and_the_canonical_block(self):
+        graphs = [member(4, seed) for seed in (None, 1, 2, 3, 4, 5)] + [cg.build_hypercube(4)]
+        for g in graphs:
+            for l in (2, 3):
+                assert halves(oc.brute_conditional, g, oc.FaultPattern.EMBEDDED, l) == \
+                    oc.brute_conditional(g, oc.FaultPattern.EMBEDDED, l) == 8, (g.kind, l)
+        # enhanced(4, 2) has an 8-edge cut between aligned 4-blocks, but not around labels 0..3
+        g = cg.build_enhanced(4, 2)
+        assert oc.brute_conditional(g, oc.FaultPattern.EMBEDDED, 2) == 8
+        with pytest.raises(oc.BudgetExceededError, match="4-block gives 12, not the lower bound 8"):
+            halves(oc.brute_conditional, g, oc.FaultPattern.EMBEDDED, 2)
+
     def test_n5_checks_one_canonical_cut_per_size(self, monkeypatch):
-        # one xi entry per size serves the xi, lambda and extra-size rows; the K4 serves cyclic
+        # one xi entry per size serves the xi, lambda and extra-size rows; the K4 serves
+        # cyclic, and the 4-, 8- and 16-blocks the embedded rows
         cut, calls = oc._canonical_cut, []
         monkeypatch.setattr(oc, "_canonical_cut", lambda g, m: calls.append(m) or cut(g, m))
         oc._xi_table.cache_clear()
         oc.verify_member(5, [])
-        assert sorted(calls) == sorted([*range(1, 17), 4])
+        assert sorted(calls) == sorted([*range(1, 17), 4, 4, 8, 16])
 
     def test_rejects_halves_not_joined_by_one_matching(self):
         # enhanced(4, 1) joins each vertex to the other half twice; the shuffle mixes the halves
@@ -417,7 +430,7 @@ class TestConditionalAndCyclic:
         with pytest.raises(ValueError):
             oc.brute_conditional(g, oc.FaultPattern.EXTRA_SIZE, 3)
         with pytest.raises(oc.BudgetExceededError):
-            oc.brute_conditional(member(5), oc.FaultPattern.EMBEDDED, 2)
+            oc.brute_conditional(member(5), oc.FaultPattern.SUPER_DEGREE, 2)
 
     def test_cyclic_values(self):
         assert oc.brute_cyclic(member(3)) == 4

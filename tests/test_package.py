@@ -48,7 +48,7 @@ def records():
     oc = k4rel.oracle
     entry = oc.CheckEntry("canonical", "xi", "1", 4, 4, True)
     return [(cf.concentration_intervals(6)[0], "t length lower upper value"),
-            (cg.identity_matching_tree(3), "dimension left right matching"),
+            (cg.random_matching_tree(3, 1), "levels"),
             (cg.canonical_member(3), "n kind neighbours"),
             (entry, "member quantity input closed brute match"),
             (oc.VerificationReport(3, ("canonical",), (entry,)), "n members entries")]
@@ -66,7 +66,7 @@ class TestRecords:
                 setattr(record, name, None)
 
     def test_keywords_and_defaults(self):
-        assert cg.MatchingTree(dimension=2) == cg.MatchingTree(2, None, None, None)
+        assert cg.MatchingTree() == cg.MatchingTree(levels=()) and cg.MatchingTree().dimension == 2
         assert k4rel.oracle.VerificationReport(n=3, members=()).entries == ()
         assert cf.concentration_intervals(6)[0] == cf.ConcentrationInterval(
             t=0, length=2, lower=6, upper=8, value=24)
