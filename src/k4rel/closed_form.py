@@ -101,19 +101,6 @@ def g_interval_length(t: int, n: int) -> int:
     return -(-power // 3)
 
 
-def m_td(t: int, d: int, n: int) -> int:
-    """The interval-subdivision points m_{t,d}; m_{t,t+1} is the lower endpoint."""
-    if not 0 <= t <= n // 2 - 1:
-        raise ValueError(f"t must be in [0, {n // 2 - 1}], got {t}")
-    if not 0 <= d <= t + 1:
-        raise ValueError(f"d must be in [0, {t + 1}], got {d}")
-    value = 1 << (-(-n // 2) + t)
-    value -= sum(1 << (2 * t - 2 * i + gamma(n)) for i in range(d))
-    if d == t + 1:
-        value -= 1
-    return value
-
-
 def concentration_intervals(n: int) -> list[ConcentrationInterval]:
     """One interval per t = 0 .. floor(n/2)-1, with its constant lambda value."""
     if n < 3:

@@ -4,19 +4,21 @@ Everything here is search, not formula: densest subsets, minimum boundaries,
 conditional and cyclic cuts are found by enumeration so the closed forms can
 be validated against an independent path.  Each subset table is one big int
 with a byte lane (or bit) per subset, built in whole-table passes.  One table
-per graph, exact up to n = EXHAUSTIVE_N + 1, holds the minimum boundary over
-all m-subsets for every m; it comes from the two label halves, which must be
-joined by one perfect matching (as in every member, every hypercube and
-enhanced(n, k >= 2)).  As every CubeGraph is regular, each densest-subset
-value is degree * m minus that minimum.  Up to 16 vertices, one bitmap of the
-connected subsets gives a lane table holding each connected bipartition's
-boundary (255 on the other masks); xi, the conditional and the cyclic cuts are
-the first that qualify, found boundary by boundary with bytes.find, and a side's
-edge count is read from its boundary.  One dimension up,
-the per-size minima bound xi, embedded and cyclic cuts from below; the cut
-around the canonical m-set (or the K4 at labels 0..3) with both sides connected
-makes the bound exact when it meets it.  A check with no such witness, or beyond
-that scale, raises BudgetExceededError rather than returning a partial answer.
+per graph holds the minimum boundary over all m-subsets for every m; it comes
+from the two label halves, which must be joined by one perfect matching (as in
+every member, every hypercube and enhanced(n, k >= 2)), and it is exact while
+each half fits a byte-lane table: 16 vertices, so n <= 5, a fixed bound and
+not a setting.  As every CubeGraph is regular, each densest-subset value is
+degree * m minus that minimum.  At exhaustive scale (up to 16 vertices), one
+bitmap of the connected subsets gives a lane table holding each connected
+bipartition's boundary (255 on the other masks); xi, the conditional and the
+cyclic cuts are the first that qualify, found boundary by boundary with
+bytes.find, and a side's edge count is read from its boundary.  Past it, one
+rule settles xi, the embedded and the cyclic cuts: a lower bound from the
+per-size table must meet the cut around a canonical witness (the m-set at
+labels 0..m-1, or the K4 at labels 0..3) with both sides connected.  There is
+one such cut per size and graph.  A check with no such witness, or past the
+tables, raises BudgetExceededError rather than returning a partial answer.
 
 Cut searches keep to connected bipartitions: a cut leaving three or more
 components can put back the edges between two adjacent ones and stay valid,
@@ -117,8 +119,8 @@ def _connected_masks(adjacency: tuple[int, ...]) -> int:
     return reduce(and_, (r | ~h for h, r in zip(has, reach)), (1 << (1 << len(has))) - 1)
 
 
-@lru_cache(maxsize=32)  # keyed on the scale too, so a lowered EXHAUSTIVE_N refuses the graph
-def _size_table(g: CubeGraph, scale: int) -> tuple[int, ...]:
+@lru_cache(maxsize=32)
+def _size_table(g: CubeGraph) -> tuple[int, ...]:
     """Per subset size m: the minimum boundary over all m-subsets, from the label halves.
 
     The cross edges must be one perfect matching pi from the low half L onto
@@ -133,8 +135,9 @@ def _size_table(g: CubeGraph, scale: int) -> tuple[int, ...]:
     The sums bd_R + D_k are kept; then per size j of X, their lanes of other
     sizes are set to 0xff and the least byte left is found by ascending bytes.find.
     """
-    if g.n > scale + 1:
-        raise BudgetExceededError(f"n={g.n} is beyond the exact tables (n <= {scale + 1})")
+    if g.num_vertices > 32:  # before g.adjacency, which holds 4^n bits
+        raise BudgetExceededError(
+            f"{g.num_vertices >> 1}-vertex label halves pass a byte-lane table's 16-vertex bound")
     w, adj = g.num_vertices >> 1, g.adjacency
     low = (1 << w) - 1
     cross = [row >> w for row in adj[:w]] + [row & low for row in adj[w:]]
@@ -201,6 +204,7 @@ def _bipartitions(g: CubeGraph):
             mask = lanes.find(bd, mask + 1)
 
 
+@lru_cache(maxsize=16)  # the sizes of one n = 5 member: the xi rows, then the blocks and the K4
 def _canonical_cut(g: CubeGraph, m: int) -> int | None:
     """Boundary of the canonical m-set (labels 0..m-1) if both sides are connected, else None."""
     if is_connected_induced(g, range(m)) and is_connected_induced(g, range(m, g.num_vertices)):
@@ -208,29 +212,28 @@ def _canonical_cut(g: CubeGraph, m: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=32)  # keyed on the scale too: the entries of one graph differ between scales
-def _xi_table(g: CubeGraph, scale: int) -> tuple[int | str | None, ...]:
-    """Per small-side size m: xi_m, None if no bipartition has that size, or why it is unsettled.
+def _settled(bound: int, found: int | None, witness: str) -> int:
+    """The lower bound if the canonical witness's cut (None: a side is disconnected) meets it."""
+    if found == bound:
+        return bound
+    if found is None:
+        raise BudgetExceededError(
+            f"the canonical {witness} has a disconnected side; the lower bound is {bound}")
+    raise BudgetExceededError(f"the canonical {witness} gives {found}, not the lower bound {bound}")
 
-    Exhaustive scale takes the first, so least, boundary of each size in _bipartitions.
-    One dimension up, the minimum over all m-subsets is a lower bound; it is
-    xi_m when the canonical m-set reaches it with both sides connected.
+
+@lru_cache(maxsize=32)
+def _xi_table(g: CubeGraph) -> tuple[int | None, ...]:
+    """Per small-side size m: xi_m, or None if no bipartition has that size.
+
+    The first, so least, boundary of each size in _bipartitions: exhaustive scale only.
     """
-    nv = g.num_vertices
-    if nv <= 1 << scale:
-        best = {}
-        for mask, bd in _bipartitions(g):
-            best.setdefault(min(mask.bit_count(), nv - mask.bit_count()), bd)
-            if len(best) == nv // 2:
-                break
-        return tuple(best.get(m) for m in range(nv // 2 + 1))
-    least, entries = _size_table(g, scale), [None]
-    for m in range(1, nv // 2 + 1):
-        entries.append(least[m] if _canonical_cut(g, m) == least[m] else (
-            f"the canonical {m}-set has boundary {boundary_size(g, canonical_set(m, g.n))}, "
-            f"the minimum over all {m}-sets is {least[m]}, and no connected witness of the "
-            "minimum is known"))
-    return tuple(entries)
+    nv, best = g.num_vertices, {}
+    for mask, bd in _bipartitions(g):
+        best.setdefault(min(mask.bit_count(), nv - mask.bit_count()), bd)
+        if len(best) == nv // 2:
+            break
+    return tuple(best.get(m) for m in range(nv // 2 + 1))
 
 
 def brute_ex(g: CubeGraph, m: int) -> int:
@@ -243,26 +246,24 @@ def brute_ex(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 0 <= m <= nv:
         raise ValueError(f"m must be in [0, {nv}], got {m}")
-    return g.degree(0) * m - _size_table(g, EXHAUSTIVE_N)[m]
+    return g.degree(0) * m - _size_table(g)[m]
 
 
 def brute_xi(g: CubeGraph, m: int) -> int:
     """Minimum boundary over m-subsets with both sides connected.
 
-    Exhaustive scale scans the connected bipartitions.  One dimension up, the
-    minimum over all m-subsets is a lower bound; it is the answer when the
-    canonical m-set reaches it with both sides connected, and otherwise the
-    check raises BudgetExceededError.
+    Exhaustive scale scans the connected bipartitions.  Past it, the minimum
+    over all m-subsets is a lower bound, settled by the canonical m-set.
     """
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    entry = _xi_table(g, EXHAUSTIVE_N)[m]
-    if entry is None:
+    if not _exhaustive(g):
+        return _settled(_size_table(g)[m], _canonical_cut(g, m), f"{m}-set")
+    found = _xi_table(g)[m]
+    if found is None:
         raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
-    if isinstance(entry, str):
-        raise BudgetExceededError(entry)
-    return entry
+    return found
 
 
 def brute_xi_unconstrained(g: CubeGraph, m: int) -> int:
@@ -274,7 +275,7 @@ def brute_xi_unconstrained(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    return _size_table(g, EXHAUSTIVE_N)[m]
+    return _size_table(g)[m]
 
 
 def brute_lambda_h(g: CubeGraph, h: int) -> int:
@@ -315,8 +316,8 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
 
     Both sides of EXTRA_SIZE hold at least 2^l vertices, which is the small side
     holding at least 2^l: that is brute_lambda_h(g, 2^l).  Both sides of EMBEDDED are
-    unions of aligned 2^l blocks, so that bounds it; beyond exhaustive scale the
-    canonical 2^l block must meet the bound with both sides connected.
+    unions of aligned 2^l blocks, so that bounds it; past exhaustive scale the
+    bound is settled by the canonical 2^l block.
     """
     if pattern is FaultPattern.CYCLIC:
         raise ValueError("use brute_cyclic for the cyclic pattern")
@@ -325,11 +326,7 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
     if pattern is FaultPattern.EXTRA_SIZE:
         return brute_lambda_h(g, 1 << l)
     if pattern is FaultPattern.EMBEDDED and not _exhaustive(g):
-        bound, found = brute_lambda_h(g, 1 << l), _canonical_cut(g, 1 << l)
-        if found != bound:  # None: a side of the block is disconnected
-            raise BudgetExceededError(
-                f"the canonical {1 << l}-block gives {found}, not the lower bound {bound}")
-        return bound
+        return _settled(brute_lambda_h(g, 1 << l), _canonical_cut(g, 1 << l), f"{1 << l}-block")
     if not _exhaustive(g):
         raise BudgetExceededError("conditional search needs exhaustive scale")
     best = _least_cut(g, lambda side, bd: _pattern_ok(g, pattern, l, side, bd))
@@ -346,12 +343,11 @@ def _cyclic_side_ok(g, mask, bd):
 def brute_cyclic(g: CubeGraph) -> int:
     """Minimum boundary over connected bipartitions with a cycle on both sides.
 
-    Exhaustive mode scans all bipartitions.  One dimension up, a side of m
-    vertices that holds a cycle has at least m internal edges, so its boundary
-    is at most (degree - 2) * m; the least per-size minimum over the sizes
-    m <= nv/2 that allow this bounds the cut from below.  The cut around the
-    canonical 4-set, a K4 on every member, bounds it from above, and the answer
-    is exact when the two meet.
+    Exhaustive mode scans all bipartitions.  Past it, a side of m vertices
+    that holds a cycle has at least m internal edges, so its boundary is at
+    most (degree - 2) * m; the least per-size minimum over the sizes m <= nv/2
+    that allow this bounds the cut from below, settled by the canonical 4-set,
+    a K4 on every member.
     """
     if g.n < 3:
         raise ValueError(f"n must be >= 3, got {g.n}")
@@ -364,12 +360,9 @@ def brute_cyclic(g: CubeGraph) -> int:
     rest, found = (1 << g.num_vertices) - 1 ^ 0xF, _canonical_cut(g, 4)  # 0xF: labels 0..3
     if found is None or not (_cyclic_side_ok(g, 0xF, found) and _cyclic_side_ok(g, rest, found)):
         raise RuntimeError("no small-side cyclic candidate found")
-    room, least = g.degree(0) - 2, _size_table(g, EXHAUSTIVE_N)
+    room, least = g.degree(0) - 2, _size_table(g)
     bound = min(least[m] for m in range(1, len(least) // 2 + 1) if least[m] <= room * m)
-    if bound < found:
-        raise BudgetExceededError(
-            f"the canonical 4-set has boundary {found}, above the lower bound {bound}")
-    return bound
+    return _settled(bound, found, "4-set")
 
 
 class CheckEntry(namedtuple("CheckEntry", "member quantity input closed brute match")):

@@ -294,6 +294,14 @@ class TestVerify:
         assert code == 0
         assert out.startswith("verification n=3: PASS")
 
+    def test_mismatch_exits_1(self, monkeypatch, capsys):
+        # a wrong served lambda_h at h = 2 is a verification mismatch, reported in full
+        monkeypatch.setattr("k4rel.oracle.lambda_fast",
+                            lambda h, n: cf.lambda_scan(h, n) + (h == 2))
+        code, out, err = run(["verify", "--n", "3", "--seeds", "0"], capsys)
+        assert (code, err) == (1, "")
+        assert out.startswith("verification n=3: FAIL\n")
+
     @pytest.mark.parametrize("n, seeds", [(3, 5), (4, 2), (4, 5), (5, 1), (5, 3)])
     def test_golden(self, n, seeds, tmp_path, capsys):
         target = tmp_path / "v.txt"

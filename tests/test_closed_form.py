@@ -187,15 +187,17 @@ class TestIntervals:
         assert cf.g_interval_length(1, 7) == 11
 
     def test_subdivision_points(self):
-        assert cf.m_td(0, 1, 7) == 13
-        assert cf.m_td(1, 0, 8) == 32
-        assert cf.m_td(1, 2, 8) == 26
+        # m_{t,d} = 2^(ceil(n/2)+t) - sum over i < d of 2^(2t-2i+gamma), less 1 at d = t+1:
+        # the first (d = 0) is the interval's upper endpoint and the last its lower
+        assert cf.concentration_intervals(7)[0].lower == 13
+        second = cf.concentration_intervals(8)[1]
+        assert (second.upper, second.lower) == (32, 26)
         for n in range(3, 18):
-            for t in range(n // 2):
-                # the last subdivision point is the interval's lower endpoint
-                assert cf.m_td(t, t + 1, n) == (
-                    (1 << (-(-n // 2) + t)) - cf.g_interval_length(t, n)
-                )
+            for iv in cf.concentration_intervals(n):
+                t = iv.t
+                assert iv.upper == 1 << (-(-n // 2) + t)
+                assert iv.lower == iv.upper - sum(
+                    1 << (2 * t - 2 * i + cf.gamma(n)) for i in range(t + 1)) - 1
 
     def test_interval_rows_n6(self):
         rows = [

@@ -50,12 +50,40 @@ class TestBudget:
         with pytest.raises(oc.BudgetExceededError):
             oc.brute_cyclic(g)
 
+    def test_past_the_tables_refuses_before_the_bitmask_rows(self):
+        # g.adjacency holds 4^n bits, 512 MB at n = 16: no search may build it to refuse
+        g = cg.canonical_member(12)
+        searches = [lambda: oc.brute_ex(g, 2), lambda: oc.brute_xi(g, 2),
+                    lambda: oc.brute_xi_unconstrained(g, 2), lambda: oc.brute_lambda_h(g, 2),
+                    lambda: oc.brute_conditional(g, oc.FaultPattern.EMBEDDED, 2),
+                    lambda: oc.brute_cyclic(g)]
+        for search in searches:
+            with pytest.raises(oc.BudgetExceededError, match="16-vertex bound"):
+                search()
+            assert "adjacency" not in g.__dict__
+
+    def test_rejects_arguments_out_of_range(self):
+        g = member(4)
+        for m in (-1, 17):
+            with pytest.raises(ValueError, match=r"m must be in \[0, 16\]"):
+                oc.brute_ex(g, m)
+        for search in (oc.brute_xi, oc.brute_xi_unconstrained):
+            for m in (0, 9):
+                with pytest.raises(ValueError, match=r"m must be in \[1, 8\]"):
+                    search(g, m)
+        for h in (0, 9):
+            with pytest.raises(ValueError, match=r"h must be in \[1, 8\]"):
+                oc.brute_lambda_h(g, h)
+        with pytest.raises(ValueError, match="n must be >= 3"):
+            oc.brute_cyclic(cg.canonical_member(2))
+
     def test_cyclic_bound_below_the_witness_is_skipped(self):
         # enhanced(4, 2) has an 8-edge cyclic cut; the 4-set at labels 0..3 has boundary 12
         g = cg.build_enhanced(4, 2)
         assert oc.brute_cyclic(g) == 8
-        with pytest.raises(oc.BudgetExceededError, match="boundary 12, above the lower bound 8"):
+        with pytest.raises(oc.BudgetExceededError) as info:
             halves(oc.brute_cyclic, g)
+        assert str(info.value) == "the canonical 4-set gives 12, not the lower bound 8"
 
 
 def shuffled_member(n, seed, shuffle_seed):
@@ -104,7 +132,7 @@ class TestBoundedMode:
     def test_halves_table_equals_the_per_mask_table(self):
         graphs = [member(4, seed) for seed in (None, 1, 2, 3, 4, 5)] + [cg.build_hypercube(4)]
         for g in graphs:
-            assert oc._size_table(g, oc.EXHAUSTIVE_N) == per_mask_sizes(g), g.kind
+            assert oc._size_table(g) == per_mask_sizes(g), g.kind
             for m in range(0, 17):
                 assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (g.kind, m)
             for m in range(1, 9):
@@ -114,7 +142,7 @@ class TestBoundedMode:
     def test_halves_table_outside_the_family(self):
         for seed in range(20):
             g = glued(seed)
-            assert oc._size_table(g, oc.EXHAUSTIVE_N) == per_mask_sizes(g), seed
+            assert oc._size_table(g) == per_mask_sizes(g), seed
             for m in range(0, 17):
                 assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (seed, m)
 
@@ -124,10 +152,9 @@ class TestBoundedMode:
             oc.brute_ex(cg.build_enhanced(4, 1), 5)
 
     def test_unsettled_xi_names_its_reason(self):
-        # the least 2-set boundary of glued(0) is 6, but the 2-set at labels 0, 1 has 8
+        # the least 2-set boundary of glued(0) is 6, but labels 0, 1 are not adjacent
         g = glued(0)
-        reason = ("the canonical 2-set has boundary 8, the minimum over all 2-sets is 6, "
-                  "and no connected witness of the minimum is known")
+        reason = "the canonical 2-set has a disconnected side; the lower bound is 6"
         assert halves(oc.brute_xi, g, 1) == 4
         for search, arg in ((oc.brute_xi, 2), (oc.brute_lambda_h, 1)):
             with pytest.raises(oc.BudgetExceededError) as info:
@@ -138,13 +165,10 @@ class TestBoundedMode:
         # a graph checked exhaustively is refused once the scale is lowered, and back again
         g = glued(0)
         assert oc.brute_xi(g, 2) == 6
-        with pytest.raises(oc.BudgetExceededError, match="no connected witness"):
+        with pytest.raises(oc.BudgetExceededError) as info:
             halves(oc.brute_xi, g, 2)
+        assert str(info.value) == "the canonical 2-set has a disconnected side; the lower bound is 6"
         assert oc.brute_xi(g, 2) == 6
-        g = member(5)
-        assert oc.brute_xi_unconstrained(g, 2) == cf.xi_h4(2, 5)
-        with pytest.raises(oc.BudgetExceededError, match="beyond the exact tables"):
-            halves(oc.brute_xi_unconstrained, g, 2)
 
     def test_embedded_from_the_size_bound_and_the_canonical_block(self):
         graphs = [member(4, seed) for seed in (None, 1, 2, 3, 4, 5)] + [cg.build_hypercube(4)]
@@ -159,13 +183,14 @@ class TestBoundedMode:
             halves(oc.brute_conditional, g, oc.FaultPattern.EMBEDDED, 2)
 
     def test_n5_checks_one_canonical_cut_per_size(self, monkeypatch):
-        # one xi entry per size serves the xi, lambda and extra-size rows; the K4 serves
-        # cyclic, and the 4-, 8- and 16-blocks the embedded rows
-        cut, calls = oc._canonical_cut, []
-        monkeypatch.setattr(oc, "_canonical_cut", lambda g, m: calls.append(m) or cut(g, m))
-        oc._xi_table.cache_clear()
+        # one cut per size serves the xi, lambda and extra-size rows, the embedded 4-, 8- and
+        # 16-blocks and the cyclic K4: each canonical set's boundary is walked once
+        walk, sizes = oc.boundary_size, []
+        monkeypatch.setattr(oc, "boundary_size",
+                            lambda g, members: sizes.append(len(members)) or walk(g, members))
+        oc._canonical_cut.cache_clear()
         oc.verify_member(5, [])
-        assert sorted(calls) == sorted([*range(1, 17), 4, 4, 8, 16])
+        assert sorted(sizes) == list(range(1, 17))
 
     def test_rejects_halves_not_joined_by_one_matching(self):
         # enhanced(4, 1) joins each vertex to the other half twice; the shuffle mixes the halves
@@ -214,6 +239,11 @@ def bfs_bipartitions(g):
 
 
 class TestConnectivityBitmap:
+    def test_disconnected_graph_has_no_xi(self):
+        # the only connected bipartition of two 3-cubes puts one cube on each side
+        with pytest.raises(RuntimeError, match="no feasible subset of size 1; graph is malformed"):
+            oc.brute_xi(two_cubes(), 1)
+
     def test_every_mask_agrees_with_bfs(self):
         for g in bitmap_graphs():
             connected = oc._connected_masks(g.adjacency)
@@ -231,7 +261,7 @@ class TestConnectivityBitmap:
                 bds = [bd for mask, bd in expected
                          if m in (mask.bit_count(), nv - mask.bit_count())]
                 minima.append(min(bds, default=None))
-            assert oc._xi_table(g, oc.EXHAUSTIVE_N) == tuple(minima), g.kind
+            assert oc._xi_table(g) == tuple(minima), g.kind
         assert tuple(oc._bipartitions(two_cubes())) == ((0xFF, 0),)  # the two cubes, nothing else
 
     def test_canonical_cut_agrees_with_the_bipartition_lanes(self):
@@ -321,7 +351,7 @@ class TestMaskTable:
         graphs += [member(4), member(4, 1), cg.build_enhanced(4, 2)]
         mask_table, halves_read = oc._mask_table, []
         monkeypatch.setattr(oc, "_mask_table", lambda adj: halves_read.append(adj) or mask_table(adj))
-        oc._size_table.__wrapped__(member(5), oc.EXHAUSTIVE_N)
+        oc._size_table.__wrapped__(member(5))
         assert [len(adj) for adj in halves_read] == [16, 16]
         graphs += [rows_graph(adj) for adj in halves_read]
         for g in graphs:
