@@ -34,8 +34,8 @@ def _write(out_path: str, chunks: Iterable[str]) -> None:
 def render_profile(n: int, start: int = 0, stop: int | None = None) -> str:
     """CSV rows start+1 .. stop (all by default), after the header when start is 0."""
     text = ["h,ex,xi,lambda\n" if start == 0 else ""]
-    for columns in cf.profile_blocks(n, start, stop):
-        rows = [0] * (4 * len(columns[0]))  # the four columns interleaved, all ints: %s as %d
+    for columns in cf.profile_blocks(n, start, stop, str):
+        rows = [0] * (4 * len(columns[0]))  # three int columns (%s as %d) and lambda as text
         rows[0::4], rows[1::4], rows[2::4], rows[3::4] = columns
         text.append("%s,%s,%s,%s\n" * len(columns[0]) % tuple(rows))
     return "".join(text)
@@ -72,9 +72,9 @@ def render_plotdata(n_list: list[int], start: int = 0, stop: int | None = None) 
     for n in n_list:
         # max xi over 1..2^(n-1) is 2*ceil(2^n/3), checked on every n plotdata accepts, 3..24
         half, ratio = 1 << (n - 1), (2 * -(-(1 << n) // 3)).__rtruediv__
-        for h, _, xi, lam in cf.profile_blocks(n, start, stop):
-            rows = zip(map(half.__rtruediv__, h), map(ratio, xi), map(ratio, lam))
-            text.append(f"{n}\t%.6g\t%.6g\t%.6g\n" * len(h) % tuple(chain.from_iterable(rows)))
+        for h, _, xi, lam in cf.profile_blocks(n, start, stop, lambda v: "%.6g" % ratio(v)):
+            rows = zip(map(half.__rtruediv__, h), map(ratio, xi), lam)
+            text.append(f"{n}\t%.6g\t%.6g\t%s\n" * len(h) % tuple(chain.from_iterable(rows)))
     return "".join(text)
 
 

@@ -17,7 +17,9 @@ from functools import lru_cache
 from itertools import accumulate, chain, count
 from operator import add, sub
 
-PROFILE_BLOCK = 1 << 14  # rows per block of profile_blocks: a power of two >= 4
+# Rows per block of profile_blocks, a power of two >= 4: each block's lists, tuple and text stay
+# <= 32 KB, so freed ones are reused (profile --n 22: 2.3k minor faults, 48k at 2^12, 97k at 2^14)
+PROFILE_BLOCK = 1 << 10
 _CHUNK = 60  # binary digits of m whose hypercube-sum terms are summed before one shift
 
 
@@ -200,22 +202,23 @@ def _f_head(block: int) -> tuple[int, ...]:
     return tuple(accumulate((2 * r.bit_count() + (r & 2) for r in range(block - 1)), initial=0))
 
 
-def _suffix_min(values, best):
-    """values[i] = min(best, *values[i:]) in place; accumulate(min) calls min per row, far slower."""
+def _suffix_min(values, best, shown=None):
+    """values[i] = shown(min(best, *values[i:])) in place, shown once per new min (None: ints)."""
+    out = shown(best) if shown else best
     for i in range(len(values) - 1, -1, -1):
         if values[i] < best:
             best = values[i]
-        else:
-            values[i] = best
+            out = shown(best) if shown else best
+        values[i] = out
     return values
 
 
-def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam: bool = True):
+def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam=int):
     """Yield the columns h, ex, xi, lambda of rows start+1 .. stop (default 2**(n-1)), B at a time.
 
     B = PROFILE_BLOCK divides start.  f(qB + r) = f(qB) + f(r) + 2*popcount(q)*r for
-    0 <= r < B, a power of two >= 4.  lambda (None unless lam) is xi's running
-    minimum down the block from lambda_fast at its top row.
+    0 <= r < B, a power of two >= 4.  lambda (None if lam is falsy) is xi's running minimum
+    down the block from lambda_fast at its top row, as lam(value), one call per run of equal values.
     """
     half, block = 1 << (n - 1), PROFILE_BLOCK
     for lo in range(start, half if stop is None else stop, block):
@@ -224,7 +227,7 @@ def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam: bool = 
         ex = [*map(add, _f_head(min(block, half))[1:hi - lo], count(_f(lo) + step, step)), _f(hi)]
         xi = list(map(sub, range((n + 1) * (lo + 1), (n + 1) * hi + 1, n + 1), ex))
         if lam:  # min(lambda_hi, xi_hi) = lambda_hi, so lambda at the top row seeds the block
-            lam_column = _suffix_min(xi[:], lambda_fast(hi, n))
+            lam_column = _suffix_min(xi[:], lambda_fast(hi, n), lam)
         yield range(lo + 1, hi + 1), ex, xi, lam_column if lam else None
 
 

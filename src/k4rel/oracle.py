@@ -78,9 +78,9 @@ def _exhaustive(g: CubeGraph) -> bool:
 @lru_cache(maxsize=2)  # the vertex counts of one graph and of its label halves
 def _holds(nv: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per vertex v, the masks that hold v (2^v no, 2^v yes, repeated) as bits and as 0xff lanes."""
-    lanes = [(bytes(1 << v) + b"\xff" * (1 << v)) * (1 << nv - v - 1) for v in range(nv)]
-    return (tuple(int(p.translate(_DIGITS)[::-1], 2) for p in lanes),
-            tuple(int.from_bytes(p, "little") for p in lanes))
+    lanes = ((bytes(1 << v) + b"\xff" * (1 << v)) * (1 << nv - v - 1) for v in range(nv))
+    return tuple(zip(*((int(p.translate(_DIGITS)[::-1], 2), int.from_bytes(p, "little"))
+                       for p in lanes)))
 
 
 @lru_cache(maxsize=1)  # the exhaustive checks read one graph's table before the next's

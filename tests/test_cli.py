@@ -6,6 +6,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -124,11 +125,26 @@ class TestProfile:
                             for h in range(1, (1 << (n - 1)) + 1)]
 
     def test_n22_in_256mb(self, tmp_path):
-        # the whole table as Python ints took 514 MB; the streamed blocks take about 20 MB
+        # the whole table as Python ints took 514 MB; the streamed blocks take about 15 MB
         done = run_limited(["profile", "--n", "22", "--out", str(tmp_path / "p.csv")], 256 << 20)
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
         digest = hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest()
         assert digest == "5ca5f01819cd075f4727ffa159b2b50228893af7fb65e0e1dab31e36b0000c91"
+
+
+@pytest.mark.parametrize("argv", [["profile", "--n", "12"], ["profile", "--n", "18"],
+                                  ["plotdata", "--n", "16", "17", "18"]])
+def test_tables_stream_through_a_small_working_set(argv, tmp_path):
+    # blocks of 2^14 rows peaked at 3.7 MB: their lists, a 64 Ki-entry tuple and 512 KB of text
+    argv = argv + ["--out", str(tmp_path / "table")]
+    assert cli.main(argv) == 0  # warms the cached f head, so only the working set is traced
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 << 10, peak
 
 
 class TestScalarCommands:

@@ -277,6 +277,14 @@ class TestProfileInvariants:
                 assert xi == cf.xi_h4(m, n)
                 assert lam == cf.lambda_fast(m, n) == cf.full_profile(n)[m - 1]
 
+    def test_lambda_is_shown_once_per_run(self):
+        # lam is called once per run of equal lambda values in a block, not once per row
+        calls = []
+        blocks = list(cf.profile_blocks(16, lam=lambda v: calls.append(v) or v))
+        runs = sum(1 + sum(a != b for a, b in zip(lam, lam[1:])) for *_, lam in blocks)
+        assert len(blocks) > 1 and len(calls) == runs < (1 << 15) // 4
+        assert [v for *_, lam in blocks for v in lam] == list(cf.full_profile(16))
+
     def test_profile_domain(self):
         with pytest.raises(ValueError):
             cf.full_profile(2)
