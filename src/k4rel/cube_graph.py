@@ -8,18 +8,20 @@ in a bytearray and walk their rows.  Graphs are immutable after construction.
 
 from __future__ import annotations
 
+import io
 import random
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import xor
 
 # Ceiling for materialized graphs; closed-form evaluation has no such limit.  Measured
-# under a 2 GB address-space limit (Python 3.11, x86-64 Xeon): build_k4cube of
-# random_matching_tree(22, 1) takes 51 s (30 s drawing the tree) and peaks at 0.98 GB RSS;
-# at n = 23 the 805 MB of rows, held twice while they are copied to bytes, do not fit.
-MAX_DIM = 22
+# under a 2 GB address-space limit (Python 3.11, 2-core x86-64 Xeon VM): build_k4cube of
+# random_matching_tree(23, 1) takes 99 s (61 s drawing the tree) and peaks at 1.20 GB RSS,
+# its 805 MB of rows held once; at n = 22 it takes 46 s and peaks at 0.60 GB.
+MAX_DIM = 23
 
 
 class MatchingTree(namedtuple("MatchingTree", "levels", defaults=[()])):
@@ -30,7 +32,8 @@ class MatchingTree(namedtuple("MatchingTree", "levels", defaults=[()])):
     to right, the matchings of the 2^i gluings at dimension d = n - i: the one of
     labels [first, first + 2^d) joins first + u to first + 2^(d-1) + matching[u].
     Each level holds 2^(n-1) entries, which the trees made here pack in an
-    array('I'), 4 bytes per entry (any sequence of ints is accepted).
+    array('H'), 2 bytes per entry, where they fit, and in an array('I') at the
+    levels of dimension above 17 (any sequence of ints is accepted).
     """
 
     __slots__ = ()
@@ -89,11 +92,12 @@ def _from_columns(n: int, kind: str, slots: int, flips, columns=()) -> CubeGraph
     """Rows of slots labels: v ^ flip for each flip, then v's entry in each further column."""
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
-    flat = array("I", [0]) * (slots << n)
-    xors = (array("I", (v ^ flip for v in range(1 << n))) for flip in flips)
-    for j, column in enumerate(chain(xors, columns)):
-        flat[j::slots] = column
-    return CubeGraph(n=n, kind=kind, neighbours=flat.tobytes())
+    rows = io.BytesIO(bytes(4 * slots << n))  # getvalue() hands over this buffer uncopied
+    xors = (array("I", map(xor, range(1 << n), repeat(flip))) for flip in flips)
+    with rows.getbuffer() as buffer, buffer.cast("I") as flat:
+        for j, column in enumerate(chain(xors, columns)):
+            flat[j::slots] = column
+    return CubeGraph(n=n, kind=kind, neighbours=rows.getvalue())
 
 
 def build_hypercube(n: int) -> CubeGraph:
@@ -113,7 +117,10 @@ def random_matching_tree(n: int, seed: int) -> MatchingTree:
     """Deterministic random member recipe: every matching is a seeded shuffle."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rng, levels = random.Random(seed), [array("I") for _ in range(n - 2)]
+    if n > MAX_DIM:  # no build accepts the tree: refuse it before its 2^(n-1)-entry draws
+        raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
+    rng = random.Random(seed)  # level i's entries are below 2^(n-i-1): 2 bytes fit up to n-i = 17
+    levels = [array("H" if n - i <= 17 else "I") for i in range(n - 2)]
 
     def grow(i: int) -> None:  # both halves, then their gluing: each level fills left to right
         if i < n - 2:

@@ -47,6 +47,9 @@ class TestHypercube:
         bad = cg.MatchingTree(((),) * (cg.MAX_DIM - 1))
         with pytest.raises(ValueError, match="dimension must be in"):
             cg.build_k4cube(bad)
+        # no build accepts such a tree, so it is refused before its 2^29-entry levels are drawn
+        with pytest.raises(ValueError, match=f"dimension must be in \\[1, {cg.MAX_DIM}\\]"):
+            cg.random_matching_tree(30, 1)
 
 
 class TestEnhanced:
@@ -137,7 +140,7 @@ class TestMatchingTree:
         assert digest.hexdigest() == "6766af002b5270daad7073f7727f043c36422b1981e4b8620b2c8ae5dd4c2509"
 
     def test_random_tree_packs_its_matchings(self):
-        # 12 levels of 2^13 entries: 0.39 MB as 4-byte entries, and no object per gluing
+        # 12 levels of 2^13 entries: 0.2 MB as 2-byte entries, and no object per gluing
         tracemalloc.start()
         try:
             tree = cg.random_matching_tree(14, 1)
@@ -145,7 +148,21 @@ class TestMatchingTree:
         finally:
             tracemalloc.stop()
         assert all(isinstance(level, array) for level in tree.levels)
-        assert held < 5e5 and peak < 1e6
+        assert held < 2.5e5 and peak < 1e6
+
+    def test_members_are_built_in_one_copy_of_their_rows(self):
+        # the 2.1 MB of rows at n = 15 are filled in place: a second copy would peak above 4 MB
+        tree = cg.random_matching_tree(15, 5)
+        builds = ((lambda: cg.build_k4cube(tree), 2.6e6), (lambda: cg.canonical_member(15), 2.5e6))
+        for build, bound in builds:
+            tracemalloc.start()
+            try:
+                g = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert type(g.neighbours) is bytes and len(g.neighbours) == 4 * 16 << 15
+            assert peak < bound, peak
 
     def test_canonical_member_equals_the_identity_tree(self):
         for n in range(2, 13):
