@@ -2,14 +2,16 @@
 
 Vertices are plain integers in [0, 2**n), read as n-bit strings (bit 0 is the
 lowest-order coordinate).  A graph stores one row of neighbour labels per
-vertex (O(n * 2**n) bytes, not 4**n bits), and subset queries mark the members
-in a bytearray and walk their rows.  Graphs are immutable after construction.
+vertex (O(n * 2**n) bytes, not 4**n bits: 2 bytes per label up to n = 16, 4
+above), and subset queries mark the members in a bytearray and walk their
+rows.  Graphs are immutable after construction.
 """
 
 from __future__ import annotations
 
 import io
 import random
+import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable
@@ -22,6 +24,11 @@ from operator import xor
 # random_matching_tree(23, 1) takes 99 s (61 s drawing the tree) and peaks at 1.20 GB RSS,
 # its 805 MB of rows held once; at n = 22 it takes 46 s and peaks at 0.60 GB.
 MAX_DIM = 23
+
+
+def _label_code(largest: int) -> str:
+    """The array typecode that packs labels up to largest: 'H' (2 bytes) below 2^16, else 'I'."""
+    return "H" if largest < 1 << 16 else "I"
 
 
 class MatchingTree(namedtuple("MatchingTree", "levels", defaults=[()])):
@@ -50,7 +57,8 @@ class MatchingTree(namedtuple("MatchingTree", "levels", defaults=[()])):
 
 class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
     """An immutable graph: `neighbours` packs one row of labels per vertex, all
-    of one length, as native unsigned ints.  kind ("hypercube", "enhanced(k)",
+    of one length, as unsigned ints of the width _label_code gives its largest
+    label: 2 bytes up to n = 16, 4 above.  kind ("hypercube", "enhanced(k)",
     "k4member") is a descriptor used in reports and carries no structure.
     Instances keep a __dict__ for the cached views.
     """
@@ -60,7 +68,7 @@ class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
 
     @cached_property
     def _flat(self) -> memoryview:
-        return memoryview(self.neighbours).cast("I")
+        return memoryview(self.neighbours).cast(_label_code((1 << self.n) - 1))
 
     def __reduce__(self):  # the cached views (a memoryview among them) are not pickled
         return CubeGraph, (self.n, self.kind, self.neighbours)
@@ -89,14 +97,21 @@ class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
 
 
 def _from_columns(n: int, kind: str, slots: int, flips, columns=()) -> CubeGraph:
-    """Rows of slots labels: v ^ flip for each flip, then v's entry in each further column."""
+    """Rows of slots labels: v ^ flip for each flip, then v's entry in each further column.
+
+    Columns are array('I'): array packs Python ints into 'I' items about 2.8 times as
+    fast as into 'H' ones.  Where labels take 2 bytes, each item's low half is copied.
+    """
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
-    rows = io.BytesIO(bytes(4 * slots << n))  # getvalue() hands over this buffer uncopied
+    code = _label_code((1 << n) - 1)
+    step = array("I").itemsize // array(code).itemsize  # labels per 'I' item: 1, or 2 for 'H'
+    low = step - 1 if sys.byteorder == "big" else 0  # the one holding the low-order bytes
+    rows = io.BytesIO(bytes(array(code).itemsize * slots << n))  # getvalue() hands it over uncopied
     xors = (array("I", map(xor, range(1 << n), repeat(flip))) for flip in flips)
-    with rows.getbuffer() as buffer, buffer.cast("I") as flat:
+    with rows.getbuffer() as buffer, buffer.cast(code) as flat:
         for j, column in enumerate(chain(xors, columns)):
-            flat[j::slots] = column
+            flat[j::slots] = memoryview(column).cast("B").cast(code)[low::step]
     return CubeGraph(n=n, kind=kind, neighbours=rows.getvalue())
 
 
@@ -119,8 +134,8 @@ def random_matching_tree(n: int, seed: int) -> MatchingTree:
         raise ValueError(f"need n >= 2, got {n}")
     if n > MAX_DIM:  # no build accepts the tree: refuse it before its 2^(n-1)-entry draws
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
-    rng = random.Random(seed)  # level i's entries are below 2^(n-i-1): 2 bytes fit up to n-i = 17
-    levels = [array("H" if n - i <= 17 else "I") for i in range(n - 2)]
+    rng = random.Random(seed)  # level i's entries are below 2^(n-i-1)
+    levels = [array(_label_code((1 << (n - i - 1)) - 1)) for i in range(n - 2)]
 
     def grow(i: int) -> None:  # both halves, then their gluing: each level fills left to right
         if i < n - 2:
@@ -131,6 +146,7 @@ def random_matching_tree(n: int, seed: int) -> MatchingTree:
             levels[i].extend(perm)
 
     grow(0)
+    del grow  # grow's closure holds grow itself: the cycle would keep levels alive
     return MatchingTree(tuple(levels))
 
 
@@ -151,8 +167,8 @@ def _matching_columns(spec: MatchingTree):
     n = spec.dimension
     for i, level in enumerate(spec.levels):
         half, column = 1 << (n - i - 1), array("I")
-        try:
-            view = memoryview(array("I", level))  # one copy per level: its blocks are views
+        try:  # one copy per level, a memcpy of the trees made here: its blocks are views
+            view = memoryview(array(_label_code(half - 1), level))
         except (OverflowError, TypeError):  # an entry < 0, or no sequence of ints
             raise ValueError(f"matching must be a permutation of [0, {half})") from None
         if len(view) != 1 << (n - 1):

@@ -4,13 +4,14 @@ They walk the graph subset by subset, with no tables, so they only run at
 n <= 4: an edge-subset search for lambda_h that assumes nothing about how
 many components a cut leaves, the average-degree size floor, and the
 bitmask component walk both they and the connectivity tests rest on.  The
-identity matching tree is the canonical member's recipe, built as a tree.
+identity matching tree is the canonical member's recipe, built as a tree, and
+graph_from_rows packs hand-made rows as cube_graph packs its own.
 """
 
 from array import array
 from itertools import combinations
 
-from k4rel.cube_graph import MatchingTree
+from k4rel.cube_graph import CubeGraph, MatchingTree, _label_code
 from k4rel.oracle import BudgetExceededError, _bits, _exhaustive, _mask_table
 
 
@@ -18,6 +19,12 @@ def identity_matching_tree(n):
     """The tree whose every matching is the identity; build_k4cube makes it enhanced(n, n-1)."""
     return MatchingTree(tuple(array("I", range(1 << (d - 1))) * (1 << (n - d))
                               for d in range(n, 2, -1)))
+
+
+def graph_from_rows(n, kind, rows):
+    """The CubeGraph on 2^n vertices with these neighbour rows, all of one length."""
+    labels = array(_label_code((1 << n) - 1), [v for row in rows for v in row])
+    return CubeGraph(n=n, kind=kind, neighbours=labels.tobytes())
 
 
 def component(adjacency, mask):

@@ -1,5 +1,6 @@
 """Unit tests for graph construction and subset primitives."""
 
+import gc
 import hashlib
 import os
 import pathlib
@@ -7,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from array import array
 from functools import lru_cache
 
@@ -131,12 +133,13 @@ class TestMatchingTree:
         assert len(members) == 8
 
     def test_members_are_pinned(self):
-        # the rows of the canonical member and seeds 0..3 at n = 2..10, as first recorded
+        # the rows of the canonical member and seeds 0..3 at n = 2..10, as first recorded in
+        # 4 bytes per label
         digest = hashlib.sha256()
         for n in range(2, 11):
-            digest.update(cg.canonical_member(n).neighbours)
+            digest.update(array("I", cg.canonical_member(n)._flat))
             for s in range(4):
-                digest.update(cg.build_k4cube(cg.random_matching_tree(n, s)).neighbours)
+                digest.update(array("I", cg.build_k4cube(cg.random_matching_tree(n, s))._flat))
         assert digest.hexdigest() == "6766af002b5270daad7073f7727f043c36422b1981e4b8620b2c8ae5dd4c2509"
 
     def test_random_tree_packs_its_matchings(self):
@@ -151,9 +154,9 @@ class TestMatchingTree:
         assert held < 2.5e5 and peak < 1e6
 
     def test_members_are_built_in_one_copy_of_their_rows(self):
-        # the 2.1 MB of rows at n = 15 are filled in place: a second copy would peak above 4 MB
+        # the 1.05 MB of rows at n = 15 are filled in place: a second copy would peak above 2 MB
         tree = cg.random_matching_tree(15, 5)
-        builds = ((lambda: cg.build_k4cube(tree), 2.6e6), (lambda: cg.canonical_member(15), 2.5e6))
+        builds = ((lambda: cg.build_k4cube(tree), 1.5e6), (lambda: cg.canonical_member(15), 1.4e6))
         for build, bound in builds:
             tracemalloc.start()
             try:
@@ -161,8 +164,33 @@ class TestMatchingTree:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert type(g.neighbours) is bytes and len(g.neighbours) == 4 * 16 << 15
+            assert type(g.neighbours) is bytes and len(g.neighbours) == 2 * 16 << 15
             assert peak < bound, peak
+
+    def test_dropped_trees_free_their_levels_without_the_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tree = cg.random_matching_tree(6, 1)
+            level = weakref.ref(tree.levels[0])
+            del tree
+            assert level() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("n, width", [(16, 2), (17, 4)])
+    def test_rows_widen_past_label_65535(self, n, width):
+        assert cg._label_code(65535) == "H" and cg._label_code(65536) == "I"
+        g = cg.canonical_member(n)
+        assert len(g.neighbours) == width * (n + 1) << n
+        last = (1 << n) - 1  # 65535 at n = 16: the largest label 2 bytes hold
+        flips = [1, 2, 3] + [1 << d for d in range(n - 1, 1, -1)]
+        for v in (last, last ^ 1):  # the row of last ^ 1 holds last
+            assert list(g.row(v)) == [v ^ flip for flip in flips]
+        assert cg.build_k4cube(identity_matching_tree(n)).neighbours == g.neighbours
+        twin = pickle.loads(pickle.dumps(g))
+        assert twin == g and twin.row(last) == g.row(last)
 
     def test_canonical_member_equals_the_identity_tree(self):
         for n in range(2, 13):

@@ -2,14 +2,14 @@
 
 import random
 import tracemalloc
-from array import array
 
 import pytest
 
 from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
 from k4rel import oracle as oc
-from reference import average_degree_floor_check, brute_lambda_h_unrestricted, mask_connected
+from reference import (average_degree_floor_check, brute_lambda_h_unrestricted, graph_from_rows,
+                       mask_connected)
 
 
 def member(n, seed=None):
@@ -94,8 +94,7 @@ def shuffled_member(n, seed, shuffle_seed):
     rows = [None] * nv
     for u in range(nv):
         rows[perm[u]] = [perm[v] for v in g.row(u)]
-    neighbours = array("I", [v for row in rows for v in row]).tobytes()
-    shuffled = cg.CubeGraph(n=n, kind="shuffled", neighbours=neighbours)
+    shuffled = graph_from_rows(n, "shuffled", rows)
     for u in range(nv):  # the same relabelled member as a bitmask relabelling gives
         assert shuffled.adjacency[perm[u]] == cg.subset_mask(
             perm[v] for v in range(nv) if (g.adjacency[u] >> v) & 1)
@@ -115,8 +114,7 @@ def glued(seed):
         left[perm[u]] = [perm[u ^ 1 << i] for i in range(3)]
     rows = [left[u] + [8 + pi[u]] for u in range(8)]
     rows += [[8 + (t ^ f) for f in (1, 2, 3)] + [pi.index(t)] for t in range(8)]
-    neighbours = array("I", [v for row in rows for v in row]).tobytes()
-    return cg.CubeGraph(n=4, kind=f"glued{seed}", neighbours=neighbours)
+    return graph_from_rows(4, f"glued{seed}", rows)
 
 
 class TestBoundedMode:
@@ -220,8 +218,7 @@ class TestBoundedMode:
 
 def two_cubes():
     """Two disjoint 3-cubes on 16 vertices: a graph whose full mask is disconnected."""
-    neighbours = array("I", [u ^ 1 << i for u in range(16) for i in range(3)]).tobytes()
-    return cg.CubeGraph(n=4, kind="two 3-cubes", neighbours=neighbours)
+    return graph_from_rows(4, "two 3-cubes", [[u ^ 1 << i for i in range(3)] for u in range(16)])
 
 
 def bitmap_graphs():
@@ -341,8 +338,7 @@ def rows_graph(adjacency):
     """The regular graph with these bitmask rows."""
     rows = [[v for v in range(len(adjacency)) if row >> v & 1] for row in adjacency]
     assert len({len(row) for row in rows}) == 1
-    neighbours = array("I", [v for row in rows for v in row]).tobytes()
-    return cg.CubeGraph(n=len(adjacency).bit_length() - 1, kind="rows", neighbours=neighbours)
+    return graph_from_rows(len(adjacency).bit_length() - 1, "rows", rows)
 
 
 class TestMaskTable:
