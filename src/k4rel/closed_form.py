@@ -36,7 +36,6 @@ class FaultPattern(Enum):
     AVERAGE_DEGREE = 2  # the side has 2 * edges >= l * size
     EXTRA_SIZE = 3  # the side has at least 2**l vertices
     EMBEDDED = 4  # every vertex of the side lies in an l-dimensional sub-member inside the side
-    CYCLIC = 5  # the side contains a cycle
 
 
 def gamma(n: int) -> int:
@@ -78,7 +77,31 @@ def f_value(m: int) -> int:
 
 
 def xi_h4(m: int, n: int) -> int:
-    """Isoperimetric optimum of an n-dimensional member: (n+1)*m - f(m)."""
+    """Isoperimetric optimum of an n-dimensional member: (n+1)*m - f(m).
+
+    On every member this is the least boundary of an m-set S with S and its
+    complement connected, and f(m) the most doubled edges an m-set spans: a
+    member is (n+1)-regular, so S has boundary (n+1)*m - 2*edges(S).
+
+    Lemma.  f(a+b) >= f(a) + f(b) + 2*min(a, b) for all a, b >= 0.  Write f = Q + g,
+    Q the hypercube sum and g(m) = m - r(m), r = (0, 1, 2, 1) by m mod 4.  Q(m) is
+    twice the most edges m hypercube vertices span, met by the first m labels
+    (Harper 1964; Hart 1976).  For b <= a <= 2**k, the first a labels and 2**k +
+    the first b labels span Q(a)/2 + Q(b)/2 + b edges, so Q(a+b) >= Q(a) + Q(b) + 2b.
+    And g(a+b) - g(a) - g(b) = r(a) + r(b) - r(a+b) >= 0 over the 4 x 4 residues.
+
+    Bound.  2*edges(S) <= f(|S|) on every member, by induction on n: on K4,
+    f(m) = m(m-1).  Past it S meets the two halves in a and b vertices, which
+    their matching joins by at most min(a, b) edges, so by the lemma
+    2*edges(S) <= f(a) + f(b) + 2*min(a, b) <= f(a+b).
+
+    Met.  The canonical set {0, ..., m-1} spans f(m) on every member.  Past the
+    0-half, m = 2**(n-1) + b with 0 < b < 2**(n-1), it is the 0-half, the first b
+    labels of the 1-half and their b matching edges, and
+    f(m) = f(2**(n-1)) + f(b) + 2b: the top bit adds 2 * 2**t to each lower term
+    of Q, and 4 divides 2**(n-1).  By the same recursion the set is connected, and so
+    is its complement, a canonical set of the member v -> 2**n - 1 - v maps it onto.
+    """
     if not 1 <= m <= (1 << n) - 1:
         raise ValueError(f"m must be in [1, {(1 << n) - 1}], got {m}")
     return (n + 1) * m - _f(m)
@@ -179,9 +202,7 @@ def lambda_fast(h: int, n: int) -> int:
 
 
 def conditional_lambda(pattern: FaultPattern, l: int, n: int) -> int:
-    """Common value of the four non-cyclic conditional edge-connectivities."""
-    if pattern is FaultPattern.CYCLIC:
-        raise ValueError("use cyclic_lambda for the cyclic pattern")
+    """Common value of the four conditional edge-connectivities (cyclic_lambda: the cyclic one)."""
     if 2 <= l <= n - 1:
         return (n - l) << l
     if l in (0, 1) and pattern is not FaultPattern.EMBEDDED:

@@ -4,7 +4,8 @@ Vertices are plain integers in [0, 2**n), read as n-bit strings (bit 0 is the
 lowest-order coordinate).  A graph stores one row of neighbour labels per
 vertex (O(n * 2**n) bytes, not 4**n bits: 2 bytes per label up to n = 16, 4
 above), and subset queries mark the members in a bytearray and walk their
-rows.  Graphs are immutable after construction.
+rows.  Graphs are immutable after construction.  A member's recipe is the
+tuple of its levels, one packed array of matchings per depth: see build_k4cube.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import random
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, repeat
 from operator import xor
 
 # Ceiling for materialized graphs; closed-form evaluation has no such limit.  Measured
 # under a 2 GB address-space limit (Python 3.11, 2-core x86-64 Xeon VM): build_k4cube of
-# random_matching_tree(23, 1) takes 99 s (61 s drawing the tree) and peaks at 1.20 GB RSS,
+# random_matching_tree(23, 1) takes 99 s (61 s drawing the levels) and peaks at 1.20 GB RSS,
 # its 805 MB of rows held once; at n = 22 it takes 46 s and peaks at 0.60 GB.
 MAX_DIM = 23
 
@@ -29,30 +30,6 @@ MAX_DIM = 23
 def _label_code(largest: int) -> str:
     """The array typecode that packs labels up to largest: 'H' (2 bytes) below 2^16, else 'I'."""
     return "H" if largest < 1 << 16 else "I"
-
-
-class MatchingTree(namedtuple("MatchingTree", "levels", defaults=[()])):
-    """Recursive recipe for one member of the K4-hypercube family.
-
-    A member of dimension n is two (n-1)-dimensional members glued along a perfect
-    matching, down to K4 leaves (dimension 2, no levels).  levels[i] packs, left
-    to right, the matchings of the 2^i gluings at dimension d = n - i: the one of
-    labels [first, first + 2^d) joins first + u to first + 2^(d-1) + matching[u].
-    Each level holds 2^(n-1) entries, which the trees made here pack in an
-    array('H'), 2 bytes per entry, where they fit, and in an array('I') at the
-    levels of dimension above 17 (any sequence of ints is accepted).
-    """
-
-    __slots__ = ()
-
-    @property
-    def dimension(self) -> int:
-        return len(self.levels) + 2
-
-    def validate(self) -> None:
-        """ValueError unless the tree is well formed: the walk build_k4cube makes."""
-        for _ in _matching_columns(self):
-            pass
 
 
 class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
@@ -128,46 +105,47 @@ def build_enhanced(n: int, k: int) -> CubeGraph:
     return _from_columns(n, f"enhanced({k})", n + 1, flips)
 
 
-def random_matching_tree(n: int, seed: int) -> MatchingTree:
-    """Deterministic random member recipe: every matching is a seeded shuffle."""
+def random_matching_tree(n: int, seed: int) -> tuple[array, ...]:
+    """Deterministic random levels for build_k4cube: every matching is a seeded shuffle."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n > MAX_DIM:  # no build accepts the tree: refuse it before its 2^(n-1)-entry draws
+    if n > MAX_DIM:  # no build accepts the levels: refuse them before their 2^(n-1)-entry draws
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
     rng = random.Random(seed)  # level i's entries are below 2^(n-i-1)
     levels = [array(_label_code((1 << (n - i - 1)) - 1)) for i in range(n - 2)]
-
-    def grow(i: int) -> None:  # both halves, then their gluing: each level fills left to right
-        if i < n - 2:
-            grow(i + 1)
-            grow(i + 1)
+    for k in range(1, (1 << (n - 2)) + 1):  # leaf k closes a gluing per trailing 0-bit of k
+        for i in range(n - 3, n - 2 - (k & -k).bit_length(), -1):  # deepest first
             perm = list(range(1 << (n - i - 1)))
             rng.shuffle(perm)  # a list shuffles faster than an array
             levels[i].extend(perm)
-
-    grow(0)
-    del grow  # grow's closure holds grow itself: the cycle would keep levels alive
-    return MatchingTree(tuple(levels))
+    return tuple(levels)
 
 
-def build_k4cube(spec: MatchingTree) -> CubeGraph:
-    """Assemble a family member from its matching tree.
+def build_k4cube(levels: Sequence[Sequence[int]]) -> CubeGraph:
+    """Assemble the family member of dimension n = len(levels) + 2 from its matchings.
+
+    A member of dimension n is two (n-1)-dimensional members glued along a perfect
+    matching, down to K4 leaves (dimension 2, no levels).  levels[i] packs, left
+    to right, the matchings of the 2^i gluings at dimension d = n - i: the one of
+    labels [first, first + 2^d) joins first + u to first + 2^(d-1) + matching[u].
+    Each level holds 2^(n-1) entries, which random_matching_tree packs in an
+    array('H'), 2 bytes per entry, where they fit, and in an array('I') at the
+    levels of dimension above 17 (any sequence of ints is accepted).
 
     Labels follow the recursive halves: the 0-half of a dimension-d gluing takes
     labels [0, 2**(d-1)), the 1-half takes [2**(d-1), 2**d).  This is what makes
     the canonical sets {0, ..., m-1} meaningful on every member.
     """
-    n = spec.dimension  # flips 1, 2, 3 join each aligned 4-block: the K4 leaves
-    return _from_columns(n, "k4member", n + 1, (1, 2, 3), _matching_columns(spec))
+    n = len(levels) + 2  # flips 1, 2, 3 join each aligned 4-block: the K4 leaves
+    return _from_columns(n, "k4member", n + 1, (1, 2, 3), _matching_columns(n, levels))
 
 
-def _matching_columns(spec: MatchingTree):
+def _matching_columns(n: int, levels: Sequence[Sequence[int]]):
     """One column per level, each vertex's partner across its gluing; each level is
     checked as it is walked, after _from_columns has checked n."""
-    n = spec.dimension
-    for i, level in enumerate(spec.levels):
+    for i, level in enumerate(levels):
         half, column = 1 << (n - i - 1), array("I")
-        try:  # one copy per level, a memcpy of the trees made here: its blocks are views
+        try:  # one copy per level, a memcpy of the levels drawn here: its blocks are views
             view = memoryview(array(_label_code(half - 1), level))
         except (OverflowError, TypeError):  # an entry < 0, or no sequence of ints
             raise ValueError(f"matching must be a permutation of [0, {half})") from None

@@ -319,8 +319,6 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
     unions of aligned 2^l blocks, so that bounds it; past exhaustive scale the
     bound is settled by the canonical 2^l block.
     """
-    if pattern is FaultPattern.CYCLIC:
-        raise ValueError("use brute_cyclic for the cyclic pattern")
     if not 2 <= l <= g.n - 1:
         raise ValueError(f"l must be in [2, {g.n - 1}], got {l}")
     if pattern is FaultPattern.EXTRA_SIZE:
@@ -375,7 +373,7 @@ class CheckEntry(namedtuple("CheckEntry", "member quantity input closed brute ma
         return self.brute is None
 
 
-class VerificationReport(namedtuple("VerificationReport", "n members entries", defaults=((),))):
+class VerificationReport(namedtuple("VerificationReport", "n members entries")):
     __slots__ = ()
 
     @property
@@ -437,12 +435,7 @@ def verify_member(n: int, member_seeds: list[int]) -> VerificationReport:
             _guarded(entries, name, "lambda", str(h), closed,
                      lambda g=g, h=h: brute_lambda_h(g, h))
         for l in range(2, n):
-            for pattern in (
-                FaultPattern.SUPER_DEGREE,
-                FaultPattern.AVERAGE_DEGREE,
-                FaultPattern.EXTRA_SIZE,
-                FaultPattern.EMBEDDED,
-            ):
+            for pattern in FaultPattern:
                 _guarded(entries, name, f"cond_{pattern.name.lower()}", str(l),
                          conditional_lambda(pattern, l, n),
                          lambda g=g, p=pattern, l=l: brute_conditional(g, p, l))

@@ -4,21 +4,43 @@ They walk the graph subset by subset, with no tables, so they only run at
 n <= 4: an edge-subset search for lambda_h that assumes nothing about how
 many components a cut leaves, the average-degree size floor, and the
 bitmask component walk both they and the connectivity tests rest on.  The
-identity matching tree is the canonical member's recipe, built as a tree, and
-graph_from_rows packs hand-made rows as cube_graph packs its own.
+identity levels are the canonical member's recipe, recursive_levels draws a
+member's levels by the recursion they describe, and graph_from_rows packs
+hand-made rows as cube_graph packs its own.
 """
 
+import random
 from array import array
 from itertools import combinations
 
-from k4rel.cube_graph import CubeGraph, MatchingTree, _label_code
+from k4rel.cube_graph import CubeGraph, _label_code
 from k4rel.oracle import BudgetExceededError, _bits, _exhaustive, _mask_table
 
 
 def identity_matching_tree(n):
-    """The tree whose every matching is the identity; build_k4cube makes it enhanced(n, n-1)."""
-    return MatchingTree(tuple(array("I", range(1 << (d - 1))) * (1 << (n - d))
-                              for d in range(n, 2, -1)))
+    """The levels whose every matching is the identity; build_k4cube makes them enhanced(n, n-1)."""
+    return tuple(array("I", range(1 << (d - 1))) * (1 << (n - d)) for d in range(n, 2, -1))
+
+
+def recursive_levels(n, seed):
+    """The levels of random_matching_tree(n, seed), drawn in the recursion's own order.
+
+    Each gluing's matching is shuffled after both of its halves are drawn, so every
+    level fills left to right.
+    """
+    rng = random.Random(seed)
+    levels = [[] for _ in range(n - 2)]
+
+    def grow(i):
+        if i < n - 2:
+            grow(i + 1)
+            grow(i + 1)
+            perm = list(range(1 << (n - i - 1)))
+            rng.shuffle(perm)
+            levels[i].extend(perm)
+
+    grow(0)
+    return tuple(array("I", level) for level in levels)
 
 
 def graph_from_rows(n, kind, rows):

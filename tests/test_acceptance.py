@@ -55,8 +55,6 @@ def test_criterion_02_published_conditional_table(capsys):
         for n in range(3, 8):
             for l, expect in CONDITIONAL_TABLE[n].items():
                 for pattern in cf.FaultPattern:
-                    if pattern is cf.FaultPattern.CYCLIC:
-                        continue
                     assert cf.conditional_lambda(pattern, l, n) == expect, (n, l)
 
     _gate(capsys, 2, "published conditional table n=3..7", 1.0, body)
@@ -93,8 +91,6 @@ def test_criterion_05_conditional_oracle(capsys):
             for g in members(n, range(1, 6)):
                 for l in range(2, n):
                     for pattern in cf.FaultPattern:
-                        if pattern is cf.FaultPattern.CYCLIC:
-                            continue
                         assert oc.brute_conditional(g, pattern, l) == (n - l) << l
 
     _gate(capsys, 5, "conditional oracle equals (n-l)*2^l at n=3,4", 60.0, body)

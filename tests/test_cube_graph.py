@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
-from reference import identity_matching_tree
+from reference import identity_matching_tree, recursive_levels
 
 
 class TestHypercube:
@@ -45,11 +45,10 @@ class TestHypercube:
     def test_members_past_max_dim_are_refused_before_the_tree_is_walked(self):
         with pytest.raises(ValueError, match=f"dimension must be in \\[1, {cg.MAX_DIM}\\]"):
             cg.canonical_member(cg.MAX_DIM + 1)
-        # empty levels would be named if the tree were walked first
-        bad = cg.MatchingTree(((),) * (cg.MAX_DIM - 1))
+        # empty levels would be named if they were walked first
         with pytest.raises(ValueError, match="dimension must be in"):
-            cg.build_k4cube(bad)
-        # no build accepts such a tree, so it is refused before its 2^29-entry levels are drawn
+            cg.build_k4cube(((),) * (cg.MAX_DIM - 1))
+        # no build accepts such levels, so they are refused before their 2^29 entries are drawn
         with pytest.raises(ValueError, match=f"dimension must be in \\[1, {cg.MAX_DIM}\\]"):
             cg.random_matching_tree(30, 1)
 
@@ -77,7 +76,7 @@ class TestEnhanced:
 
 class TestMatchingTree:
     def test_leaf_is_k4(self):
-        g = cg.build_k4cube(cg.MatchingTree())
+        g = cg.build_k4cube(())
         assert g.num_vertices == 4
         assert g.edge_count() == 6
         assert all(g.degree(v) == 3 for v in range(4))
@@ -90,15 +89,15 @@ class TestMatchingTree:
                          (range(8), range(7)), (range(8), range(9))]
         for levels in wrong_lengths:  # too short, too long, at the top level and below it
             with pytest.raises(ValueError, match=r"level [01] must hold [48] entries"):
-                cg.MatchingTree(levels).validate()
+                cg.build_k4cube(levels)
         bad_matchings = [(0, 1, 2, 4), (-1, 0, 1, 2), array("I", [0, 1, 1, 2]), (0, 1, 2, 3.0), None]
         for matching in bad_matchings:  # an entry = half, a negative, a repeat, no ints
             with pytest.raises(ValueError, match=r"permutation of \[0, 4\)"):
-                cg.MatchingTree((matching,)).validate()
-        deep = cg.MatchingTree((array("I", range(8)), (3, 2, 1, 0, 3, 3, 1, 0)))
+                cg.build_k4cube((matching,))
+        deep = (array("I", range(8)), (3, 2, 1, 0, 3, 3, 1, 0))
         with pytest.raises(ValueError, match=r"permutation of \[0, 4\)"):  # the second block
-            deep.validate()
-        cg.MatchingTree((range(8), (3, 2, 1, 0, 3, 0, 1, 2))).validate()
+            cg.build_k4cube(deep)
+        cg.build_k4cube((range(8), (3, 2, 1, 0, 3, 0, 1, 2)))
 
     def test_member_regularity(self):
         for n in range(2, 9):
@@ -128,6 +127,12 @@ class TestMatchingTree:
                 g2 = cg.build_k4cube(cg.random_matching_tree(n, seed))
                 assert g1.adjacency == g2.adjacency
 
+    def test_draw_matches_the_recursion(self):
+        # one loop over the K4 leaves shuffles the gluings in the recursion's post-order
+        for n in range(2, 13):
+            for seed in range(4):
+                assert cg.random_matching_tree(n, seed) == recursive_levels(n, seed), (n, seed)
+
     def test_different_seeds_differ(self):
         members = {cg.build_k4cube(cg.random_matching_tree(6, s)).neighbours for s in range(8)}
         assert len(members) == 8
@@ -150,7 +155,7 @@ class TestMatchingTree:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(isinstance(level, array) for level in tree.levels)
+        assert type(tree) is tuple and all(isinstance(level, array) for level in tree)
         assert held < 2.5e5 and peak < 1e6
 
     def test_members_are_built_in_one_copy_of_their_rows(self):
@@ -172,7 +177,7 @@ class TestMatchingTree:
         gc.disable()
         try:
             tree = cg.random_matching_tree(6, 1)
-            level = weakref.ref(tree.levels[0])
+            level = weakref.ref(tree[0])
             del tree
             assert level() is None
         finally:
@@ -268,7 +273,7 @@ class TestBitmap:
                 assert mat[u][v] == mat[v][u]
 
     def test_pbm_text(self):
-        g = cg.build_k4cube(cg.MatchingTree())
+        g = cg.build_k4cube(())
         text = cg.bitmap_pbm(g)
         lines = text.split("\n")
         assert lines[0] == "P1"
@@ -289,13 +294,13 @@ class TestBitmap:
 # The bitmask definitions the neighbour rows replace: a member assembled by
 # shifting whole rows, the PBM cell rule, and the subset formulas on masks.
 
-def mask_member(tree, i=0, k=0):
+def mask_member(levels, i=0, k=0):
     """Rows of the k-th gluing at level i: its halves' rows, the upper ones shifted up."""
-    if i == len(tree.levels):
+    if i == len(levels):
         return [0b1110, 0b1101, 0b1011, 0b0111]
-    half, upper = 1 << (tree.dimension - i - 1), mask_member(tree, i + 1, 2 * k + 1)
-    adj = mask_member(tree, i + 1, 2 * k) + [row << half for row in upper]
-    for u, v in enumerate(tree.levels[i][k * half:(k + 1) * half]):
+    half, upper = 1 << (len(levels) - i + 1), mask_member(levels, i + 1, 2 * k + 1)
+    adj = mask_member(levels, i + 1, 2 * k) + [row << half for row in upper]
+    for u, v in enumerate(levels[i][k * half:(k + 1) * half]):
         adj[u] |= 1 << (half + v)
         adj[half + v] |= 1 << u
     return adj

@@ -437,22 +437,16 @@ class TestConditionalAndCyclic:
         for seed in (None, 1, 2, 3, 4, 5):
             g = member(3, seed)
             for pattern in oc.FaultPattern:
-                if pattern is oc.FaultPattern.CYCLIC:
-                    continue
                 assert oc.brute_conditional(g, pattern, 2) == 4, (seed, pattern)
 
     def test_all_patterns_n4(self):
         g = member(4)
         for l in (2, 3):
             for pattern in oc.FaultPattern:
-                if pattern is oc.FaultPattern.CYCLIC:
-                    continue
                 assert oc.brute_conditional(g, pattern, l) == (4 - l) << l
 
     def test_rejects_bad_arguments(self):
         g = member(3)
-        with pytest.raises(ValueError):
-            oc.brute_conditional(g, oc.FaultPattern.CYCLIC, 2)
         with pytest.raises(ValueError):
             oc.brute_conditional(g, oc.FaultPattern.EXTRA_SIZE, 3)
         with pytest.raises(oc.BudgetExceededError):
