@@ -2,23 +2,20 @@
 
 Everything here is search, not formula: densest subsets, minimum boundaries,
 conditional and cyclic cuts are found by enumeration so the closed forms can
-be validated against an independent path.  Each subset table is one big int
-with a byte lane (or bit) per subset, built in whole-table passes.  One table
-per graph holds the minimum boundary over all m-subsets for every m; it comes
-from the two label halves, which must be joined by one perfect matching (as in
-every member, every hypercube and enhanced(n, k >= 2)), and it is exact while
-each half fits a byte-lane table: 16 vertices, so n <= 5, a fixed bound and
-not a setting.  As every CubeGraph is regular, each densest-subset value is
-degree * m minus that minimum.  At exhaustive scale (up to 16 vertices), one
-bitmap of the connected subsets gives a lane table holding each connected
-bipartition's boundary (255 on the other masks); xi, the conditional and the
-cyclic cuts are the first that qualify, found boundary by boundary with
-bytes.find, and a side's edge count is read from its boundary.  Past it, one
-rule settles xi, the embedded and the cyclic cuts: a lower bound from the
-per-size table must meet the cut around a canonical witness (the m-set at
-labels 0..m-1, or the K4 at labels 0..3) with both sides connected.  There is
-one such cut per size and graph.  A check with no such witness, or past the
-tables, raises BudgetExceededError rather than returning a partial answer.
+be validated against an independent path.  At exhaustive scale (up to 16
+vertices) one byte-lane table holds the boundary of every vertex subset, and a
+bitmap of the connected subsets turns it into a second that holds each
+connected bipartition's boundary (255 on the other masks).  The least boundary
+per size, xi, the conditional and the cyclic cuts are the first lanes that
+qualify, found boundary by boundary with bytes.find.  As every CubeGraph is
+regular, a side of m vertices holds degree * m - bd doubled edges.  One
+dimension past it, only a graph certified to be built as a member is searched:
+each aligned 2^d block is two 2^(d-1) blocks joined by one perfect matching,
+down to K4s.  A recursion over d bounds its m-subsets' boundaries from below,
+and one rule settles every row: the bound must meet the cut around the
+canonical m-set (labels 0..m-1) with both sides connected.  Otherwise, or past
+that scale, the check raises BudgetExceededError rather than returning a
+partial answer.
 
 Cut searches keep to connected bipartitions: a cut leaving three or more
 components can put back the edges between two adjacent ones and stay valid,
@@ -29,7 +26,7 @@ tests/reference.py that assumes nothing about the components confirms this.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import and_, or_
 
 from .closed_form import (
@@ -49,14 +46,11 @@ from .cube_graph import (
     canonical_set,
     is_connected_induced,
     random_matching_tree,
-    subset_mask,
 )
 
 
 EXHAUSTIVE_N = 4  # one dimension more would be a 2^32-entry subset table
-_FAR = 126  # a byte lane above every distance, so far + 1 stays below the lane's top bit
 _DIGITS, _OUTSIDE = bytes.maketrans(b"\0\xff", b"01"), bytes.maketrans(b"01", b"\xff\0")
-_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 class BudgetExceededError(RuntimeError):
@@ -75,7 +69,7 @@ def _exhaustive(g: CubeGraph) -> bool:
     return g.num_vertices <= 1 << EXHAUSTIVE_N
 
 
-@lru_cache(maxsize=2)  # the vertex counts of one graph and of its label halves
+@lru_cache(maxsize=1)  # one graph's vertex count
 def _holds(nv: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per vertex v, the masks that hold v (2^v no, 2^v yes, repeated) as bits and as 0xff lanes."""
     lanes = ((bytes(1 << v) + b"\xff" * (1 << v)) * (1 << nv - v - 1) for v in range(nv))
@@ -119,63 +113,6 @@ def _connected_masks(adjacency: tuple[int, ...]) -> int:
     return reduce(and_, (r | ~h for h, r in zip(has, reach)), (1 << (1 << len(has))) - 1)
 
 
-@lru_cache(maxsize=32)
-def _size_table(g: CubeGraph) -> tuple[int, ...]:
-    """Per subset size m: the minimum boundary over all m-subsets, from the label halves.
-
-    The cross edges must be one perfect matching pi from the low half L onto
-    the high half R.  Then S = S_L + S_R has bd(S) = bd_L(S_L) + bd_R(S_R) +
-    |pi(S_L) ^ S_R|.  With c(T) = bd_L(pi^-1 T), the distance transform
-    D_k(X) = min over |T| = k of c(T) + |T ^ X| is separable per bit:
-    D_k(X) <- min(D_k(X), D_k(X ^ 2^i) + 1).  Then the answer at m is the
-    minimum of bd_R(X) + D_{m-|X|}(X).  Each D_k is one big int of byte
-    lanes, one per X; the lanes stay below 128, so one subtraction per bit
-    compares all lanes at once.  As bd(S) = bd(V - S), and S or V - S has
-    |S_L| <= w/2, the k <= w/2 transforms reach each m-subset or its complement.
-    The sums bd_R + D_k are kept; then per size j of X, their lanes of other
-    sizes are set to 0xff and the least byte left is found by ascending bytes.find.
-    """
-    if g.num_vertices > 32:  # before g.adjacency, which holds 4^n bits
-        raise BudgetExceededError(
-            f"{g.num_vertices >> 1}-vertex label halves pass a byte-lane table's 16-vertex bound")
-    w, adj = g.num_vertices >> 1, g.adjacency
-    low = (1 << w) - 1
-    cross = [row >> w for row in adj[:w]] + [row & low for row in adj[w:]]
-    if any(c.bit_count() != 1 for c in cross):
-        raise BudgetExceededError("the edges between the label halves are not one perfect matching")
-    pi = [c.bit_length() - 1 for c in cross[:w]]
-    moved = [0] * w  # L relabelled by pi, so that its table is c
-    for u in range(w):
-        moved[pi[u]] = subset_mask(pi[v] for v in _bits(adj[u] & low))
-    lanes = 1 << w
-    c = int.from_bytes(_mask_table(tuple(moved)), "little")
-    right = int.from_bytes(_mask_table(tuple(row >> w for row in adj[w:])), "little")
-    ones = int.from_bytes(b"\1" * lanes, "little")
-    high, far = ones << 7, _FAR * ones
-    # the popcounts of each upper half are those of its lower half + 1
-    pop = reduce(lambda pop, _: pop + pop.translate(_PLUS_ONE), range(w), b"\0")
-
-    def outside(j):  # 0xff on the lanes of the X with |X| != j, 0 on the others
-        return int.from_bytes(pop.translate(b"\xff" * j + b"\0" + b"\xff" * (255 - j)), "little")
-
-    sums = []  # bd_R + D_k per k: its lanes stay below 126 + 64, so below 0xff
-    for k in range(w // 2 + 1):
-        out = outside(k)
-        d = (c & ~out) | (far & out)
-        for i, h in enumerate(_holds(w)[1]):
-            near = (((d & h) >> (8 << i)) | ((d << (8 << i)) & h)) + ones
-            ge = (((d | high) - near) & high) >> 7
-            d ^= (d ^ near) & ((ge << 8) - ge)
-        sums.append(d + right)
-    best = [255] * (2 * w + 1)
-    for j in range(w + 1):
-        out = outside(j)
-        for k, total in enumerate(sums):
-            size_j = (total | out).to_bytes(lanes, "little")
-            best[k + j] = next((b for b in range(best[k + j]) if size_j.find(b) >= 0), best[k + j])
-    return tuple(map(min, best, reversed(best)))
-
-
 @lru_cache(maxsize=1)  # verify_member finishes each member before the next
 def _cut_lanes(g: CubeGraph) -> bytes:
     """Per mask holding vertex 0 with both sides connected and nonempty, its boundary; else 255.
@@ -191,17 +128,77 @@ def _cut_lanes(g: CubeGraph) -> bytes:
     return (bd | int.from_bytes(outside, "little")).to_bytes(size, "little")
 
 
-def _bipartitions(g: CubeGraph):
-    """Each (mask, boundary) of _cut_lanes, by boundary, then mask.
-
-    A scan for the least cut stops at its first pass, so later boundaries are never looked up.
-    """
-    lanes = _cut_lanes(g)
+def _ascending(lanes: bytes):
+    """Each (mask, lane) of the lanes below 255, by lane, then mask, walked lazily."""
     for bd in range(255):
         mask = lanes.find(bd)
         while mask >= 0:
             yield mask, bd
             mask = lanes.find(bd, mask + 1)
+
+
+@lru_cache(maxsize=2)  # one graph's minima over its subsets and over its bipartitions
+def _size_minima(g: CubeGraph, connected: bool) -> tuple[int | None, ...]:
+    """Per m <= nv/2: the least boundary of a set of m vertices or of its complement.
+
+    Over every subset (_mask_table), or over the connected bipartitions
+    (_cut_lanes); None where no set has that size.  The first, so least, lane of
+    each size, walked by ascending boundary until every size has one.
+    """
+    nv, best = g.num_vertices, {}
+    for mask, bd in _ascending(_cut_lanes(g) if connected else _mask_table(g.adjacency)):
+        best.setdefault(min(mask.bit_count(), nv - mask.bit_count()), bd)
+        if len(best) == nv // 2 + 1 - connected:  # no bipartition has an empty side
+            break
+    return tuple(best.get(m) for m in range(nv // 2 + 1))
+
+
+@lru_cache(maxsize=4)  # n = 2..5, each built from the one below
+def _recursion_bound(n: int) -> tuple[int, ...]:
+    """Per m, a lower bound on the boundary of every m-subset of a certified member.
+
+    A K4 leaf has boundaries (0, 3, 4, 3, 0).  Where two halves are joined by
+    one perfect matching pi, S = S_L + S_R has bd(S) = bd_L(S_L) + bd_R(S_R) +
+    |pi(S_L) ^ S_R|, and the last term is at least |a - b| for a = |S_L|,
+    b = |S_R|.  So B_n[m] is the least B_{n-1}[a] + B_{n-1}[b] + |a - b| over
+    a + b = m: a search that never calls f.
+    """
+    if n == 2:
+        return (0, 3, 4, 3, 0)
+    low, half = _recursion_bound(n - 1), 1 << (n - 1)
+    return tuple(min(low[a] + low[m - a] + abs(m - 2 * a)
+                     for a in range(max(0, m - half), min(m, half) + 1))
+                 for m in range(2 * half + 1))
+
+
+@lru_cache(maxsize=1)  # every row of one member asks
+def _certified(g: CubeGraph) -> bool:
+    """Whether each aligned 2^d block of g is two 2^(d-1) blocks joined by one perfect
+    matching, down to K4s, as in every member.
+
+    The rows must be symmetric, and v's neighbours must be v^1, v^2, v^3 and,
+    for each j = 2..n-1, one w with (v ^ w).bit_length() - 1 == j.  Keyed v ^ w
+    below 4 and j + 2 above, each row holds the keys 1..n+1 once, so a repeated
+    v^2 fails, where a check of bit lengths alone would pass it.
+    """
+    keys = list(range(1, g.n + 2))
+    for v in range(g.num_vertices):
+        row = g.row(v)
+        slots = sorted(v ^ w if v ^ w < 4 else (v ^ w).bit_length() + 1 for w in row)
+        if slots != keys or any(v not in g.row(w) for w in row):
+            return False
+    return True
+
+
+def _bound(g: CubeGraph) -> tuple[int, ...]:
+    """Past exhaustive scale, the recursion bound, if g is certified and one dimension past it."""
+    if g.n > EXHAUSTIVE_N + 1:  # outside the cached certificate, which knows no scale
+        raise BudgetExceededError(
+            f"n = {g.n} is past the bounded oracle, which stops at n = {EXHAUSTIVE_N + 1}")
+    if not _certified(g):
+        raise BudgetExceededError(
+            "the rows fail the member certificate: K4 leaves, one matching per gluing")
+    return _recursion_bound(g.n)
 
 
 @lru_cache(maxsize=16)  # the sizes of one n = 5 member: the xi rows, then the blocks and the K4
@@ -222,18 +219,12 @@ def _settled(bound: int, found: int | None, witness: str) -> int:
     raise BudgetExceededError(f"the canonical {witness} gives {found}, not the lower bound {bound}")
 
 
-@lru_cache(maxsize=32)
-def _xi_table(g: CubeGraph) -> tuple[int | None, ...]:
-    """Per small-side size m: xi_m, or None if no bipartition has that size.
-
-    The first, so least, boundary of each size in _bipartitions: exhaustive scale only.
-    """
-    nv, best = g.num_vertices, {}
-    for mask, bd in _bipartitions(g):
-        best.setdefault(min(mask.bit_count(), nv - mask.bit_count()), bd)
-        if len(best) == nv // 2:
-            break
-    return tuple(best.get(m) for m in range(nv // 2 + 1))
+def _least(g: CubeGraph, m: int, connected: bool) -> int | None:
+    """Least boundary over m-subsets, m <= nv/2 (connected: both sides connected); past
+    exhaustive scale the settled witness is connected, so it answers both."""
+    if _exhaustive(g):
+        return _size_minima(g, connected)[m]
+    return _settled(_bound(g)[m], _canonical_cut(g, m), f"{m}-set")
 
 
 def brute_ex(g: CubeGraph, m: int) -> int:
@@ -241,26 +232,20 @@ def brute_ex(g: CubeGraph, m: int) -> int:
 
     Every CubeGraph is regular, and an m-set S of a d-regular graph has
     2 * edges(S) + bd(S) = d * m, so this is d * m minus the minimum boundary
-    over all m-subsets.
+    over all m-subsets, which is that over their complements.
     """
     nv = g.num_vertices
     if not 0 <= m <= nv:
         raise ValueError(f"m must be in [0, {nv}], got {m}")
-    return g.degree(0) * m - _size_table(g)[m]
+    return g.degree(0) * m - _least(g, min(m, nv - m), False)
 
 
 def brute_xi(g: CubeGraph, m: int) -> int:
-    """Minimum boundary over m-subsets with both sides connected.
-
-    Exhaustive scale scans the connected bipartitions.  Past it, the minimum
-    over all m-subsets is a lower bound, settled by the canonical m-set.
-    """
+    """Minimum boundary over m-subsets with both sides connected."""
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    if not _exhaustive(g):
-        return _settled(_size_table(g)[m], _canonical_cut(g, m), f"{m}-set")
-    found = _xi_table(g)[m]
+    found = _least(g, m, True)
     if found is None:
         raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
     return found
@@ -269,13 +254,12 @@ def brute_xi(g: CubeGraph, m: int) -> int:
 def brute_xi_unconstrained(g: CubeGraph, m: int) -> int:
     """Minimum boundary over all m-subsets, no connectivity requirement.
 
-    Read from the per-size table of the two label halves; it exists to test
-    that disconnected optima do not occur.
+    It exists to test that disconnected optima do not occur.
     """
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    return _size_table(g)[m]
+    return _least(g, m, False)
 
 
 def brute_lambda_h(g: CubeGraph, h: int) -> int:
@@ -307,7 +291,7 @@ def _pattern_ok(g: CubeGraph, pattern: FaultPattern, l: int, mask: int, bd: int)
 def _least_cut(g: CubeGraph, side_ok) -> int | None:
     """Least bd of a connected bipartition whose two sides pass side_ok(side, bd), else None."""
     full = (1 << g.num_vertices) - 1
-    return next((bd for mask, bd in _bipartitions(g)
+    return next((bd for mask, bd in _ascending(_cut_lanes(g))
                  if side_ok(mask, bd) and side_ok(full ^ mask, bd)), None)
 
 
@@ -327,40 +311,33 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
         return _settled(brute_lambda_h(g, 1 << l), _canonical_cut(g, 1 << l), f"{1 << l}-block")
     if not _exhaustive(g):
         raise BudgetExceededError("conditional search needs exhaustive scale")
-    best = _least_cut(g, lambda side, bd: _pattern_ok(g, pattern, l, side, bd))
+    best = _least_cut(g, partial(_pattern_ok, g, pattern, l))
     if best is None:
         raise RuntimeError(f"no feasible bipartition for {pattern.name} at l={l}")
     return best
 
 
-def _cyclic_side_ok(g, mask, bd):
-    # a connected side holds a cycle iff it has as many edges as vertices: average degree 2
-    return mask.bit_count() >= 3 and _pattern_ok(g, FaultPattern.AVERAGE_DEGREE, 2, mask, bd)
-
-
 def brute_cyclic(g: CubeGraph) -> int:
     """Minimum boundary over connected bipartitions with a cycle on both sides.
 
-    Exhaustive mode scans all bipartitions.  Past it, a side of m vertices
-    that holds a cycle has at least m internal edges, so its boundary is at
-    most (degree - 2) * m; the least per-size minimum over the sizes m <= nv/2
-    that allow this bounds the cut from below, settled by the canonical 4-set,
-    a K4 on every member.
+    A connected side holds a cycle iff its average degree is at least 2, which
+    no side of 1 or 2 vertices reaches.  Exhaustive mode scans all
+    bipartitions.  Past it, a cyclic side of m vertices has boundary at most
+    (degree - 2) * m; the least bound over the m <= nv/2 that allow this bounds
+    the cut from below, settled by the canonical 4-set.  Both its sides then
+    hold a cycle: labels 0..3 are a K4, and the connected rest of nv - 4 >= m
+    vertices has boundary at most (degree - 2) * m.
     """
     if g.n < 3:
         raise ValueError(f"n must be >= 3, got {g.n}")
     if _exhaustive(g):
-        best = _least_cut(g, lambda side, bd: _cyclic_side_ok(g, side, bd))
+        best = _least_cut(g, partial(_pattern_ok, g, FaultPattern.AVERAGE_DEGREE, 2))
         if best is None:
             raise RuntimeError("no cyclic bipartition found; graph is malformed")
         return best
-
-    rest, found = (1 << g.num_vertices) - 1 ^ 0xF, _canonical_cut(g, 4)  # 0xF: labels 0..3
-    if found is None or not (_cyclic_side_ok(g, 0xF, found) and _cyclic_side_ok(g, rest, found)):
-        raise RuntimeError("no small-side cyclic candidate found")
-    room, least = g.degree(0) - 2, _size_table(g)
-    bound = min(least[m] for m in range(1, len(least) // 2 + 1) if least[m] <= room * m)
-    return _settled(bound, found, "4-set")
+    room, bound = g.degree(0) - 2, _bound(g)
+    least = min(bound[m] for m in range(1, g.num_vertices // 2 + 1) if bound[m] <= room * m)
+    return _settled(least, _canonical_cut(g, 4), "4-set")
 
 
 class CheckEntry(namedtuple("CheckEntry", "member quantity input closed brute match")):

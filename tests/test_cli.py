@@ -318,7 +318,7 @@ class TestVerify:
         assert (code, err) == (1, "")
         assert out.startswith("verification n=3: FAIL\n")
 
-    @pytest.mark.parametrize("n, seeds", [(3, 5), (4, 2), (4, 5), (5, 1), (5, 3)])
+    @pytest.mark.parametrize("n, seeds", [(3, 5), (4, 2), (4, 5), (5, 1), (5, 3), (5, 5)])
     def test_golden(self, n, seeds, tmp_path, capsys):
         target = tmp_path / "v.txt"
         code, out, err = run(["verify", "--n", str(n), "--seeds", str(seeds),

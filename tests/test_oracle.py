@@ -19,7 +19,7 @@ def member(n, seed=None):
 
 
 def halves(search, *args):
-    """search(*args) with an n = 4 graph read from its two n = 3 label halves."""
+    """search(*args) with n = 4 one dimension past exhaustive scale, as n = 5 is in use."""
     saved, oc.EXHAUSTIVE_N = oc.EXHAUSTIVE_N, 3
     try:
         return search(*args)
@@ -58,7 +58,7 @@ class TestBudget:
                     lambda: oc.brute_conditional(g, oc.FaultPattern.EMBEDDED, 2),
                     lambda: oc.brute_cyclic(g)]
         for search in searches:
-            with pytest.raises(oc.BudgetExceededError, match="16-vertex bound"):
+            with pytest.raises(oc.BudgetExceededError, match="n = 12 is past the bounded oracle"):
                 search()
             assert "adjacency" not in g.__dict__
 
@@ -77,17 +77,26 @@ class TestBudget:
         with pytest.raises(ValueError, match="n must be >= 3"):
             oc.brute_cyclic(cg.canonical_member(2))
 
-    def test_cyclic_bound_below_the_witness_is_skipped(self):
-        # enhanced(4, 2) has an 8-edge cyclic cut; the 4-set at labels 0..3 has boundary 12
+    def test_cyclic_bound_below_the_witness_is_skipped(self, monkeypatch):
+        # enhanced(4, 2) has an 8-edge cyclic cut, but it is no member, so no bound reads it
         g = cg.build_enhanced(4, 2)
         assert oc.brute_cyclic(g) == 8
-        with pytest.raises(oc.BudgetExceededError) as info:
+        with pytest.raises(oc.BudgetExceededError, match="member certificate"):
             halves(oc.brute_cyclic, g)
-        assert str(info.value) == "the canonical 4-set gives 12, not the lower bound 8"
+        # on a member the K4 meets the bound 8; a witness of 12 or none is skipped
+        g = member(4, 1)
+        assert halves(oc.brute_cyclic, g) == 8
+        for found, reason in ((12, "the canonical 4-set gives 12, not the lower bound 8"),
+                              (None, "the canonical 4-set has a disconnected side; "
+                                     "the lower bound is 8")):
+            monkeypatch.setattr(oc, "_canonical_cut", lambda g, m, found=found: found)
+            with pytest.raises(oc.BudgetExceededError) as info:
+                halves(oc.brute_cyclic, g)
+            assert str(info.value) == reason
 
 
 def shuffled_member(n, seed, shuffle_seed):
-    """A seeded member relabelled at random: its label halves are no longer its halves."""
+    """A seeded member relabelled at random: its labels no longer follow its gluings."""
     g = member(n, seed)
     nv = 1 << n
     perm = random.Random(shuffle_seed).sample(range(nv), nv)
@@ -117,6 +126,17 @@ def glued(seed):
     return graph_from_rows(4, f"glued{seed}", rows)
 
 
+def refused(g, searches=(oc.brute_ex, oc.brute_xi, oc.brute_xi_unconstrained, oc.brute_lambda_h)):
+    """Assert that the member certificate refuses every bounded search on g; True, so that
+    halves() can run it."""
+    for search in searches:
+        with pytest.raises(oc.BudgetExceededError, match="member certificate"):
+            search(g, 5)
+    with pytest.raises(oc.BudgetExceededError, match="member certificate"):
+        oc.brute_cyclic(g)
+    return True
+
+
 class TestBoundedMode:
     def test_agrees_with_exhaustive_on_the_same_graphs(self):
         for seed in (None, 1, 2, 3):
@@ -128,36 +148,49 @@ class TestBoundedMode:
             assert halves(oc.brute_cyclic, g) == oc.brute_cyclic(g), seed
 
     def test_halves_table_equals_the_per_mask_table(self):
+        # the exhaustive per-size walk reads every graph, enhanced(4, 1) with its two edges
+        # per vertex across the halves too; the bounded path reads members only
         graphs = [member(4, seed) for seed in (None, 1, 2, 3, 4, 5)] + [cg.build_hypercube(4)]
+        graphs += [cg.build_enhanced(4, k) for k in (1, 2, 3)]
         for g in graphs:
-            assert oc._size_table(g) == per_mask_sizes(g), g.kind
+            sizes = per_mask_sizes(g)
+            assert oc._size_minima(g, False) == sizes[:9], g.kind
+            assert [oc.brute_ex(g, m) for m in range(17)] == [
+                g.degree(0) * m - sizes[m] for m in range(17)], g.kind
+            if not oc._certified(g):  # enhanced(4, 3) is the canonical member
+                assert halves(refused, g), g.kind
+                continue
             for m in range(0, 17):
                 assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (g.kind, m)
             for m in range(1, 9):
                 assert halves(oc.brute_xi_unconstrained, g, m) == oc.brute_xi_unconstrained(
-                    g, m), (g.kind, m)
+                    g, m) == sizes[m], (g.kind, m)
 
     def test_halves_table_outside_the_family(self):
         for seed in range(20):
             g = glued(seed)
-            assert oc._size_table(g) == per_mask_sizes(g), seed
-            for m in range(0, 17):
-                assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (seed, m)
+            sizes = per_mask_sizes(g)
+            assert oc._size_minima(g, False) == sizes[:9], seed
+            assert [oc.brute_ex(g, m) for m in range(17)] == [
+                4 * m - sizes[m] for m in range(17)], seed
+            assert halves(refused, g), seed
 
-    def test_size_table_needs_one_matching_at_exhaustive_scale(self):
-        # enhanced(4, 1) joins each vertex to the other half twice, so no size table reads it
-        with pytest.raises(oc.BudgetExceededError, match="not one perfect matching"):
-            oc.brute_ex(cg.build_enhanced(4, 1), 5)
-
-    def test_unsettled_xi_names_its_reason(self):
-        # the least 2-set boundary of glued(0) is 6, but labels 0, 1 are not adjacent
-        g = glued(0)
-        reason = "the canonical 2-set has a disconnected side; the lower bound is 6"
-        assert halves(oc.brute_xi, g, 1) == 4
-        for search, arg in ((oc.brute_xi, 2), (oc.brute_lambda_h, 1)):
-            with pytest.raises(oc.BudgetExceededError) as info:
-                halves(search, g, arg)
-            assert str(info.value) == reason, search.__name__
+    def test_unsettled_xi_names_its_reason(self, monkeypatch):
+        # glued(0) is no member; on a member, a witness off the bound 8 names both numbers
+        assert oc.brute_xi(glued(0), 1) == 4
+        assert halves(refused, glued(0))
+        g, cut = member(4, 2), oc._canonical_cut
+        for found, reason in ((None, "the canonical 2-set has a disconnected side; "
+                                     "the lower bound is 8"),
+                              (9, "the canonical 2-set gives 9, not the lower bound 8")):
+            monkeypatch.setattr(oc, "_canonical_cut",
+                                lambda g, m, found=found: found if m == 2 else cut(g, m))
+            assert halves(oc.brute_xi, g, 1) == 5
+            for search, arg in ((oc.brute_xi, 2), (oc.brute_xi_unconstrained, 2),
+                                (oc.brute_ex, 2), (oc.brute_lambda_h, 1)):
+                with pytest.raises(oc.BudgetExceededError) as info:
+                    halves(search, g, arg)
+                assert str(info.value) == reason, search.__name__
 
     def test_cached_tables_answer_only_at_their_own_scale(self):
         # a graph checked exhaustively is refused once the scale is lowered, and back again
@@ -165,20 +198,35 @@ class TestBoundedMode:
         assert oc.brute_xi(g, 2) == 6
         with pytest.raises(oc.BudgetExceededError) as info:
             halves(oc.brute_xi, g, 2)
-        assert str(info.value) == "the canonical 2-set has a disconnected side; the lower bound is 6"
+        assert str(info.value) == (
+            "the rows fail the member certificate: K4 leaves, one matching per gluing")
         assert oc.brute_xi(g, 2) == 6
+        g = member(4, 3)  # a member is answered at both scales, from each scale's own cache
+        assert halves(oc.brute_xi, g, 3) == oc.brute_xi(g, 3) == halves(oc.brute_xi, g, 3) == 9
+        g = member(5, 3)  # the scale is checked outside the cached certificate
+        assert oc.brute_xi(g, 3) == 12
+        with pytest.raises(oc.BudgetExceededError, match="n = 5 is past the bounded oracle"):
+            halves(oc.brute_xi, g, 3)
+        assert oc.brute_xi(g, 3) == 12
 
-    def test_embedded_from_the_size_bound_and_the_canonical_block(self):
-        graphs = [member(4, seed) for seed in (None, 1, 2, 3, 4, 5)] + [cg.build_hypercube(4)]
-        for g in graphs:
+    def test_embedded_from_the_size_bound_and_the_canonical_block(self, monkeypatch):
+        embedded = oc.FaultPattern.EMBEDDED
+        for seed in (None, 1, 2, 3, 4, 5):
+            g = member(4, seed)
             for l in (2, 3):
-                assert halves(oc.brute_conditional, g, oc.FaultPattern.EMBEDDED, l) == \
-                    oc.brute_conditional(g, oc.FaultPattern.EMBEDDED, l) == 8, (g.kind, l)
-        # enhanced(4, 2) has an 8-edge cut between aligned 4-blocks, but not around labels 0..3
-        g = cg.build_enhanced(4, 2)
-        assert oc.brute_conditional(g, oc.FaultPattern.EMBEDDED, 2) == 8
-        with pytest.raises(oc.BudgetExceededError, match="4-block gives 12, not the lower bound 8"):
-            halves(oc.brute_conditional, g, oc.FaultPattern.EMBEDDED, 2)
+                assert halves(oc.brute_conditional, g, embedded, l) == \
+                    oc.brute_conditional(g, embedded, l) == 8, (seed, l)
+        # the hypercube and enhanced(4, 2) have an 8-edge cut between aligned 4-blocks, but
+        # they are no members, so only the exhaustive search reads them
+        for g in (cg.build_hypercube(4), cg.build_enhanced(4, 2)):
+            assert oc.brute_conditional(g, embedded, 2) == 8, g.kind
+            with pytest.raises(oc.BudgetExceededError, match="member certificate"):
+                halves(oc.brute_conditional, g, embedded, 2)
+        # a bound the canonical block misses names both numbers
+        monkeypatch.setattr(oc, "brute_lambda_h", lambda g, h: 7)
+        with pytest.raises(oc.BudgetExceededError) as info:
+            halves(oc.brute_conditional, member(4, 1), embedded, 2)
+        assert str(info.value) == "the canonical 4-block gives 8, not the lower bound 7"
 
     def test_n5_checks_one_canonical_cut_per_size(self, monkeypatch):
         # one cut per size serves the xi, lambda and extra-size rows, the embedded 4-, 8- and
@@ -192,14 +240,9 @@ class TestBoundedMode:
 
     def test_rejects_halves_not_joined_by_one_matching(self):
         # enhanced(4, 1) joins each vertex to the other half twice; the shuffle mixes the halves
-        shuffled = shuffled_member(4, 5, 9)
-        for g in (cg.build_enhanced(4, 1), shuffled):
-            for search in (oc.brute_ex, oc.brute_xi, oc.brute_xi_unconstrained):
-                with pytest.raises(oc.BudgetExceededError):
-                    halves(search, g, 5)
-        # the bounded cyclic cut needs a cyclic 4-set at labels 0..3, which the shuffle breaks
-        with pytest.raises(RuntimeError, match="no small-side cyclic candidate"):
-            halves(oc.brute_cyclic, shuffled)
+        for g in (cg.build_enhanced(4, 1), shuffled_member(4, 5, 9)):
+            assert not oc._certified(g)
+            assert halves(refused, g), g.kind
 
     def test_n5_equals_the_closed_forms(self):
         for seed in (None, 1):
@@ -214,6 +257,85 @@ class TestBoundedMode:
             for l in (2, 3, 4):
                 assert oc.brute_conditional(g, cf.FaultPattern.EXTRA_SIZE, l) == (
                     cf.conditional_lambda(cf.FaultPattern.EXTRA_SIZE, l, 5)), (seed, l)
+
+
+def mutated(n, seed, edit):
+    """A member whose rows, as lists, are changed in place by edit."""
+    g = member(n, seed)
+    rows = [list(g.row(v)) for v in range(g.num_vertices)]
+    edit(rows)
+    return graph_from_rows(n, "mutated", rows)
+
+
+def swap_partners(rows):  # vertices 0 and 1 trade their partners across the top gluing
+    rows[0][3], rows[1][3] = rows[1][3], rows[0][3]
+
+
+def repeat_a_leaf(rows):
+    """0 and 3 list v^2 for v^3, so v^2 twice: v^2 and v^3 have the same bit length, and
+    every row still holds each vertex that lists it."""
+    rows[0][2], rows[3][2] = 2, 1
+
+
+def one_sided(rows):  # 0's top partner moves to another vertex of the same half
+    rows[0][3] ^= 1
+
+
+class TestCertificate:
+    def test_members_pass_and_other_graphs_fail(self):
+        for n in range(2, 8):
+            for seed in (None, 1, 2):
+                assert oc._certified(member(n, seed)), (n, seed)
+        others = [cg.build_hypercube(n) for n in (3, 4, 5)] + [glued(0), shuffled_member(4, 5, 9)]
+        others += [cg.build_enhanced(n, k) for n in (3, 4, 5) for k in range(1, n - 1)]
+        assert not any(oc._certified(g) for g in others)
+        assert oc._certified(cg.build_enhanced(5, 4))  # enhanced(n, n-1) is the canonical member
+
+    @pytest.mark.parametrize("edit", [swap_partners, repeat_a_leaf, one_sided])
+    def test_one_changed_row_fails(self, edit):
+        for n, seed in ((4, None), (4, 1), (5, None), (5, 2)):
+            g = mutated(n, seed, edit)
+            assert not oc._certified(g), (n, seed)
+            assert (refused(g) if n == 5 else halves(refused, g)), (n, seed)
+
+
+class TestRecursionBound:
+    def test_equals_the_per_mask_minima_of_members(self):
+        # the least boundary per size, mask by mask, and the bounded path read from it at n = 4;
+        # the K4 alone shows its entry at m = 2, which no minimum at n >= 3 attains
+        for n in (2, 3, 4):
+            for seed in (None, 1, 2, 3):
+                g = member(n, seed)
+                assert oc._recursion_bound(n) == per_mask_sizes(g), (n, seed)
+        for seed in (None, 1, 2, 3):
+            g = member(4, seed)
+            assert [halves(oc.brute_xi_unconstrained, g, m) for m in range(1, 9)] == list(
+                per_mask_sizes(g)[1:9]), seed
+
+    def test_equals_the_closed_form(self):
+        for n in range(2, 10):
+            bound = oc._recursion_bound(n)
+            assert bound == tuple((n + 1) * m - cf.f_value(m) for m in range(len(bound))), n
+            assert bound == bound[::-1], n
+
+    def test_n5_reads_no_bitmask_rows(self):
+        # the bound, the certificate and the canonical cuts all walk the rows
+        for g in (cg.canonical_member(5), member(5, 4)):
+            assert oc.brute_ex(g, 7) == cf.f_value(7)
+            assert oc.brute_xi(g, 7) == cf.xi_h4(7, 5)
+            assert oc.brute_cyclic(g) == 12
+            assert "adjacency" not in g.__dict__
+
+    def test_the_cyclic_witness_has_a_cycle_on_both_sides(self):
+        # brute_cyclic leaves the canonical 4-set's sides unchecked: a K4, and a connected rest
+        # with average degree at least 2
+        average = cf.FaultPattern.AVERAGE_DEGREE
+        for n in (4, 5):
+            for seed in (None, 1, 2, 3):
+                g = member(n, seed)
+                bd, rest = oc._canonical_cut(g, 4), range(4, g.num_vertices)
+                assert bd is not None and cg.induced_edge_count(g, range(4)) == 6, (n, seed)
+                assert oc._pattern_ok(g, average, 2, cg.subset_mask(rest), bd), (n, seed)
 
 
 def two_cubes():
@@ -251,15 +373,17 @@ class TestConnectivityBitmap:
     def test_bipartitions_and_per_size_minima_agree_with_the_per_mask_scan(self):
         for g in bitmap_graphs():
             nv, expected = g.num_vertices, bfs_bipartitions(g)
-            assert tuple(oc._bipartitions(g)) == tuple(sorted(expected, key=lambda p: p[::-1])), (
-                g.kind)
+            assert tuple(oc._ascending(oc._cut_lanes(g))) == tuple(
+                sorted(expected, key=lambda p: p[::-1])), g.kind
             minima = [None]  # no bipartition has an empty side
             for m in range(1, nv // 2 + 1):
                 bds = [bd for mask, bd in expected
                          if m in (mask.bit_count(), nv - mask.bit_count())]
                 minima.append(min(bds, default=None))
-            assert oc._xi_table(g) == tuple(minima), g.kind
-        assert tuple(oc._bipartitions(two_cubes())) == ((0xFF, 0),)  # the two cubes, nothing else
+            assert oc._size_minima(g, True) == tuple(minima), g.kind
+            assert oc._size_minima(g, False) == per_mask_sizes(g)[:nv // 2 + 1], g.kind
+        # the two cubes, nothing else
+        assert tuple(oc._ascending(oc._cut_lanes(two_cubes()))) == ((0xFF, 0),)
 
     def test_canonical_cut_agrees_with_the_bipartition_lanes(self):
         # two walks of the graph's rows against the lane table of the connectivity bitmap
@@ -272,7 +396,7 @@ class TestConnectivityBitmap:
     def test_least_cut_stops_at_the_full_scan_minimum(self):
         def full_scan(g, side_ok):
             full, best = (1 << g.num_vertices) - 1, None
-            for mask, bd in oc._bipartitions(g):
+            for mask, bd in oc._ascending(oc._cut_lanes(g)):
                 if (best is None or bd < best) and side_ok(mask) and side_ok(full ^ mask):
                     best = bd
             return best
@@ -288,7 +412,8 @@ class TestConnectivityBitmap:
             """Each oracle side check, which is given the cut's boundary, and the same check
             counted vertex by vertex."""
             p, adj = cf.FaultPattern, g.adjacency
-            yield (lambda side, bd: oc._cyclic_side_ok(g, side, bd),
+            # brute_cyclic's side test: average degree 2, which needs 3 vertices or more
+            yield (lambda side, bd: oc._pattern_ok(g, p.AVERAGE_DEGREE, 2, side, bd),
                    counted(adj, lambda m, e2, least: m >= 3 and e2 >= 2 * m))
             for l in range(2, g.n):
                 yield (lambda side, bd, l=l: oc._pattern_ok(g, p.SUPER_DEGREE, l, side, bd),
@@ -301,13 +426,19 @@ class TestConnectivityBitmap:
         for g in bitmap_graphs():
             for side_ok, reference in checks(g):
                 assert oc._least_cut(g, side_ok) == full_scan(g, reference), g.kind
+            # no cyclic side has 1 or 2 vertices (u == v: one), as brute_cyclic assumes
+            nv, bd = g.num_vertices, oc._mask_table(g.adjacency)
+            small = [1 << u | 1 << v for v in range(nv) for u in range(v + 1)]
+            assert not any(oc._pattern_ok(g, cf.FaultPattern.AVERAGE_DEGREE, 2, side, bd[side])
+                           for side in small), g.kind
 
 
 class TestMemory:
     def test_verify_peaks_below_3_5_mb_with_cold_caches(self):
-        # one byte lane per mask, where one (mask, boundary) pair per connected bipartition
-        # and a gathered tuple per size transform peaked at about 4.6 and 5.8 MB
-        for n, seeds in ((4, [1]), (5, [])):
+        # at n = 4 one byte lane per mask, where one (mask, boundary) pair per connected
+        # bipartition peaked at about 4.6 MB; at n = 5 no subset table, where the label
+        # halves' size transforms peaked at about 2.9 MB
+        for n, seeds, bound in ((4, [1], 3.5e6), (5, [], 0.5e6)):
             for cached in vars(oc).values():
                 if hasattr(cached, "cache_clear"):
                     cached.cache_clear()
@@ -317,11 +448,11 @@ class TestMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 3.5e6, (n, peak)
+            assert peak < bound, (n, peak)
 
     def test_bipartitions_are_walked_lazily(self):
         g = member(4, 1)
-        cuts = oc._bipartitions(g)
+        cuts = oc._ascending(oc._cut_lanes(g))
         assert iter(cuts) is cuts
         assert next(cuts) == min(bfs_bipartitions(g), key=lambda p: p[::-1])
 
@@ -334,24 +465,13 @@ def boundary_table(g):
     return bytes(cg.boundary_size(g, s) for s in subsets)
 
 
-def rows_graph(adjacency):
-    """The regular graph with these bitmask rows."""
-    rows = [[v for v in range(len(adjacency)) if row >> v & 1] for row in adjacency]
-    assert len({len(row) for row in rows}) == 1
-    return graph_from_rows(len(adjacency).bit_length() - 1, "rows", rows)
-
-
 class TestMaskTable:
-    def test_every_entry_is_the_boundary_of_its_set(self, monkeypatch):
+    def test_every_entry_is_the_boundary_of_its_set(self):
         graphs = [g for g in bitmap_graphs() if g.num_vertices == 8]
-        graphs += [member(4), member(4, 1), cg.build_enhanced(4, 2)]
-        mask_table, halves_read = oc._mask_table, []
-        monkeypatch.setattr(oc, "_mask_table", lambda adj: halves_read.append(adj) or mask_table(adj))
-        oc._size_table.__wrapped__(member(5))
-        assert [len(adj) for adj in halves_read] == [16, 16]
-        graphs += [rows_graph(adj) for adj in halves_read]
+        graphs += [member(4), member(4, 1), cg.build_enhanced(4, 2), cg.build_hypercube(4),
+                   glued(0), shuffled_member(4, 5, 9)]
         for g in graphs:
-            assert mask_table(g.adjacency) == boundary_table(g), g.kind
+            assert oc._mask_table(g.adjacency) == boundary_table(g), g.kind
 
     def test_refuses_more_vertices_than_a_byte_lane_holds(self):
         with pytest.raises(oc.BudgetExceededError, match="16-vertex bound"):
@@ -462,8 +582,11 @@ class TestConditionalAndCyclic:
         # the values a branch-and-bound over all bipartitions finds
         for seed in (None, 1, 2, 3):
             assert oc.brute_cyclic(member(5, seed)) == 12, seed
-        assert oc.brute_cyclic(cg.build_hypercube(5)) == 12
-        assert [oc.brute_cyclic(cg.build_enhanced(5, k)) for k in (2, 3, 4)] == [16, 16, 12]
+        assert oc.brute_cyclic(cg.build_enhanced(5, 4)) == 12  # the canonical member
+        # graphs outside the family carry no recursion bound, so they are refused
+        for g in [cg.build_hypercube(5)] + [cg.build_enhanced(5, k) for k in (2, 3)]:
+            with pytest.raises(oc.BudgetExceededError, match="member certificate"):
+                oc.brute_cyclic(g)
 
     def test_k4_cut_meets_super_and_average_degree_at_n5(self):
         # both sides of the K4 cut pass both patterns at l = 3 with 12 crossing edges, yet
