@@ -6,16 +6,15 @@ be validated against an independent path.  At exhaustive scale (up to 16
 vertices) one byte-lane table holds the boundary of every vertex subset, and a
 bitmap of the connected subsets turns it into a second that holds each
 connected bipartition's boundary (255 on the other masks).  The least boundary
-per size, xi, the conditional and the cyclic cuts are the first lanes that
-qualify, found boundary by boundary with bytes.find.  As every CubeGraph is
-regular, a side of m vertices holds degree * m - bd doubled edges.  One
-dimension past it, only a graph certified to be built as a member is searched:
-each aligned 2^d block is two 2^(d-1) blocks joined by one perfect matching,
-down to K4s.  A recursion over d bounds its m-subsets' boundaries from below,
-and one rule settles every row: the bound must meet the cut around the
-canonical m-set (labels 0..m-1) with both sides connected.  Otherwise, or past
-that scale, the check raises BudgetExceededError rather than returning a
-partial answer.
+per size, xi and the super-degree cut are the first lanes that qualify, found
+boundary by boundary with bytes.find.  One dimension past it, only a graph
+certified to be built as a member is searched: each aligned 2^d block is two
+2^(d-1) blocks joined by one perfect matching, down to K4s.  A recursion over
+d bounds its m-subsets' boundaries from below, and the bound must meet the cut
+around the canonical m-set (labels 0..m-1) with both sides connected.
+Otherwise, or past that scale, the check raises BudgetExceededError rather
+than returning a partial answer.  At every scale the cyclic, average-degree
+and embedded cuts are the least xi_m over a set of sizes m.
 
 Cut searches keep to connected bipartitions: a cut leaving three or more
 components can put back the edges between two adjacent ones and stay valid,
@@ -26,7 +25,7 @@ tests/reference.py that assumes nothing about the components confirms this.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from operator import and_, or_
 
 from .closed_form import (
@@ -201,7 +200,7 @@ def _bound(g: CubeGraph) -> tuple[int, ...]:
     return _recursion_bound(g.n)
 
 
-@lru_cache(maxsize=16)  # the sizes of one n = 5 member: the xi rows, then the blocks and the K4
+@lru_cache(maxsize=16)  # one n = 5 member's sizes: every witness is a xi size in 1..nv/2
 def _canonical_cut(g: CubeGraph, m: int) -> int | None:
     """Boundary of the canonical m-set (labels 0..m-1) if both sides are connected, else None."""
     if is_connected_induced(g, range(m)) and is_connected_induced(g, range(m, g.num_vertices)):
@@ -270,74 +269,63 @@ def brute_lambda_h(g: CubeGraph, h: int) -> int:
     return min(brute_xi(g, m) for m in range(h, nv // 2 + 1))
 
 
-def _embedded_ok(n, l, mask):
-    """True iff every vertex of the side lies in a wholly contained prefix subcube."""
-    blocks = (((1 << (1 << l)) - 1) << (prefix << l) for prefix in range(1 << (n - l)))
-    return mask & ~reduce(or_, (b for b in blocks if b & ~mask == 0), 0) == 0
+def _room_min(g: CubeGraph, r: int) -> int | None:
+    """Least xi_m <= (degree - r) * m over the m <= nv/2 that have a connected bipartition."""
+    room = g.degree(0) - r
+    return min((xi for m in range(1, g.num_vertices // 2 + 1)
+                if (xi := _least(g, m, True)) is not None and xi <= room * m), default=None)
 
 
-def _pattern_ok(g: CubeGraph, pattern: FaultPattern, l: int, mask: int, bd: int) -> bool:
-    """Whether a side passes the pattern at l; bd is its boundary."""
-    if pattern is FaultPattern.SUPER_DEGREE:
-        return all((g.adjacency[v] & mask).bit_count() >= l for v in _bits(mask))
-    if pattern is FaultPattern.AVERAGE_DEGREE:
-        # a regular graph's side of m vertices holds d * m - bd doubled edges
-        return bd <= (g.degree(0) - l) * mask.bit_count()
-    if pattern is FaultPattern.EMBEDDED:
-        return _embedded_ok(g.n, l, mask)
-    raise ValueError(f"unsupported pattern {pattern}")
-
-
-def _least_cut(g: CubeGraph, side_ok) -> int | None:
-    """Least bd of a connected bipartition whose two sides pass side_ok(side, bd), else None."""
-    full = (1 << g.num_vertices) - 1
+def _least_cut(g: CubeGraph, l: int) -> int | None:
+    """Least bd of a connected bipartition whose sides each have minimum inner degree >= l."""
+    adjacency, full = g.adjacency, (1 << g.num_vertices) - 1
     return next((bd for mask, bd in _ascending(_cut_lanes(g))
-                 if side_ok(mask, bd) and side_ok(full ^ mask, bd)), None)
+                 if all((adjacency[v] & side).bit_count() >= l
+                        for side in (mask, full ^ mask) for v in _bits(side))), None)
 
 
 def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
     """Minimum boundary over connected bipartitions where both sides satisfy the pattern.
 
     Both sides of EXTRA_SIZE hold at least 2^l vertices, which is the small side
-    holding at least 2^l: that is brute_lambda_h(g, 2^l).  Both sides of EMBEDDED are
-    unions of aligned 2^l blocks, so that bounds it; past exhaustive scale the
-    bound is settled by the canonical 2^l block.
+    holding at least 2^l: that is brute_lambda_h(g, 2^l).  AVERAGE_DEGREE is
+    _room_min(g, l), exact as brute_cyclic shows; it and SUPER_DEGREE stop at
+    exhaustive scale.  Both sides of EMBEDDED are unions of aligned 2^l blocks, so
+    the least xi_m over the multiples m of 2^l bounds it, and the canonical m-set
+    at the least m that attains it settles it: a prefix whose length is a multiple
+    of 2^l is a union of aligned 2^l blocks, and so is its complement.
     """
     if not 2 <= l <= g.n - 1:
         raise ValueError(f"l must be in [2, {g.n - 1}], got {l}")
     if pattern is FaultPattern.EXTRA_SIZE:
         return brute_lambda_h(g, 1 << l)
-    if pattern is FaultPattern.EMBEDDED and not _exhaustive(g):
-        return _settled(brute_lambda_h(g, 1 << l), _canonical_cut(g, 1 << l), f"{1 << l}-block")
-    if not _exhaustive(g):
+    if pattern is FaultPattern.EMBEDDED:
+        sizes = range(1 << l, g.num_vertices // 2 + 1, 1 << l)
+        cut = min(((xi, m) for m in sizes if (xi := _least(g, m, True)) is not None), default=None)
+        best = None if cut is None else _settled(cut[0], _canonical_cut(g, cut[1]), f"{cut[1]}-set")
+    elif not _exhaustive(g):
         raise BudgetExceededError("conditional search needs exhaustive scale")
-    best = _least_cut(g, partial(_pattern_ok, g, pattern, l))
+    else:
+        best = _room_min(g, l) if pattern is FaultPattern.AVERAGE_DEGREE else _least_cut(g, l)
     if best is None:
         raise RuntimeError(f"no feasible bipartition for {pattern.name} at l={l}")
     return best
 
 
 def brute_cyclic(g: CubeGraph) -> int:
-    """Minimum boundary over connected bipartitions with a cycle on both sides.
+    """Minimum boundary over connected bipartitions with a cycle on both sides: _room_min(g, 2).
 
-    A connected side holds a cycle iff its average degree is at least 2, which
-    no side of 1 or 2 vertices reaches.  Exhaustive mode scans all
-    bipartitions.  Past it, a cyclic side of m vertices has boundary at most
-    (degree - 2) * m; the least bound over the m <= nv/2 that allow this bounds
-    the cut from below, settled by the canonical 4-set.  Both its sides then
-    hold a cycle: labels 0..3 are a K4, and the connected rest of nv - 4 >= m
-    vertices has boundary at most (degree - 2) * m.
+    A connected side holds a cycle iff its average degree is at least 2.  As g
+    is regular, a side S has 2 * edges(S) = degree * |S| - bd, so its average
+    degree is at least r iff bd <= (degree - r) * |S|, and the small side's
+    inequality implies the large side's: the least xi_m that passes is exact.
     """
     if g.n < 3:
         raise ValueError(f"n must be >= 3, got {g.n}")
-    if _exhaustive(g):
-        best = _least_cut(g, partial(_pattern_ok, g, FaultPattern.AVERAGE_DEGREE, 2))
-        if best is None:
-            raise RuntimeError("no cyclic bipartition found; graph is malformed")
-        return best
-    room, bound = g.degree(0) - 2, _bound(g)
-    least = min(bound[m] for m in range(1, g.num_vertices // 2 + 1) if bound[m] <= room * m)
-    return _settled(least, _canonical_cut(g, 4), "4-set")
+    best = _room_min(g, 2)
+    if best is None:
+        raise RuntimeError("no cyclic bipartition found; graph is malformed")
+    return best
 
 
 class CheckEntry(namedtuple("CheckEntry", "member quantity input closed brute match")):

@@ -1,12 +1,14 @@
 """Reference searches that the oracle's answers are compared against.
 
-They walk the graph subset by subset, with no tables, so they only run at
-n <= 4: an edge-subset search for lambda_h that assumes nothing about how
-many components a cut leaves, the average-degree size floor, and the
-bitmask component walk both they and the connectivity tests rest on.  The
-identity levels are the canonical member's recipe, recursive_levels draws a
-member's levels by the recursion they describe, and graph_from_rows packs
-hand-made rows as cube_graph packs its own.
+They walk the graph subset by subset, so they only run at n <= 4: an
+edge-subset search for lambda_h that assumes nothing about how many
+components a cut leaves, the average-degree size floor, the connected
+bipartitions by two component walks per mask, the least cut among them whose
+sides pass a side test (inner degrees counted vertex by vertex, or aligned
+label blocks), and the bitmask component walk they and the connectivity
+tests rest on.  The identity levels are the canonical member's recipe,
+recursive_levels draws a member's levels by the recursion they describe, and
+graph_from_rows packs hand-made rows as cube_graph packs its own.
 """
 
 import random
@@ -63,6 +65,42 @@ def component(adjacency, mask):
 
 def mask_connected(adjacency, mask):
     return component(adjacency, mask) == mask
+
+
+def bfs_bipartitions(g):
+    """(mask, boundary) of each bipartition, its mask holding vertex 0, with both sides connected
+    and nonempty: two component walks per mask."""
+    adj, full = g.adjacency, (1 << g.num_vertices) - 1
+    bd = _mask_table(adj)
+    return tuple((mask, bd[mask]) for mask in range(1, full, 2)
+                 if mask_connected(adj, mask) and mask_connected(adj, full ^ mask))
+
+
+def least_cut(g, bipartitions, side_ok):
+    """Least boundary among bfs_bipartitions(g) whose two sides pass side_ok, else None."""
+    full = (1 << g.num_vertices) - 1
+    return next((bd for mask, bd in sorted(bipartitions, key=lambda p: p[1])
+                 if side_ok(mask) and side_ok(full ^ mask)), None)
+
+
+def min_degree_side(adjacency, l, side):
+    """Whether every vertex of the side has at least l neighbours inside it."""
+    return all((adjacency[v] & side).bit_count() >= l for v in _bits(side))
+
+
+def average_degree_side(adjacency, l, side):
+    """Whether the side's inner degrees, counted vertex by vertex, sum to at least l per vertex.
+
+    At l = 2 this is the cyclic side test: a connected side holds a cycle iff it has at
+    least as many edges as vertices.
+    """
+    return sum((adjacency[v] & side).bit_count() for v in _bits(side)) >= l * side.bit_count()
+
+
+def embedded_side(l, side):
+    """Whether every vertex of the side lies in an aligned 2^l block of labels wholly inside it."""
+    block = (1 << (1 << l)) - 1
+    return all(side >> (v >> l << l) & block == block for v in _bits(side))
 
 
 def brute_lambda_h_unrestricted(g, h, max_cut=8):

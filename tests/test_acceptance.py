@@ -105,7 +105,8 @@ def test_criterion_06_cyclic_oracle(capsys):
         for g in members(5, range(1, 3)):
             assert oc.brute_cyclic(g) == 12
 
-    _gate(capsys, 6, "cyclic oracle: 4, 8 exhaustive and 12 by recursion bound and K4", 120.0, body)
+    _gate(capsys, 6, "cyclic oracle: least xi_m with room for a cycle, 4, 8 exhaustive, 12 settled",
+          120.0, body)
 
 
 def test_criterion_07_fast_lambda_equals_scan(capsys):

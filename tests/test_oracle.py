@@ -2,14 +2,16 @@
 
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 
 from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
 from k4rel import oracle as oc
-from reference import (average_degree_floor_check, brute_lambda_h_unrestricted, graph_from_rows,
-                       mask_connected)
+from reference import (average_degree_floor_check, average_degree_side, bfs_bipartitions,
+                       brute_lambda_h_unrestricted, embedded_side, graph_from_rows, least_cut,
+                       mask_connected, min_degree_side)
 
 
 def member(n, seed=None):
@@ -83,13 +85,15 @@ class TestBudget:
         assert oc.brute_cyclic(g) == 8
         with pytest.raises(oc.BudgetExceededError, match="member certificate"):
             halves(oc.brute_cyclic, g)
-        # on a member the K4 meets the bound 8; a witness of 12 or none is skipped
-        g = member(4, 1)
+        # on a member the settled xi of every size gives 8; a 4-set witness of 12 or none is
+        # skipped, as cyclic reads xi_4
+        g, cut = member(4, 1), oc._canonical_cut
         assert halves(oc.brute_cyclic, g) == 8
         for found, reason in ((12, "the canonical 4-set gives 12, not the lower bound 8"),
                               (None, "the canonical 4-set has a disconnected side; "
                                      "the lower bound is 8")):
-            monkeypatch.setattr(oc, "_canonical_cut", lambda g, m, found=found: found)
+            monkeypatch.setattr(oc, "_canonical_cut",
+                                lambda g, m, found=found: found if m == 4 else cut(g, m))
             with pytest.raises(oc.BudgetExceededError) as info:
                 halves(oc.brute_cyclic, g)
             assert str(info.value) == reason
@@ -222,15 +226,24 @@ class TestBoundedMode:
             assert oc.brute_conditional(g, embedded, 2) == 8, g.kind
             with pytest.raises(oc.BudgetExceededError, match="member certificate"):
                 halves(oc.brute_conditional, g, embedded, 2)
-        # a bound the canonical block misses names both numbers
-        monkeypatch.setattr(oc, "brute_lambda_h", lambda g, h: 7)
-        with pytest.raises(oc.BudgetExceededError) as info:
-            halves(oc.brute_conditional, member(4, 1), embedded, 2)
-        assert str(info.value) == "the canonical 4-block gives 8, not the lower bound 7"
+        # at every scale, a canonical block off the least xi names both numbers; exhaustively
+        # only the embedded row reads the witness, and at l = 2 it is the 4-set, the least of
+        # the sizes 4 and 8 where xi is 8
+        g, cut = member(4, 1), oc._canonical_cut
+        for found, reason in ((9, "the canonical 4-set gives 9, not the lower bound 8"),
+                              (None, "the canonical 4-set has a disconnected side; "
+                                     "the lower bound is 8")):
+            monkeypatch.setattr(oc, "_canonical_cut",
+                                lambda g, m, found=found: found if m == 4 else cut(g, m))
+            for search in (oc.brute_conditional, lambda *args: halves(oc.brute_conditional, *args)):
+                with pytest.raises(oc.BudgetExceededError) as info:
+                    search(g, embedded, 2)
+                assert str(info.value) == reason
+            assert oc.brute_conditional(g, embedded, 3) == 8
 
     def test_n5_checks_one_canonical_cut_per_size(self, monkeypatch):
-        # one cut per size serves the xi, lambda and extra-size rows, the embedded 4-, 8- and
-        # 16-blocks and the cyclic K4: each canonical set's boundary is walked once
+        # one cut per size serves the xi, lambda, extra-size, embedded and cyclic rows: each
+        # canonical set's boundary is walked once
         walk, sizes = oc.boundary_size, []
         monkeypatch.setattr(oc, "boundary_size",
                             lambda g, members: sizes.append(len(members)) or walk(g, members))
@@ -326,17 +339,6 @@ class TestRecursionBound:
             assert oc.brute_cyclic(g) == 12
             assert "adjacency" not in g.__dict__
 
-    def test_the_cyclic_witness_has_a_cycle_on_both_sides(self):
-        # brute_cyclic leaves the canonical 4-set's sides unchecked: a K4, and a connected rest
-        # with average degree at least 2
-        average = cf.FaultPattern.AVERAGE_DEGREE
-        for n in (4, 5):
-            for seed in (None, 1, 2, 3):
-                g = member(n, seed)
-                bd, rest = oc._canonical_cut(g, 4), range(4, g.num_vertices)
-                assert bd is not None and cg.induced_edge_count(g, range(4)) == 6, (n, seed)
-                assert oc._pattern_ok(g, average, 2, cg.subset_mask(rest), bd), (n, seed)
-
 
 def two_cubes():
     """Two disjoint 3-cubes on 16 vertices: a graph whose full mask is disconnected."""
@@ -347,14 +349,6 @@ def bitmap_graphs():
     return ([member(3), member(4)] + [member(4, seed) for seed in (1, 2, 3)]
             + [cg.build_hypercube(4)] + [cg.build_enhanced(4, k) for k in (1, 2, 3)]
             + [glued(seed) for seed in range(3)] + [two_cubes()])
-
-
-def bfs_bipartitions(g):
-    """The connected bipartitions by two BFS tests per mask holding vertex 0."""
-    adj, full = g.adjacency, (1 << g.num_vertices) - 1
-    bd = oc._mask_table(adj)
-    return tuple((mask, bd[mask]) for mask in range(1, full, 2)
-                 if mask_connected(adj, mask) and mask_connected(adj, full ^ mask))
 
 
 class TestConnectivityBitmap:
@@ -401,36 +395,15 @@ class TestConnectivityBitmap:
                     best = bd
             return best
 
-        def counted(adj, test):
-            """test(size, doubled internal edges, least internal degree), vertex by vertex."""
-            def side_ok(mask):
-                degs = [(adj[v] & mask).bit_count() for v in range(len(adj)) if mask >> v & 1]
-                return test(len(degs), sum(degs), min(degs, default=0))
-            return side_ok
-
-        def checks(g):
-            """Each oracle side check, which is given the cut's boundary, and the same check
-            counted vertex by vertex."""
-            p, adj = cf.FaultPattern, g.adjacency
-            # brute_cyclic's side test: average degree 2, which needs 3 vertices or more
-            yield (lambda side, bd: oc._pattern_ok(g, p.AVERAGE_DEGREE, 2, side, bd),
-                   counted(adj, lambda m, e2, least: m >= 3 and e2 >= 2 * m))
-            for l in range(2, g.n):
-                yield (lambda side, bd, l=l: oc._pattern_ok(g, p.SUPER_DEGREE, l, side, bd),
-                       counted(adj, lambda m, e2, least, l=l: least >= l))
-                yield (lambda side, bd, l=l: oc._pattern_ok(g, p.AVERAGE_DEGREE, l, side, bd),
-                       counted(adj, lambda m, e2, least, l=l: e2 >= l * m))
-                yield (lambda side, bd, l=l: oc._pattern_ok(g, p.EMBEDDED, l, side, bd),
-                       lambda side, l=l: oc._embedded_ok(g.n, l, side))
-
         for g in bitmap_graphs():
-            for side_ok, reference in checks(g):
-                assert oc._least_cut(g, side_ok) == full_scan(g, reference), g.kind
-            # no cyclic side has 1 or 2 vertices (u == v: one), as brute_cyclic assumes
-            nv, bd = g.num_vertices, oc._mask_table(g.adjacency)
+            adj = g.adjacency
+            for l in range(2, g.n):
+                assert oc._least_cut(g, l) == full_scan(g, partial(min_degree_side, adj, l)), (
+                    g.kind, l)
+            # no cyclic side has 1 or 2 vertices (u == v: one)
+            nv = g.num_vertices
             small = [1 << u | 1 << v for v in range(nv) for u in range(v + 1)]
-            assert not any(oc._pattern_ok(g, cf.FaultPattern.AVERAGE_DEGREE, 2, side, bd[side])
-                           for side in small), g.kind
+            assert not any(average_degree_side(adj, 2, side) for side in small), g.kind
 
 
 class TestMemory:
@@ -597,14 +570,74 @@ class TestConditionalAndCyclic:
             g = member(5, seed)
             assert cg.is_connected_induced(g, range(4)) and cg.is_connected_induced(g, range(4, 32))
             assert cg.boundary_size(g, range(4)) == 12
-            for pattern in (oc.FaultPattern.SUPER_DEGREE, oc.FaultPattern.AVERAGE_DEGREE):
-                assert oc._pattern_ok(g, pattern, 3, k4, 12)
-                assert oc._pattern_ok(g, pattern, 3, rest, 12)
+            for side_ok, pattern in ((min_degree_side, oc.FaultPattern.SUPER_DEGREE),
+                                     (average_degree_side, oc.FaultPattern.AVERAGE_DEGREE)):
+                assert side_ok(g.adjacency, 3, k4)
+                assert side_ok(g.adjacency, 3, rest)
                 assert cf.conditional_lambda(pattern, 3, 5) == 16
+
+    def test_n5_degree_patterns_stay_skipped(self):
+        # the room rule gives 12 at l = 3 where the served value is 16: no n = 5 answer yet
+        for seed in (None, 1):
+            for pattern in (oc.FaultPattern.SUPER_DEGREE, oc.FaultPattern.AVERAGE_DEGREE):
+                for l in (2, 3, 4):
+                    with pytest.raises(oc.BudgetExceededError,
+                                       match="conditional search needs exhaustive scale"):
+                        oc.brute_conditional(member(5, seed), pattern, l)
+
+    def test_malformed_graphs_keep_their_errors(self):
+        # a cycle on 8 vertices has no side with a cycle of its own; a bare min() would raise
+        # ValueError, which the command line reports as a usage error
+        cycle = graph_from_rows(3, "C8", [[(u - 1) % 8, (u + 1) % 8] for u in range(8)])
+        with pytest.raises(RuntimeError) as info:
+            oc.brute_cyclic(cycle)
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == "no cyclic bipartition found; graph is malformed"
+        # two 3-cubes: one bipartition, 8 vertices a side, where xi_1 has none
+        g = two_cubes()
+        assert oc.brute_cyclic(g) == 0
+        assert oc.brute_conditional(g, oc.FaultPattern.EMBEDDED, 2) == 0
+        assert oc.brute_conditional(g, oc.FaultPattern.AVERAGE_DEGREE, 2) == 0
 
     def test_average_degree_floor(self):
         for seed in (None, 1, 2):
             assert average_degree_floor_check(member(3, seed))
+
+
+def outcome(search, *args):
+    """search(*args); "refused" where the oracle cannot settle it, None where it finds no cut."""
+    try:
+        return search(*args)
+    except oc.BudgetExceededError:
+        return "refused"
+    except RuntimeError:
+        return None
+
+
+class TestReferenceCuts:
+    def test_room_and_block_rules_agree_with_the_side_tests(self):
+        # cyclic and average degree equal the reference on every graph; embedded equals it
+        # or is refused, and it is refused only off the family, where labels are no blocks
+        # bitmap_graphs() holds enhanced(4, k) for every k and the n = 4 members of seeds 1-3
+        graphs = bitmap_graphs() + [glued(seed) for seed in range(3, 20)]
+        graphs += [shuffled_member(4, 5, 9), cg.build_hypercube(3)]
+        graphs += [cg.build_enhanced(3, k) for k in (1, 2)]
+        graphs += [member(3, seed) for seed in range(1, 11)]
+        graphs += [member(4, seed) for seed in range(4, 11)]
+        average, embedded, refused = oc.FaultPattern.AVERAGE_DEGREE, oc.FaultPattern.EMBEDDED, []
+        for g in graphs:
+            adj, cuts = g.adjacency, bfs_bipartitions(g)
+            cyclic = least_cut(g, cuts, partial(average_degree_side, adj, 2))
+            assert outcome(oc.brute_cyclic, g) == cyclic, g.kind
+            for l in range(2, g.n):
+                expected = least_cut(g, cuts, partial(average_degree_side, adj, l))
+                assert outcome(oc.brute_conditional, g, average, l) == expected, (g.kind, l)
+                expected = least_cut(g, cuts, partial(embedded_side, l))
+                found = outcome(oc.brute_conditional, g, embedded, l)
+                assert found in (expected, "refused"), (g.kind, l, found, expected)
+                if found == "refused":
+                    refused.append((g.kind, l))
+        assert refused and all(kind.startswith(("glued", "shuffled")) for kind, l in refused)
 
 
 class TestVerificationReport:
