@@ -79,7 +79,7 @@ def render_plotdata(n_list: list[int], start: int = 0, stop: int | None = None) 
 
 
 def _bitmap_rows(n: int, kind: str, seed: int, k: int | None) -> Iterable[str]:
-    """Build the graph now, and give its P1 bitmap one row at a time."""
+    """Build the graph now, and give its P1 bitmap in blocks of about 32 KB of text."""
     from . import cube_graph as cg
 
     if kind == "canonical":
@@ -92,7 +92,8 @@ def _bitmap_rows(n: int, kind: str, seed: int, k: int | None) -> Iterable[str]:
         graph = cg.build_enhanced(n, k if k is not None else n - 1)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return (cg.bitmap_pbm(graph, u, u + 1) for u in range(graph.num_vertices))
+    block = 1 << (14 - n)  # rows of 2^(n+1) bytes each; main accepts n <= 12
+    return (cg.bitmap_pbm(graph, u, u + block) for u in range(0, graph.num_vertices, block))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,7 +6,9 @@ components a cut leaves, the average-degree size floor, the connected
 bipartitions by two component walks per mask, the least cut among them whose
 sides pass a side test (inner degrees counted vertex by vertex, or aligned
 label blocks), and the bitmask component walk they and the connectivity
-tests rest on.  The identity levels are the canonical member's recipe,
+tests rest on.  The row walks are cube_graph's subset primitives as they were
+written before their row view was hoisted: one g.row(v) call per member.  The
+identity levels are the canonical member's recipe,
 recursive_levels draws a member's levels by the recursion they describe, and
 graph_from_rows packs hand-made rows as cube_graph packs its own.
 """
@@ -15,7 +17,7 @@ import random
 from array import array
 from itertools import combinations
 
-from k4rel.cube_graph import CubeGraph, _label_code
+from k4rel.cube_graph import CubeGraph, _label_code, _marked
 from k4rel.oracle import BudgetExceededError, _bits, _exhaustive, _mask_table
 
 
@@ -43,6 +45,29 @@ def recursive_levels(n, seed):
 
     grow(0)
     return tuple(array("I", level) for level in levels)
+
+
+def row_induced_edge_count(g, members):
+    mark, verts = _marked(g, members)
+    return sum(mark[w] for v in verts for w in g.row(v)) // 2
+
+
+def row_boundary_size(g, members):
+    mark, verts = _marked(g, members)
+    return sum(1 - mark[w] for v in verts for w in g.row(v))
+
+
+def row_is_connected_induced(g, members):
+    mark, verts = _marked(g, members)
+    reach = verts[:1]
+    if reach:
+        mark[reach[0]] = 0
+    for v in reach:
+        for w in g.row(v):
+            if mark[w]:
+                mark[w] = 0
+                reach.append(w)
+    return len(reach) == len(verts)
 
 
 def graph_from_rows(n, kind, rows):

@@ -5,12 +5,15 @@ import hashlib
 import os
 import pathlib
 import pickle
+import random
 import subprocess
 import sys
 import tracemalloc
 import weakref
 from array import array
 from functools import lru_cache
+from itertools import repeat
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 
 from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
-from reference import identity_matching_tree, recursive_levels
+from reference import (identity_matching_tree, recursive_levels, row_boundary_size,
+                       row_induced_edge_count, row_is_connected_induced)
 
 
 class TestHypercube:
@@ -394,7 +398,64 @@ class TestRowsMatchMasks:
         assert got == mask_subset_stats(g, members)
 
 
+class TestBytePlanes:
+    @pytest.mark.parametrize("n", [9, 12, 16, 17])
+    def test_flip_rows_past_the_first_byte(self, n):
+        # byte plane 1 is nonzero from n = 9 on, plane 2 from n = 17 on, where labels take
+        # 4 bytes; column j of the rows equal to v ^ flips[j] for every v is every row equal
+        # to [v ^ flip for flip in flips]
+        hyper = [1 << i for i in range(n)]
+        cases = [(cg.build_hypercube(n), hyper),
+                 (cg.canonical_member(n), [1, 2, 3] + [1 << d for d in range(n - 1, 1, -1)])]
+        cases += [(cg.build_enhanced(n, k), hyper + [(1 << (n - k + 1)) - 1]) for k in range(1, n)]
+        code, wants = "H" if n <= 16 else "I", {}
+        for g, flips in cases:
+            rows = g._flat
+            assert rows.format == code and len(rows) == len(flips) << n
+            for j, flip in enumerate(flips):
+                if flip not in wants:
+                    wants[flip] = array(code, map(xor, range(1 << n), repeat(flip))).tobytes()
+                assert rows[j::len(flips)].tobytes() == wants[flip], (g.kind, flip)
+
+    def test_n17_rows_are_pinned(self):
+        # recorded from the rows as built from one array('I') of v ^ flip per flip column
+        graphs = (cg.canonical_member(17), cg.build_hypercube(17), cg.build_enhanced(17, 9))
+        digest = hashlib.sha256(b"".join(g.neighbours for g in graphs)).hexdigest()
+        assert digest == "57183814a6a22ab7e376fe944ef572c5637f79349e1829b93bca1c766159da9a"
+
+    def test_import_builds_no_xor_table(self):
+        # all 256 tables built at import cost about 5 ms at every start: they are built on
+        # first use, one per mask byte, here 0, 1, 2, 4, ..., 128
+        code = (
+            "from k4rel import cube_graph as cg\n"
+            "assert cg._xor_table.cache_info().currsize == 0\n"
+            "cg.build_hypercube(9)\n"
+            "assert cg._xor_table.cache_info().currsize == 9\n"
+        )
+        src = str(pathlib.Path(cg.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 class TestLargeMembers:
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_walks_agree_with_the_row_walks(self, seed):
+        g, size = probe_graph(12, seed), 1 << 12
+        rng = random.Random(seed)
+        sets = [[], [5], rng.sample(range(size), 300), rng.sample(range(size), 2500),
+                [rng.randrange(size) for _ in range(3000)],  # repeats
+                [rng.randrange(64) for _ in range(200)], list(range(0, size, 3)),
+                list(range(size - 1, 999, -1)), cg.canonical_set(1500, 12), range(size),
+                range(4000, 4008)]  # two K4s joined by the last entry of each row
+        walks = ((cg.induced_edge_count, row_induced_edge_count),
+                 (cg.boundary_size, row_boundary_size),
+                 (cg.is_connected_induced, row_is_connected_induced))
+        for members in sets:
+            for walk, row_walk in walks:  # a one-pass iterator against the reference's list
+                assert walk(g, iter(members)) == row_walk(g, list(members)), (walk, len(members))
+        assert cg.is_connected_induced(g, cg.canonical_set(1500, 12))
+
     def test_seeded_members_are_regular_simple_and_connected(self):
         for n in range(9, 15):
             g = cg.build_k4cube(cg.random_matching_tree(n, 10 + n))
