@@ -211,10 +211,18 @@ def conditional_lambda(pattern: FaultPattern, l: int, n: int) -> int:
 
 
 def cyclic_lambda(n: int) -> int:
-    """Cyclic edge-connectivity: 4n-8 for n in {3, 4}, otherwise 3n-3."""
+    """Cyclic edge-connectivity: lambda_3, which is 4n-8 for n in {3, 4}, otherwise 3n-3.
+
+    The room rule (oracle.brute_cyclic) makes it the least xi_m with
+    xi_m <= (n - 1) * m, that is with f(m) >= 2m, as xi_m = (n + 1) * m - f(m).
+    By the lemma in xi_h4 at b = 1, f(m + 1) >= f(m) + f(1) + 2 = f(m) + 2, and
+    f(3) = 6, so f(m) >= 2m at every m >= 3, while f(1) = 0 and f(2) = 2 fall
+    short.  The sizes that pass are m >= 3, and the least xi_m over them is
+    lambda_3.
+    """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    return 4 * n - 8 if n in (3, 4) else 3 * n - 3
+    return lambda_fast(3, n)
 
 
 @lru_cache(maxsize=1)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import and_, eq, or_, xor
 
 from .closed_form import (
     FaultPattern,
@@ -172,26 +172,42 @@ def _recursion_bound(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)  # every row of one member asks
 def _certified(g: CubeGraph) -> bool:
-    """Whether each aligned 2^d block of g is two 2^(d-1) blocks joined by one perfect
-    matching, down to K4s, as in every member.
+    """Whether each aligned 2^b block of g is two 2^(b-1) blocks joined by one perfect
+    matching, down to K4s, as in every member.  Read column by column, O(n * 2^n).
 
-    The rows must be symmetric, and v's neighbours must be v^1, v^2, v^3 and,
-    for each j = 2..n-1, one w with (v ^ w).bit_length() - 1 == j.  Keyed v ^ w
-    below 4 and j + 2 above, each row holds the keys 1..n+1 once, so a repeated
-    v^2 fails, where a check of bit lengths alone would pass it.
+    _from_columns writes slot j of every row from one flip or one matching, so
+    column j (entry j of each row v, col[v]) must be an involution, and its slot
+    key, x for x = v ^ col[v] below 4 and x.bit_length() + 1 above, must be the
+    same at every v.  The keys of the columns, sorted, must be 1..n+1.  Why
+    this is the member structure:
+
+    - An involution pairs v with col[v] and col[v] with v, so every edge is
+      listed at both ends: the rows are symmetric.  Key 0 (col[v] = v) fails.
+    - A constant key b + 1 >= 4 puts v and col[v] in one aligned 2^b block,
+      one in each half (x has bit b-1 set and no higher one).  With the
+      involution, the column is a perfect matching between the halves of
+      every aligned 2^b block.  The keys 4..n+1 give one such matching per
+      b = 3..n, and the distinct keys give distinct neighbours.
+    - The keys 1, 2 and 3 are the exact flips v ^ 1, v ^ 2 and v ^ 3, which
+      make every aligned 4-block a K4.
+
+    The column order is not fixed (enhanced(n, n-1) lists flip 3 last), but a
+    graph whose rows list the same neighbours in another order per vertex
+    fails, and its searches are refused.
     """
-    keys = list(range(1, g.n + 2))
-    for v in range(g.num_vertices):
-        row = g.row(v)
-        slots = sorted(v ^ w if v ^ w < 4 else (v ^ w).bit_length() + 1 for w in row)
-        if slots != keys or any(v not in g.row(w) for w in row):
+    d, keys, labels = g.degree(0), [], range(g.num_vertices)
+    for col in (g._flat[j::d] for j in range(d)):
+        key, *others = {x if x < 4 else x.bit_length() + 1 for x in map(xor, col, labels)}
+        if others or key > g.n + 1 or not all(map(eq, map(col.__getitem__, col), labels)):
             return False
-    return True
+        keys.append(key)
+    return sorted(keys) == list(range(1, g.n + 2))
 
 
 def _bound(g: CubeGraph) -> tuple[int, ...]:
     """Past exhaustive scale, the recursion bound, if g is certified and one dimension past it."""
-    if g.n > EXHAUSTIVE_N + 1:  # outside the cached certificate, which knows no scale
+    # the certificate holds at every n; the bound's cache and the canonical cuts' fit n <= 5
+    if g.n > EXHAUSTIVE_N + 1:
         raise BudgetExceededError(
             f"n = {g.n} is past the bounded oracle, which stops at n = {EXHAUSTIVE_N + 1}")
     if not _certified(g):

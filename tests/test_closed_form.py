@@ -288,6 +288,9 @@ class TestConditionalAndCyclic:
         assert cf.cyclic_lambda(4) == 8
         assert cf.cyclic_lambda(5) == 12
         assert cf.cyclic_lambda(10) == 27
+        # lambda_3 in closed form: the K4's cut 4n - 8 at n = 3, 4, then the 3-set's 3n - 3
+        assert [cf.cyclic_lambda(n) for n in (3, 4)] == [4 * n - 8 for n in (3, 4)]
+        assert [cf.cyclic_lambda(n) for n in range(5, 65)] == [3 * n - 3 for n in range(5, 65)]
         with pytest.raises(ValueError):
             cf.cyclic_lambda(2)
 
