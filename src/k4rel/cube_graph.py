@@ -35,7 +35,7 @@ class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
     of one length, as unsigned ints of the width _label_code gives its largest
     label: 2 bytes up to n = 16, 4 above.  kind ("hypercube", "enhanced(k)",
     "k4member") is a descriptor used in reports and carries no structure.
-    Instances keep a __dict__ for the cached views.
+    Instances keep a __dict__ for the cached row view.
     """
 
     def __repr__(self) -> str:  # the rows are left out
@@ -45,13 +45,8 @@ class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
     def _flat(self) -> memoryview:
         return memoryview(self.neighbours).cast(_label_code((1 << self.n) - 1))
 
-    def __reduce__(self):  # the cached views (a memoryview among them) are not pickled
+    def __reduce__(self):  # the cached row view, a memoryview, is not pickled
         return CubeGraph, (self.n, self.kind, self.neighbours)
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Bitmask rows, built on first use: the oracle's view, at n <= 5."""
-        return tuple(subset_mask(self.row(v)) for v in range(self.num_vertices))
 
     @property
     def num_vertices(self) -> int:
@@ -202,13 +197,6 @@ def canonical_set(m: int, n: int) -> frozenset[int]:
     if not 0 <= m <= (1 << n):
         raise ValueError(f"m must be in [0, {1 << n}], got {m}")
     return frozenset(range(m))
-
-
-def subset_mask(members: Iterable[int]) -> int:
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    return mask
 
 
 def _marked(g: CubeGraph, members: Iterable[int]) -> tuple[bytearray, list[int]]:

@@ -1,20 +1,17 @@
-"""Brute-force computation of the reliability parameters on materialized graphs.
+"""Computation of the reliability parameters on materialized members, by bound and witness.
 
-Everything here is search, not formula: densest subsets, minimum boundaries,
-conditional and cyclic cuts are found by enumeration so the closed forms can
-be validated against an independent path.  At exhaustive scale (up to 16
-vertices) one byte-lane table holds the boundary of every vertex subset, and a
-bitmap of the connected subsets turns it into a second that holds each
-connected bipartition's boundary (255 on the other masks).  The least boundary
-per size, xi and the super-degree cut are the first lanes that qualify, found
-boundary by boundary with bytes.find.  One dimension past it, only a graph
-certified to be built as a member is searched: each aligned 2^d block is two
-2^(d-1) blocks joined by one perfect matching, down to K4s.  A recursion over
-d bounds its m-subsets' boundaries from below, and the bound must meet the cut
-around the canonical m-set (labels 0..m-1) with both sides connected.
-Otherwise, or past that scale, the check raises BudgetExceededError rather
-than returning a partial answer.  At every scale the cyclic, average-degree
-and embedded cuts are the least xi_m over a set of sizes m.
+Everything here is search, not formula: each answer is a lower bound met by a
+witness cut, so the closed forms are validated against an independent path.
+The oracle answers only for a graph whose rows certify that it is built as a
+member: each aligned 2^d block is two 2^(d-1) blocks joined by one perfect
+matching, down to K4s.  A recursion over d bounds its m-subsets' boundaries
+from below, and the bound must meet the cut around the canonical m-set
+(labels 0..m-1) with both sides connected.  The cyclic, average-degree,
+super-degree and embedded cuts are the least xi_m over a set of sizes m.  A
+graph outside the family, a witness off its bound, or n past BOUNDED_N raises
+BudgetExceededError rather than returning a partial answer.  At n <= 4 the
+tests compare every answer with the exhaustive subset search of
+tests/reference.py, which also answers graphs outside the family.
 
 Cut searches keep to connected bipartitions: a cut leaving three or more
 components can put back the edges between two adjacent ones and stay valid,
@@ -25,8 +22,8 @@ tests/reference.py that assumes nothing about the components confirms this.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, reduce
-from operator import and_, eq, or_, xor
+from functools import lru_cache
+from operator import eq, xor
 
 from .closed_form import (
     FaultPattern,
@@ -48,108 +45,11 @@ from .cube_graph import (
 )
 
 
-EXHAUSTIVE_N = 4  # one dimension more would be a 2^32-entry subset table
-_DIGITS, _OUTSIDE = bytes.maketrans(b"\0\xff", b"01"), bytes.maketrans(b"01", b"\xff\0")
+BOUNDED_N = 5  # the caches of the bound (n = 2..5) and of one member's canonical cuts fit it
 
 
 class BudgetExceededError(RuntimeError):
     """The oracle cannot settle this check: no witness meets its bound, or n is past its scale."""
-
-
-def _bits(mask: int):
-    """The vertices of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _exhaustive(g: CubeGraph) -> bool:
-    return g.num_vertices <= 1 << EXHAUSTIVE_N
-
-
-@lru_cache(maxsize=1)  # one graph's vertex count
-def _holds(nv: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per vertex v, the masks that hold v (2^v no, 2^v yes, repeated) as bits and as 0xff lanes."""
-    lanes = ((bytes(1 << v) + b"\xff" * (1 << v)) * (1 << nv - v - 1) for v in range(nv))
-    return tuple(zip(*((int(p.translate(_DIGITS)[::-1], 2), int.from_bytes(p, "little"))
-                       for p in lanes)))
-
-
-@lru_cache(maxsize=1)  # the exhaustive checks read one graph's table before the next's
-def _mask_table(adjacency: tuple[int, ...]) -> bytes:
-    """Boundary of every vertex subset of the graph with these bitmask rows, by mask.
-
-    The masks with highest vertex v extend the 2^v masks below them at once, one
-    byte lane per mask: + deg(v), then - 2 where the mask holds a neighbour.  No
-    lane goes below 0 (it ends at a boundary), so none borrows, and none passes
-    a byte and carries: 16 vertices have at most 8 * 8 edges across.
-    """
-    nv = len(adjacency)
-    if nv > 16:
-        raise BudgetExceededError(f"{nv} vertices pass the 16-vertex bound of a byte-lane table")
-    holds, table = _holds(nv)[1], 0
-    for v, row in enumerate(adjacency):
-        ones = ((1 << (8 << v)) - 1) // 255
-        step = row.bit_count() * ones - 2 * sum(holds[u] & ones for u in _bits(row))
-        table |= (table + step) << (8 << v)
-    return table.to_bytes(1 << nv, "little")
-
-
-def _connected_masks(adjacency: tuple[int, ...]) -> int:
-    """Bit `mask` is set iff mask induces a connected subgraph (the empty mask counts).
-
-    Bit mask of reach[v]: v is reachable inside mask from mask's lowest vertex.
-    reach[v] starts at the masks whose lowest vertex is v and takes in its
-    neighbours' until no reach changes.
-    """
-    has, last = _holds(len(adjacency))[0], None
-    reach = [h & ~reduce(or_, has[:v], 0) for v, h in enumerate(has)]
-    while reach != last:
-        last = reach[:]
-        for v, row in enumerate(adjacency):
-            reach[v] = has[v] & reduce(or_, (reach[u] for u in _bits(row)), reach[v])
-    return reduce(and_, (r | ~h for h, r in zip(has, reach)), (1 << (1 << len(has))) - 1)
-
-
-@lru_cache(maxsize=1)  # verify_member finishes each member before the next
-def _cut_lanes(g: CubeGraph) -> bytes:
-    """Per mask holding vertex 0 with both sides connected and nonempty, its boundary; else 255.
-
-    16 vertices have at most 8 * 8 edges across, so 255 is never a boundary.
-    """
-    size, connected = 1 << g.num_vertices, _connected_masks(g.adjacency)
-    odd = int("10" * (size >> 1), 2) ^ (1 << size - 1)  # the full mask has no other side
-    # the reversed bitmap holds each complement's bit; x & -x per set bit would copy 2^16 bits
-    both = connected & int(format(connected, f"0{size}b")[::-1], 2) & odd
-    outside = f"{both:0{size}b}"[::-1].encode().translate(_OUTSIDE)
-    bd = int.from_bytes(_mask_table(g.adjacency), "little")
-    return (bd | int.from_bytes(outside, "little")).to_bytes(size, "little")
-
-
-def _ascending(lanes: bytes):
-    """Each (mask, lane) of the lanes below 255, by lane, then mask, walked lazily."""
-    for bd in range(255):
-        mask = lanes.find(bd)
-        while mask >= 0:
-            yield mask, bd
-            mask = lanes.find(bd, mask + 1)
-
-
-@lru_cache(maxsize=2)  # one graph's minima over its subsets and over its bipartitions
-def _size_minima(g: CubeGraph, connected: bool) -> tuple[int | None, ...]:
-    """Per m <= nv/2: the least boundary of a set of m vertices or of its complement.
-
-    Over every subset (_mask_table), or over the connected bipartitions
-    (_cut_lanes); None where no set has that size.  The first, so least, lane of
-    each size, walked by ascending boundary until every size has one.
-    """
-    nv, best = g.num_vertices, {}
-    for mask, bd in _ascending(_cut_lanes(g) if connected else _mask_table(g.adjacency)):
-        best.setdefault(min(mask.bit_count(), nv - mask.bit_count()), bd)
-        if len(best) == nv // 2 + 1 - connected:  # no bipartition has an empty side
-            break
-    return tuple(best.get(m) for m in range(nv // 2 + 1))
 
 
 @lru_cache(maxsize=4)  # n = 2..5, each built from the one below
@@ -205,11 +105,10 @@ def _certified(g: CubeGraph) -> bool:
 
 
 def _bound(g: CubeGraph) -> tuple[int, ...]:
-    """Past exhaustive scale, the recursion bound, if g is certified and one dimension past it."""
-    # the certificate holds at every n; the bound's cache and the canonical cuts' fit n <= 5
-    if g.n > EXHAUSTIVE_N + 1:
+    """The recursion bound, if g is certified and n is at most BOUNDED_N."""
+    if g.n > BOUNDED_N:  # the certificate holds at every n, the caches fit n <= BOUNDED_N
         raise BudgetExceededError(
-            f"n = {g.n} is past the bounded oracle, which stops at n = {EXHAUSTIVE_N + 1}")
+            f"n = {g.n} is past the bounded oracle, which stops at n = {BOUNDED_N}")
     if not _certified(g):
         raise BudgetExceededError(
             "the rows fail the member certificate: K4 leaves, one matching per gluing")
@@ -234,11 +133,9 @@ def _settled(bound: int, found: int | None, witness: str) -> int:
     raise BudgetExceededError(f"the canonical {witness} gives {found}, not the lower bound {bound}")
 
 
-def _least(g: CubeGraph, m: int, connected: bool) -> int | None:
-    """Least boundary over m-subsets, m <= nv/2 (connected: both sides connected); past
-    exhaustive scale the settled witness is connected, so it answers both."""
-    if _exhaustive(g):
-        return _size_minima(g, connected)[m]
+def _least(g: CubeGraph, m: int) -> int:
+    """Least boundary over m-subsets, m <= nv/2.  Its witness has both sides connected, so
+    it is also the least over connected bipartitions with a side of m vertices."""
     return _settled(_bound(g)[m], _canonical_cut(g, m), f"{m}-set")
 
 
@@ -252,7 +149,7 @@ def brute_ex(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 0 <= m <= nv:
         raise ValueError(f"m must be in [0, {nv}], got {m}")
-    return g.degree(0) * m - _least(g, min(m, nv - m), False)
+    return g.degree(0) * m - _least(g, min(m, nv - m))
 
 
 def brute_xi(g: CubeGraph, m: int) -> int:
@@ -260,21 +157,16 @@ def brute_xi(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    found = _least(g, m, True)
-    if found is None:
-        raise RuntimeError(f"no feasible subset of size {m}; graph is malformed")
-    return found
+    return _least(g, m)
 
 
 def brute_xi_unconstrained(g: CubeGraph, m: int) -> int:
     """Minimum boundary over all m-subsets, no connectivity requirement.
 
-    It exists to test that disconnected optima do not occur.
+    The bound holds for every m-subset and its witness has both sides connected,
+    so this is brute_xi: its rows show that disconnected optima do not occur.
     """
-    nv = g.num_vertices
-    if not 1 <= m <= nv // 2:
-        raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    return _least(g, m, False)
+    return brute_xi(g, m)
 
 
 def brute_lambda_h(g: CubeGraph, h: int) -> int:
@@ -285,46 +177,57 @@ def brute_lambda_h(g: CubeGraph, h: int) -> int:
     return min(brute_xi(g, m) for m in range(h, nv // 2 + 1))
 
 
-def _room_min(g: CubeGraph, r: int) -> int | None:
-    """Least xi_m <= (degree - r) * m over the m <= nv/2 that have a connected bipartition."""
+def _room_min(g: CubeGraph, r: int) -> tuple[int, int]:
+    """The least xi_m <= (degree - r) * m over m <= nv/2, and the least m that attains it.
+
+    Some m fits for every r < degree: the halves, joined by one matching, have xi = nv/2.
+    """
     room = g.degree(0) - r
-    return min((xi for m in range(1, g.num_vertices // 2 + 1)
-                if (xi := _least(g, m, True)) is not None and xi <= room * m), default=None)
+    return min((xi, m) for m in range(1, g.num_vertices // 2 + 1)
+               if (xi := _least(g, m)) <= room * m)
 
 
-def _least_cut(g: CubeGraph, l: int) -> int | None:
-    """Least bd of a connected bipartition whose sides each have minimum inner degree >= l."""
-    adjacency, full = g.adjacency, (1 << g.num_vertices) - 1
-    return next((bd for mask, bd in _ascending(_cut_lanes(g))
-                 if all((adjacency[v] & side).bit_count() >= l
-                        for side in (mask, full ^ mask) for v in _bits(side))), None)
+def _sides_hold(g: CubeGraph, m: int, l: int) -> bool:
+    """Whether every vertex has at least l neighbours on its own side of the canonical m-set."""
+    flat, d = g._flat, g.degree(0)
+    return all(sum((w < m) == (v < m) for w in flat[v * d:v * d + d]) >= l
+               for v in range(g.num_vertices))
 
 
 def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
     """Minimum boundary over connected bipartitions where both sides satisfy the pattern.
 
     Both sides of EXTRA_SIZE hold at least 2^l vertices, which is the small side
-    holding at least 2^l: that is brute_lambda_h(g, 2^l).  AVERAGE_DEGREE is
-    _room_min(g, l), exact as brute_cyclic shows; it and SUPER_DEGREE stop at
-    exhaustive scale.  Both sides of EMBEDDED are unions of aligned 2^l blocks, so
-    the least xi_m over the multiples m of 2^l bounds it, and the canonical m-set
-    at the least m that attains it settles it: a prefix whose length is a multiple
-    of 2^l is a union of aligned 2^l blocks, and so is its complement.
+    holding at least 2^l: that is brute_lambda_h(g, 2^l).  Both sides of EMBEDDED
+    are unions of aligned 2^l blocks, so the least xi_m over the multiples m of 2^l
+    bounds it, and the canonical m-set that settles that xi_m meets it: a prefix
+    whose length is a multiple of 2^l is a union of aligned 2^l blocks, and so is
+    its complement.  AVERAGE_DEGREE is _room_min(g, l), exact as brute_cyclic shows.
+
+    SUPER_DEGREE has the same value.  A side of minimum inner degree >= l has
+    average degree >= l, so _room_min(g, l) bounds it from below, and the
+    canonical m-set at the least m that attains it meets the bound once both its
+    sides have minimum inner degree >= l.  At n <= 4 they do: that set is the K4,
+    whose inner degree is 3 >= l, and a vertex outside an aligned 4-block has at
+    most one neighbour inside it, so its inner degree stays >= n.  From n = 5 on
+    both degree patterns are refused: the K4 cut meets both at l = 3 with 12
+    edges, where the served (n - l) * 2^l is 16, and which reading of the served
+    value to compare is not settled.
     """
     if not 2 <= l <= g.n - 1:
         raise ValueError(f"l must be in [2, {g.n - 1}], got {l}")
     if pattern is FaultPattern.EXTRA_SIZE:
         return brute_lambda_h(g, 1 << l)
     if pattern is FaultPattern.EMBEDDED:
-        sizes = range(1 << l, g.num_vertices // 2 + 1, 1 << l)
-        cut = min(((xi, m) for m in sizes if (xi := _least(g, m, True)) is not None), default=None)
-        best = None if cut is None else _settled(cut[0], _canonical_cut(g, cut[1]), f"{cut[1]}-set")
-    elif not _exhaustive(g):
-        raise BudgetExceededError("conditional search needs exhaustive scale")
-    else:
-        best = _room_min(g, l) if pattern is FaultPattern.AVERAGE_DEGREE else _least_cut(g, l)
-    if best is None:
-        raise RuntimeError(f"no feasible bipartition for {pattern.name} at l={l}")
+        return min(_least(g, m) for m in range(1 << l, g.num_vertices // 2 + 1, 1 << l))
+    if g.n >= 5:
+        raise BudgetExceededError(
+            "the degree patterns are unsettled from n = 5: the K4 cut meets both at l = 3 "
+            "with 12 edges, where (n - l) * 2^l is 16")
+    best, m = _room_min(g, l)
+    if pattern is FaultPattern.SUPER_DEGREE and not _sides_hold(g, m, l):
+        raise BudgetExceededError(f"a side of the canonical {m}-set has inner degree below {l}; "
+                                  f"the lower bound is {best}")
     return best
 
 
@@ -338,10 +241,7 @@ def brute_cyclic(g: CubeGraph) -> int:
     """
     if g.n < 3:
         raise ValueError(f"n must be >= 3, got {g.n}")
-    best = _room_min(g, 2)
-    if best is None:
-        raise RuntimeError("no cyclic bipartition found; graph is malformed")
-    return best
+    return _room_min(g, 2)[0]
 
 
 class CheckEntry(namedtuple("CheckEntry", "member quantity input closed brute match")):
@@ -391,8 +291,8 @@ def verify_member(n: int, member_seeds: list[int]) -> VerificationReport:
     `lambda_fast`, and a disagreement with its defining minimum `lambda_scan`
     is a failing "lambda_scan" row, found also where the brute search is skipped.
     """
-    if not 3 <= n <= 5:
-        raise ValueError(f"n must be in [3, 5], got {n}")
+    if not 3 <= n <= BOUNDED_N:
+        raise ValueError(f"n must be in [3, {BOUNDED_N}], got {n}")
     members = [("canonical", canonical_member(n))]
     members += [
         (f"seed{seed}", build_k4cube(random_matching_tree(n, seed)))

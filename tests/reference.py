@@ -1,24 +1,201 @@
 """Reference searches that the oracle's answers are compared against.
 
-They walk the graph subset by subset, so they only run at n <= 4: an
-edge-subset search for lambda_h that assumes nothing about how many
-components a cut leaves, the average-degree size floor, the connected
+They walk the graph subset by subset, so they only run at n <= 4, and they
+answer any graph, in the family or not.  The exhaustive search is the one
+the oracle ran at n <= 4 before every row was settled by a bound and a
+canonical witness: one byte-lane table holds the boundary of every vertex
+subset, a bitmap of the connected subsets turns it into a second that holds
+each connected bipartition's boundary (255 on the other masks), and the
+least boundary per size, xi and the super-degree cut are the first lanes
+that qualify, found boundary by boundary with bytes.find.  exhaustive_*
+answer each oracle search from it, None where no bipartition qualifies.
+
+Beside it: an edge-subset search for lambda_h that assumes nothing about how
+many components a cut leaves, the average-degree size floor, the connected
 bipartitions by two component walks per mask, the least cut among them whose
 sides pass a side test (inner degrees counted vertex by vertex, or aligned
-label blocks), and the bitmask component walk they and the connectivity
-tests rest on.  The row walks are cube_graph's subset primitives as they were
-written before their row view was hoisted: one g.row(v) call per member.  The
-identity levels are the canonical member's recipe,
-recursive_levels draws a member's levels by the recursion they describe, and
-graph_from_rows packs hand-made rows as cube_graph packs its own.
+label blocks), and the bitmask rows and component walk they and the
+connectivity tests rest on.  The row walks are cube_graph's subset
+primitives as they were written before their row view was hoisted: one
+g.row(v) call per member.  The identity levels are the canonical member's
+recipe, recursive_levels draws a member's levels by the recursion they
+describe, and graph_from_rows packs hand-made rows as cube_graph packs its
+own.
 """
 
 import random
 from array import array
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_, or_
 
+from k4rel.closed_form import FaultPattern
 from k4rel.cube_graph import CubeGraph, _label_code, _marked
-from k4rel.oracle import BudgetExceededError, _bits, _exhaustive, _mask_table
+from k4rel.oracle import BudgetExceededError, _canonical_cut, _settled
+
+EXHAUSTIVE_N = 4  # one dimension more would be a 2^32-entry subset table
+_DIGITS, _OUTSIDE = bytes.maketrans(b"\0\xff", b"01"), bytes.maketrans(b"01", b"\xff\0")
+
+
+def subset_mask(members):
+    mask = 0
+    for v in members:
+        mask |= 1 << v
+    return mask
+
+
+def adjacency(g):
+    """Bitmask rows: bit u of row v is set iff u ~ v."""
+    return tuple(subset_mask(g.row(v)) for v in range(g.num_vertices))
+
+
+def bits(mask):
+    """The vertices of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def exhaustive(g):
+    return g.num_vertices <= 1 << EXHAUSTIVE_N
+
+
+@lru_cache(maxsize=1)  # one graph's vertex count
+def holds(nv):
+    """Per vertex v, the masks that hold v (2^v no, 2^v yes, repeated) as bits and as 0xff lanes."""
+    lanes = ((bytes(1 << v) + b"\xff" * (1 << v)) * (1 << nv - v - 1) for v in range(nv))
+    return tuple(zip(*((int(p.translate(_DIGITS)[::-1], 2), int.from_bytes(p, "little"))
+                       for p in lanes)))
+
+
+@lru_cache(maxsize=1)  # the exhaustive checks read one graph's table before the next's
+def mask_table(adjacency):
+    """Boundary of every vertex subset of the graph with these bitmask rows, by mask.
+
+    The masks with highest vertex v extend the 2^v masks below them at once, one
+    byte lane per mask: + deg(v), then - 2 where the mask holds a neighbour.  No
+    lane goes below 0 (it ends at a boundary), so none borrows, and none passes
+    a byte and carries: 16 vertices have at most 8 * 8 edges across.
+    """
+    nv = len(adjacency)
+    if nv > 16:
+        raise BudgetExceededError(f"{nv} vertices pass the 16-vertex bound of a byte-lane table")
+    lanes, table = holds(nv)[1], 0
+    for v, row in enumerate(adjacency):
+        ones = ((1 << (8 << v)) - 1) // 255
+        step = row.bit_count() * ones - 2 * sum(lanes[u] & ones for u in bits(row))
+        table |= (table + step) << (8 << v)
+    return table.to_bytes(1 << nv, "little")
+
+
+def connected_masks(adjacency):
+    """Bit `mask` is set iff mask induces a connected subgraph (the empty mask counts).
+
+    Bit mask of reach[v]: v is reachable inside mask from mask's lowest vertex.
+    reach[v] starts at the masks whose lowest vertex is v and takes in its
+    neighbours' until no reach changes.
+    """
+    has, last = holds(len(adjacency))[0], None
+    reach = [h & ~reduce(or_, has[:v], 0) for v, h in enumerate(has)]
+    while reach != last:
+        last = reach[:]
+        for v, row in enumerate(adjacency):
+            reach[v] = has[v] & reduce(or_, (reach[u] for u in bits(row)), reach[v])
+    return reduce(and_, (r | ~h for h, r in zip(has, reach)), (1 << (1 << len(has))) - 1)
+
+
+@lru_cache(maxsize=1)  # the exhaustive checks finish each graph before the next
+def cut_lanes(g):
+    """Per mask holding vertex 0 with both sides connected and nonempty, its boundary; else 255.
+
+    16 vertices have at most 8 * 8 edges across, so 255 is never a boundary.
+    """
+    size, adj = 1 << g.num_vertices, adjacency(g)
+    connected = connected_masks(adj)
+    odd = int("10" * (size >> 1), 2) ^ (1 << size - 1)  # the full mask has no other side
+    # the reversed bitmap holds each complement's bit; x & -x per set bit would copy 2^16 bits
+    both = connected & int(format(connected, f"0{size}b")[::-1], 2) & odd
+    outside = f"{both:0{size}b}"[::-1].encode().translate(_OUTSIDE)
+    bd = int.from_bytes(mask_table(adj), "little")
+    return (bd | int.from_bytes(outside, "little")).to_bytes(size, "little")
+
+
+def ascending(lanes):
+    """Each (mask, lane) of the lanes below 255, by lane, then mask, walked lazily."""
+    for bd in range(255):
+        mask = lanes.find(bd)
+        while mask >= 0:
+            yield mask, bd
+            mask = lanes.find(bd, mask + 1)
+
+
+@lru_cache(maxsize=2)  # one graph's minima over its subsets and over its bipartitions
+def size_minima(g, connected):
+    """Per m <= nv/2: the least boundary of a set of m vertices or of its complement.
+
+    Over every subset (mask_table), or over the connected bipartitions
+    (cut_lanes); None where no set has that size.  The first, so least, lane of
+    each size, walked by ascending boundary until every size has one.
+    """
+    nv, best = g.num_vertices, {}
+    for mask, bd in ascending(cut_lanes(g) if connected else mask_table(adjacency(g))):
+        best.setdefault(min(mask.bit_count(), nv - mask.bit_count()), bd)
+        if len(best) == nv // 2 + 1 - connected:  # no bipartition has an empty side
+            break
+    return tuple(best.get(m) for m in range(nv // 2 + 1))
+
+
+def least_degree_cut(g, l):
+    """Least bd of a connected bipartition whose sides each have minimum inner degree >= l."""
+    adj, full = adjacency(g), (1 << g.num_vertices) - 1
+    return next((bd for mask, bd in ascending(cut_lanes(g))
+                 if all((adj[v] & side).bit_count() >= l
+                        for side in (mask, full ^ mask) for v in bits(side))), None)
+
+
+def exhaustive_ex(g, m):
+    """oracle.brute_ex by the exhaustive search."""
+    return g.degree(0) * m - size_minima(g, False)[min(m, g.num_vertices - m)]
+
+
+def exhaustive_xi(g, m):
+    """oracle.brute_xi by the exhaustive search; None where no connected bipartition has an
+    m-vertex side."""
+    return size_minima(g, True)[m]
+
+
+def exhaustive_xi_unconstrained(g, m):
+    return size_minima(g, False)[m]
+
+
+def exhaustive_lambda_h(g, h):
+    return min((xi for xi in size_minima(g, True)[h:] if xi is not None), default=None)
+
+
+def exhaustive_room_min(g, r):
+    """The least xi_m <= (degree - r) * m over the m <= nv/2 that have a connected bipartition."""
+    room = g.degree(0) - r
+    return min((xi for m, xi in enumerate(size_minima(g, True))
+                if xi is not None and xi <= room * m), default=None)
+
+
+def exhaustive_cyclic(g):
+    return exhaustive_room_min(g, 2)
+
+
+def exhaustive_conditional(g, pattern, l):
+    """oracle.brute_conditional by the exhaustive search.  The embedded cut is settled by
+    the canonical block, so graphs whose labels are not their blocks are refused."""
+    if pattern is FaultPattern.EXTRA_SIZE:
+        return exhaustive_lambda_h(g, 1 << l)
+    if pattern is FaultPattern.EMBEDDED:
+        sizes = range(1 << l, g.num_vertices // 2 + 1, 1 << l)
+        cut = min(((xi, m) for m in sizes if (xi := exhaustive_xi(g, m)) is not None), default=None)
+        return None if cut is None else _settled(cut[0], _canonical_cut(g, cut[1]), f"{cut[1]}-set")
+    if pattern is FaultPattern.AVERAGE_DEGREE:
+        return exhaustive_room_min(g, l)
+    return least_degree_cut(g, l)
 
 
 def identity_matching_tree(n):
@@ -76,27 +253,27 @@ def graph_from_rows(n, kind, rows):
     return CubeGraph(n=n, kind=kind, neighbours=labels.tobytes())
 
 
-def component(adjacency, mask):
+def component(adj, mask):
     """The vertices of mask reachable from its lowest vertex inside mask (0 if empty)."""
     seen = frontier = mask & -mask
     while frontier:
         reach = 0
-        for v in _bits(frontier):
-            reach |= adjacency[v]
+        for v in bits(frontier):
+            reach |= adj[v]
         frontier = reach & mask & ~seen
         seen |= frontier
     return seen
 
 
-def mask_connected(adjacency, mask):
-    return component(adjacency, mask) == mask
+def mask_connected(adj, mask):
+    return component(adj, mask) == mask
 
 
 def bfs_bipartitions(g):
     """(mask, boundary) of each bipartition, its mask holding vertex 0, with both sides connected
     and nonempty: two component walks per mask."""
-    adj, full = g.adjacency, (1 << g.num_vertices) - 1
-    bd = _mask_table(adj)
+    adj, full = adjacency(g), (1 << g.num_vertices) - 1
+    bd = mask_table(adj)
     return tuple((mask, bd[mask]) for mask in range(1, full, 2)
                  if mask_connected(adj, mask) and mask_connected(adj, full ^ mask))
 
@@ -108,24 +285,24 @@ def least_cut(g, bipartitions, side_ok):
                  if side_ok(mask) and side_ok(full ^ mask)), None)
 
 
-def min_degree_side(adjacency, l, side):
+def min_degree_side(adj, l, side):
     """Whether every vertex of the side has at least l neighbours inside it."""
-    return all((adjacency[v] & side).bit_count() >= l for v in _bits(side))
+    return all((adj[v] & side).bit_count() >= l for v in bits(side))
 
 
-def average_degree_side(adjacency, l, side):
+def average_degree_side(adj, l, side):
     """Whether the side's inner degrees, counted vertex by vertex, sum to at least l per vertex.
 
     At l = 2 this is the cyclic side test: a connected side holds a cycle iff it has at
     least as many edges as vertices.
     """
-    return sum((adjacency[v] & side).bit_count() for v in _bits(side)) >= l * side.bit_count()
+    return sum((adj[v] & side).bit_count() for v in bits(side)) >= l * side.bit_count()
 
 
 def embedded_side(l, side):
     """Whether every vertex of the side lies in an aligned 2^l block of labels wholly inside it."""
     block = (1 << (1 << l)) - 1
-    return all(side >> (v >> l << l) & block == block for v in _bits(side))
+    return all(side >> (v >> l << l) & block == block for v in bits(side))
 
 
 def brute_lambda_h_unrestricted(g, h, max_cut=8):
@@ -137,7 +314,7 @@ def brute_lambda_h_unrestricted(g, h, max_cut=8):
     splits loses nothing.
     """
     nv = g.num_vertices
-    adj = list(g.adjacency)
+    adj = list(adjacency(g))
     edges = sorted((u, v) for u in range(nv) for v in g.row(u) if u < v)
     full = (1 << nv) - 1
     for size in range(1, max_cut + 1):
@@ -159,10 +336,10 @@ def brute_lambda_h_unrestricted(g, h, max_cut=8):
 
 def average_degree_floor_check(g):
     """Every subset with integer average-degree floor l has at least 2**(l-1) vertices."""
-    if not _exhaustive(g):
+    if not exhaustive(g):
         raise BudgetExceededError("average degree check needs exhaustive scale")
     degree = g.degree(0)
-    for mask, bd in enumerate(_mask_table(g.adjacency)):
+    for mask, bd in enumerate(mask_table(adjacency(g))):
         k = mask.bit_count()
         e2 = degree * k - bd  # doubled induced edges: the graph is regular
         if k and e2 >= k and k < (1 << (e2 // k - 1)):

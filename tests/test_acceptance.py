@@ -105,7 +105,7 @@ def test_criterion_06_cyclic_oracle(capsys):
         for g in members(5, range(1, 3)):
             assert oc.brute_cyclic(g) == 12
 
-    _gate(capsys, 6, "cyclic oracle: least xi_m with room for a cycle, 4, 8 exhaustive, 12 settled",
+    _gate(capsys, 6, "cyclic oracle: least settled xi_m with room for a cycle, 4, 8 and 12",
           120.0, body)
 
 

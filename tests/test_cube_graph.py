@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
-from reference import (identity_matching_tree, recursive_levels, row_boundary_size,
-                       row_induced_edge_count, row_is_connected_induced)
+from reference import (adjacency, identity_matching_tree, recursive_levels, row_boundary_size,
+                       row_induced_edge_count, row_is_connected_induced, subset_mask)
 
 
 class TestHypercube:
@@ -34,11 +34,11 @@ class TestHypercube:
             assert all(g.degree(v) == n for v in range(g.num_vertices))
 
     def test_adjacency_rule(self):
-        g = cg.build_hypercube(4)
+        adj = adjacency(cg.build_hypercube(4))
         for u in range(16):
             for v in range(16):
                 expect = bin(u ^ v).count("1") == 1
-                assert bool((g.adjacency[u] >> v) & 1) == expect
+                assert bool((adj[u] >> v) & 1) == expect
 
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):
@@ -66,10 +66,10 @@ class TestEnhanced:
                 assert all(g.degree(v) == n + 1 for v in range(g.num_vertices))
 
     def test_complement_edge(self):
-        g = cg.build_enhanced(5, 3)
+        adj = adjacency(cg.build_enhanced(5, 3))
         flip = (1 << 3) - 1
         for v in range(32):
-            assert (g.adjacency[v] >> (v ^ flip)) & 1
+            assert (adj[v] >> (v ^ flip)) & 1
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -113,15 +113,15 @@ class TestMatchingTree:
                 assert cg.is_connected_induced(g, range(g.num_vertices))
 
     def test_adjacency_symmetric(self):
-        g = cg.build_k4cube(cg.random_matching_tree(6, 9))
+        adj = adjacency(cg.build_k4cube(cg.random_matching_tree(6, 9)))
         for u in range(64):
-            assert not (g.adjacency[u] >> u) & 1
+            assert not (adj[u] >> u) & 1
             for v in range(64):
-                assert ((g.adjacency[u] >> v) & 1) == ((g.adjacency[v] >> u) & 1)
+                assert ((adj[u] >> v) & 1) == ((adj[v] >> u) & 1)
 
     def test_canonical_equals_enhanced(self):
         for n in range(2, 11):
-            assert cg.canonical_member(n).adjacency == cg.build_enhanced(n, n - 1).adjacency
+            assert adjacency(cg.canonical_member(n)) == adjacency(cg.build_enhanced(n, n - 1))
 
     def test_random_tree_deterministic(self):
         for n in (4, 6):
@@ -129,7 +129,7 @@ class TestMatchingTree:
                 assert cg.random_matching_tree(n, seed) == cg.random_matching_tree(n, seed)
                 g1 = cg.build_k4cube(cg.random_matching_tree(n, seed))
                 g2 = cg.build_k4cube(cg.random_matching_tree(n, seed))
-                assert g1.adjacency == g2.adjacency
+                assert adjacency(g1) == adjacency(g2)
 
     def test_draw_matches_the_recursion(self):
         # one loop over the K4 leaves shuffles the gluings in the recursion's post-order
@@ -288,11 +288,12 @@ class TestBitmap:
     def test_pbm_cell_convention(self):
         # "0" (white) marks an edge, "1" (black) a non-edge
         g = cg.build_hypercube(3)
+        adj = adjacency(g)
         rows = cg.bitmap_pbm(g).strip().split("\n")[2:]
         for u, row in enumerate(rows):
             cells = row.split(" ")
             for v, cell in enumerate(cells):
-                assert cell == ("0" if (g.adjacency[u] >> v) & 1 else "1")
+                assert cell == ("0" if (adj[u] >> v) & 1 else "1")
 
 
 # The bitmask definitions the neighbour rows replace: a member assembled by
@@ -311,25 +312,25 @@ def mask_member(levels, i=0, k=0):
 
 
 def mask_pbm(g):
-    size = g.num_vertices
+    size, adj = g.num_vertices, adjacency(g)
     lines = ["P1", f"{size} {size}"]
     for u in range(size):
-        lines.append(" ".join("0" if (g.adjacency[u] >> v) & 1 else "1" for v in range(size)))
+        lines.append(" ".join("0" if (adj[u] >> v) & 1 else "1" for v in range(size)))
     return "\n".join(lines) + "\n"
 
 
 def mask_subset_stats(g, members):
     """(induced edges, boundary, connected) by the bitmask formulas."""
-    mask = cg.subset_mask(members)
+    mask, adj = subset_mask(members), adjacency(g)
     verts = [v for v in range(g.num_vertices) if mask >> v & 1]
-    inner = sum((g.adjacency[v] & mask).bit_count() for v in verts) // 2
-    boundary = sum((g.adjacency[v] & ~mask).bit_count() for v in verts)
+    inner = sum((adj[v] & mask).bit_count() for v in verts) // 2
+    boundary = sum((adj[v] & ~mask).bit_count() for v in verts)
     seen = frontier = mask & -mask
     while frontier:
         reach = 0
         for v in range(g.num_vertices):
             if frontier >> v & 1:
-                reach |= g.adjacency[v]
+                reach |= adj[v]
         frontier = reach & mask & ~seen
         seen |= frontier
     return inner, boundary, seen == mask
@@ -353,7 +354,7 @@ class TestRowsMatchMasks:
     def test_members_match_the_shifted_rows(self, n):
         trees = [identity_matching_tree(n)] + [cg.random_matching_tree(n, s) for s in (1, 2, 3)]
         for tree in trees:
-            assert cg.build_k4cube(tree).adjacency == tuple(mask_member(tree))
+            assert adjacency(cg.build_k4cube(tree)) == tuple(mask_member(tree))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_pbm_equals_cell_definition(self, n):
@@ -377,9 +378,9 @@ class TestRowsMatchMasks:
     def test_equal_hashable_and_picklable_after_use(self):
         g = probe_graph(4, 1)
         assert pickle.loads(pickle.dumps(g)) == g  # before the cached views exist
-        assert g.degree(0) == 5 and g.adjacency
+        assert g.degree(0) == 5 and g.row(3)
         twin = pickle.loads(pickle.dumps(g))
-        assert twin == g and hash(twin) == hash(g) and twin.adjacency == g.adjacency
+        assert twin == g and hash(twin) == hash(g) and adjacency(twin) == adjacency(g)
         assert twin != cg.canonical_member(4) and len({g, twin, cg.canonical_member(4)}) == 2
 
     @settings(max_examples=300, deadline=None)
@@ -477,7 +478,7 @@ class TestLargeMembers:
                 assert cg.boundary_size(g, s) == cf.xi_h4(m, n)
                 assert 2 * cg.induced_edge_count(g, s) == cf.f_value(m)
                 assert cg.is_connected_induced(g, s)
-            assert "adjacency" not in g.__dict__
+            assert set(g.__dict__) <= {"_flat"}  # the row view is the only one built
 
     def test_n16_member_in_512mb(self):
         # 4^16 bits of bitmask rows would be 512 MB alone; the rows take about 4 MB

@@ -9,9 +9,10 @@ import pytest
 from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
 from k4rel import oracle as oc
-from reference import (average_degree_floor_check, average_degree_side, bfs_bipartitions,
-                       brute_lambda_h_unrestricted, embedded_side, graph_from_rows, least_cut,
-                       mask_connected, min_degree_side)
+import reference as ref
+from reference import (adjacency, average_degree_floor_check, average_degree_side,
+                       bfs_bipartitions, brute_lambda_h_unrestricted, embedded_side,
+                       graph_from_rows, least_cut, mask_connected, min_degree_side)
 
 
 def member(n, seed=None):
@@ -20,19 +21,10 @@ def member(n, seed=None):
     return cg.build_k4cube(cg.random_matching_tree(n, seed))
 
 
-def halves(search, *args):
-    """search(*args) with n = 4 one dimension past exhaustive scale, as n = 5 is in use."""
-    saved, oc.EXHAUSTIVE_N = oc.EXHAUSTIVE_N, 3
-    try:
-        return search(*args)
-    finally:
-        oc.EXHAUSTIVE_N = saved
-
-
 def per_mask_sizes(g):
     """Per subset size m, the least boundary over all m-subsets, read mask by mask."""
     best = [None] * (g.num_vertices + 1)
-    for mask, bd in enumerate(oc._mask_table(g.adjacency)):
+    for mask, bd in enumerate(ref.mask_table(adjacency(g))):
         m = mask.bit_count()
         if best[m] is None or bd < best[m]:
             best[m] = bd
@@ -53,7 +45,7 @@ class TestBudget:
             oc.brute_cyclic(g)
 
     def test_past_the_tables_refuses_before_the_bitmask_rows(self):
-        # g.adjacency holds 4^n bits, 512 MB at n = 16: no search may build it to refuse
+        # bitmask rows hold 4^n bits, 512 MB at n = 16: no search may build a view to refuse
         g = cg.canonical_member(12)
         searches = [lambda: oc.brute_ex(g, 2), lambda: oc.brute_xi(g, 2),
                     lambda: oc.brute_xi_unconstrained(g, 2), lambda: oc.brute_lambda_h(g, 2),
@@ -62,7 +54,7 @@ class TestBudget:
         for search in searches:
             with pytest.raises(oc.BudgetExceededError, match="n = 12 is past the bounded oracle"):
                 search()
-            assert "adjacency" not in g.__dict__
+            assert set(g.__dict__) <= {"_flat"}
 
     def test_rejects_arguments_out_of_range(self):
         g = member(4)
@@ -82,20 +74,20 @@ class TestBudget:
     def test_cyclic_bound_below_the_witness_is_skipped(self, monkeypatch):
         # enhanced(4, 2) has an 8-edge cyclic cut, but it is no member, so no bound reads it
         g = cg.build_enhanced(4, 2)
-        assert oc.brute_cyclic(g) == 8
+        assert ref.exhaustive_cyclic(g) == 8
         with pytest.raises(oc.BudgetExceededError, match="member certificate"):
-            halves(oc.brute_cyclic, g)
+            oc.brute_cyclic(g)
         # on a member the settled xi of every size gives 8; a 4-set witness of 12 or none is
         # skipped, as cyclic reads xi_4
         g, cut = member(4, 1), oc._canonical_cut
-        assert halves(oc.brute_cyclic, g) == 8
+        assert oc.brute_cyclic(g) == 8
         for found, reason in ((12, "the canonical 4-set gives 12, not the lower bound 8"),
                               (None, "the canonical 4-set has a disconnected side; "
                                      "the lower bound is 8")):
             monkeypatch.setattr(oc, "_canonical_cut",
                                 lambda g, m, found=found: found if m == 4 else cut(g, m))
             with pytest.raises(oc.BudgetExceededError) as info:
-                halves(oc.brute_cyclic, g)
+                oc.brute_cyclic(g)
             assert str(info.value) == reason
 
 
@@ -108,9 +100,9 @@ def shuffled_member(n, seed, shuffle_seed):
     for u in range(nv):
         rows[perm[u]] = [perm[v] for v in g.row(u)]
     shuffled = graph_from_rows(n, "shuffled", rows)
+    before, after = adjacency(g), adjacency(shuffled)
     for u in range(nv):  # the same relabelled member as a bitmask relabelling gives
-        assert shuffled.adjacency[perm[u]] == cg.subset_mask(
-            perm[v] for v in range(nv) if (g.adjacency[u] >> v) & 1)
+        assert after[perm[u]] == ref.subset_mask(perm[v] for v in range(nv) if (before[u] >> v) & 1)
     return shuffled
 
 
@@ -130,15 +122,19 @@ def glued(seed):
     return graph_from_rows(4, f"glued{seed}", rows)
 
 
-def refused(g, searches=(oc.brute_ex, oc.brute_xi, oc.brute_xi_unconstrained, oc.brute_lambda_h)):
-    """Assert that the member certificate refuses every bounded search on g; True, so that
-    halves() can run it."""
-    for search in searches:
-        with pytest.raises(oc.BudgetExceededError, match="member certificate"):
-            search(g, 5)
-    with pytest.raises(oc.BudgetExceededError, match="member certificate"):
-        oc.brute_cyclic(g)
-    return True
+def refused(g):
+    """Assert that the member certificate refuses every search on g, with its reason; the
+    degree patterns are refused from n = 5 on before the certificate is read."""
+    searches = [partial(search, g, 2) for search in (
+        oc.brute_ex, oc.brute_xi, oc.brute_xi_unconstrained, oc.brute_lambda_h)]
+    patterns = list(oc.FaultPattern) if g.n < 5 else [oc.FaultPattern.EXTRA_SIZE,
+                                                        oc.FaultPattern.EMBEDDED]
+    searches += [partial(oc.brute_conditional, g, pattern, 2) for pattern in patterns]
+    for search in searches + [partial(oc.brute_cyclic, g)]:
+        with pytest.raises(oc.BudgetExceededError) as info:
+            search()
+        assert str(info.value) == (
+            "the rows fail the member certificate: K4 leaves, one matching per gluing")
 
 
 class TestBoundedMode:
@@ -146,99 +142,96 @@ class TestBoundedMode:
         for seed in (None, 1, 2, 3):
             g = member(4, seed)
             for m in range(0, 17):
-                assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (seed, m)
+                assert oc.brute_ex(g, m) == ref.exhaustive_ex(g, m), (seed, m)
             for m in range(1, 9):
-                assert halves(oc.brute_xi, g, m) == oc.brute_xi(g, m), (seed, m)
-            assert halves(oc.brute_cyclic, g) == oc.brute_cyclic(g), seed
+                assert oc.brute_xi(g, m) == ref.exhaustive_xi(g, m), (seed, m)
+            assert oc.brute_cyclic(g) == ref.exhaustive_cyclic(g), seed
 
     def test_halves_table_equals_the_per_mask_table(self):
         # the exhaustive per-size walk reads every graph, enhanced(4, 1) with its two edges
-        # per vertex across the halves too; the bounded path reads members only
+        # per vertex across the halves too; the oracle reads members only
         graphs = [member(4, seed) for seed in (None, 1, 2, 3, 4, 5)] + [cg.build_hypercube(4)]
         graphs += [cg.build_enhanced(4, k) for k in (1, 2, 3)]
         for g in graphs:
             sizes = per_mask_sizes(g)
-            assert oc._size_minima(g, False) == sizes[:9], g.kind
-            assert [oc.brute_ex(g, m) for m in range(17)] == [
+            assert ref.size_minima(g, False) == sizes[:9], g.kind
+            assert [ref.exhaustive_ex(g, m) for m in range(17)] == [
                 g.degree(0) * m - sizes[m] for m in range(17)], g.kind
             if not oc._certified(g):  # enhanced(4, 3) is the canonical member
-                assert halves(refused, g), g.kind
+                refused(g)
                 continue
             for m in range(0, 17):
-                assert halves(oc.brute_ex, g, m) == oc.brute_ex(g, m), (g.kind, m)
+                assert oc.brute_ex(g, m) == ref.exhaustive_ex(g, m), (g.kind, m)
             for m in range(1, 9):
-                assert halves(oc.brute_xi_unconstrained, g, m) == oc.brute_xi_unconstrained(
+                assert oc.brute_xi_unconstrained(g, m) == ref.exhaustive_xi_unconstrained(
                     g, m) == sizes[m], (g.kind, m)
 
     def test_halves_table_outside_the_family(self):
         for seed in range(20):
             g = glued(seed)
             sizes = per_mask_sizes(g)
-            assert oc._size_minima(g, False) == sizes[:9], seed
-            assert [oc.brute_ex(g, m) for m in range(17)] == [
+            assert ref.size_minima(g, False) == sizes[:9], seed
+            assert [ref.exhaustive_ex(g, m) for m in range(17)] == [
                 4 * m - sizes[m] for m in range(17)], seed
-            assert halves(refused, g), seed
+            refused(g)
 
     def test_unsettled_xi_names_its_reason(self, monkeypatch):
         # glued(0) is no member; on a member, a witness off the bound 8 names both numbers
-        assert oc.brute_xi(glued(0), 1) == 4
-        assert halves(refused, glued(0))
+        assert ref.exhaustive_xi(glued(0), 1) == 4
+        refused(glued(0))
         g, cut = member(4, 2), oc._canonical_cut
         for found, reason in ((None, "the canonical 2-set has a disconnected side; "
                                      "the lower bound is 8"),
                               (9, "the canonical 2-set gives 9, not the lower bound 8")):
             monkeypatch.setattr(oc, "_canonical_cut",
                                 lambda g, m, found=found: found if m == 2 else cut(g, m))
-            assert halves(oc.brute_xi, g, 1) == 5
+            assert oc.brute_xi(g, 1) == 5
             for search, arg in ((oc.brute_xi, 2), (oc.brute_xi_unconstrained, 2),
                                 (oc.brute_ex, 2), (oc.brute_lambda_h, 1)):
                 with pytest.raises(oc.BudgetExceededError) as info:
-                    halves(search, g, arg)
+                    search(g, arg)
                 assert str(info.value) == reason, search.__name__
 
     def test_cached_tables_answer_only_at_their_own_scale(self):
-        # a graph checked exhaustively is refused once the scale is lowered, and back again
+        # the caches answer each graph from its own rows: a refused graph stays refused
+        # between members, whose values are answered at n = 4 and 5 alike
         g = glued(0)
-        assert oc.brute_xi(g, 2) == 6
-        with pytest.raises(oc.BudgetExceededError) as info:
-            halves(oc.brute_xi, g, 2)
-        assert str(info.value) == (
-            "the rows fail the member certificate: K4 leaves, one matching per gluing")
-        assert oc.brute_xi(g, 2) == 6
-        g = member(4, 3)  # a member is answered at both scales, from each scale's own cache
-        assert halves(oc.brute_xi, g, 3) == oc.brute_xi(g, 3) == halves(oc.brute_xi, g, 3) == 9
-        g = member(5, 3)  # the scale is checked outside the cached certificate
-        assert oc.brute_xi(g, 3) == 12
-        with pytest.raises(oc.BudgetExceededError, match="n = 5 is past the bounded oracle"):
-            halves(oc.brute_xi, g, 3)
-        assert oc.brute_xi(g, 3) == 12
+        assert ref.exhaustive_xi(g, 2) == 6
+        for graph, m, xi in ((g, 2, None), (member(4, 3), 3, 9), (g, 2, None),
+                             (member(5, 3), 3, 12), (member(4, 3), 3, 9), (g, 2, None)):
+            if xi is None:
+                with pytest.raises(oc.BudgetExceededError) as info:
+                    oc.brute_xi(graph, m)
+                assert str(info.value) == (
+                    "the rows fail the member certificate: K4 leaves, one matching per gluing")
+            else:
+                assert oc.brute_xi(graph, m) == xi, graph.n
+        assert ref.exhaustive_xi(member(4, 3), 3) == 9
 
     def test_embedded_from_the_size_bound_and_the_canonical_block(self, monkeypatch):
         embedded = oc.FaultPattern.EMBEDDED
         for seed in (None, 1, 2, 3, 4, 5):
             g = member(4, seed)
             for l in (2, 3):
-                assert halves(oc.brute_conditional, g, embedded, l) == \
-                    oc.brute_conditional(g, embedded, l) == 8, (seed, l)
+                assert oc.brute_conditional(g, embedded, l) == \
+                    ref.exhaustive_conditional(g, embedded, l) == 8, (seed, l)
         # the hypercube and enhanced(4, 2) have an 8-edge cut between aligned 4-blocks, but
         # they are no members, so only the exhaustive search reads them
         for g in (cg.build_hypercube(4), cg.build_enhanced(4, 2)):
-            assert oc.brute_conditional(g, embedded, 2) == 8, g.kind
+            assert ref.exhaustive_conditional(g, embedded, 2) == 8, g.kind
             with pytest.raises(oc.BudgetExceededError, match="member certificate"):
-                halves(oc.brute_conditional, g, embedded, 2)
-        # at every scale, a canonical block off the least xi names both numbers; exhaustively
-        # only the embedded row reads the witness, and at l = 2 it is the 4-set, the least of
-        # the sizes 4 and 8 where xi is 8
+                oc.brute_conditional(g, embedded, 2)
+        # a canonical block off the least xi names both numbers; at l = 2 the sizes are 4
+        # and 8, where xi is 8
         g, cut = member(4, 1), oc._canonical_cut
         for found, reason in ((9, "the canonical 4-set gives 9, not the lower bound 8"),
                               (None, "the canonical 4-set has a disconnected side; "
                                      "the lower bound is 8")):
             monkeypatch.setattr(oc, "_canonical_cut",
                                 lambda g, m, found=found: found if m == 4 else cut(g, m))
-            for search in (oc.brute_conditional, lambda *args: halves(oc.brute_conditional, *args)):
-                with pytest.raises(oc.BudgetExceededError) as info:
-                    search(g, embedded, 2)
-                assert str(info.value) == reason
+            with pytest.raises(oc.BudgetExceededError) as info:
+                oc.brute_conditional(g, embedded, 2)
+            assert str(info.value) == reason
             assert oc.brute_conditional(g, embedded, 3) == 8
 
     def test_n5_checks_one_canonical_cut_per_size(self, monkeypatch):
@@ -255,7 +248,7 @@ class TestBoundedMode:
         # enhanced(4, 1) joins each vertex to the other half twice; the shuffle mixes the halves
         for g in (cg.build_enhanced(4, 1), shuffled_member(4, 5, 9)):
             assert not oc._certified(g)
-            assert halves(refused, g), g.kind
+            refused(g)
 
     def test_n5_equals_the_closed_forms(self):
         for seed in (None, 1):
@@ -342,7 +335,7 @@ class TestCertificate:
         for n, seed in ((4, None), (4, 1), (5, None), (5, 2)):
             g = mutated(n, seed, edit)
             assert not oc._certified(g), (n, seed)
-            assert (refused(g) if n == 5 else halves(refused, g)), (n, seed)
+            refused(g)
 
     def test_random_members_pass_at_every_n(self):
         # the column check is O(n * 2^n): members past the bounded oracle's scale are certified
@@ -360,8 +353,8 @@ class TestCertificate:
 
     def test_rows_in_another_order_are_refused(self):
         # each row rotated by its label lists the same neighbours, but slot j no longer holds
-        # one column: the certificate fails, so the bounded searches are refused with its
-        # reason, and the exhaustive ones still answer the member's values
+        # one column: the certificate fails, so the oracle's searches are refused with its
+        # reason, and the exhaustive reference still answers the member's values
         for n, seed in ((4, 1), (5, None), (5, 2)):
             g = member(n, seed)
             rows = [list(g.row(v)) for v in range(g.num_vertices)]
@@ -369,19 +362,19 @@ class TestCertificate:
                                                      for v, row in enumerate(rows)])
             assert [set(rotated.row(v)) for v in range(g.num_vertices)] == list(map(set, rows))
             assert not oc._certified(rotated), (n, seed)
-            assert (refused(rotated) if n == 5 else halves(refused, rotated)), (n, seed)
+            refused(rotated)
             with pytest.raises(oc.BudgetExceededError) as info:
-                (oc.brute_xi if n == 5 else partial(halves, oc.brute_xi))(rotated, 3)
+                oc.brute_xi(rotated, 3)
             assert str(info.value) == (
                 "the rows fail the member certificate: K4 leaves, one matching per gluing")
             if n == 4:
-                assert [oc.brute_xi(rotated, m) for m in range(1, 9)] == [
+                assert [ref.exhaustive_xi(rotated, m) for m in range(1, 9)] == [
                     cf.xi_h4(m, 4) for m in range(1, 9)]
 
 
 class TestRecursionBound:
     def test_equals_the_per_mask_minima_of_members(self):
-        # the least boundary per size, mask by mask, and the bounded path read from it at n = 4;
+        # the least boundary per size, mask by mask, and the oracle read from it at n = 4;
         # the K4 alone shows its entry at m = 2, which no minimum at n >= 3 attains
         for n in (2, 3, 4):
             for seed in (None, 1, 2, 3):
@@ -389,7 +382,7 @@ class TestRecursionBound:
                 assert oc._recursion_bound(n) == per_mask_sizes(g), (n, seed)
         for seed in (None, 1, 2, 3):
             g = member(4, seed)
-            assert [halves(oc.brute_xi_unconstrained, g, m) for m in range(1, 9)] == list(
+            assert [oc.brute_xi_unconstrained(g, m) for m in range(1, 9)] == list(
                 per_mask_sizes(g)[1:9]), seed
 
     def test_equals_the_closed_form(self):
@@ -404,7 +397,7 @@ class TestRecursionBound:
             assert oc.brute_ex(g, 7) == cf.f_value(7)
             assert oc.brute_xi(g, 7) == cf.xi_h4(7, 5)
             assert oc.brute_cyclic(g) == 12
-            assert "adjacency" not in g.__dict__
+            assert set(g.__dict__) <= {"_flat"}
 
 
 def two_cubes():
@@ -421,35 +414,36 @@ def bitmap_graphs():
 class TestConnectivityBitmap:
     def test_disconnected_graph_has_no_xi(self):
         # the only connected bipartition of two 3-cubes puts one cube on each side
-        with pytest.raises(RuntimeError, match="no feasible subset of size 1; graph is malformed"):
-            oc.brute_xi(two_cubes(), 1)
+        g = two_cubes()
+        assert [ref.exhaustive_xi(g, m) for m in range(1, 9)] == [None] * 7 + [0]
+        refused(g)
 
     def test_every_mask_agrees_with_bfs(self):
         for g in bitmap_graphs():
-            connected = oc._connected_masks(g.adjacency)
+            adj = adjacency(g)
+            connected = ref.connected_masks(adj)
             for mask in range(1 << g.num_vertices):
-                assert (connected >> mask) & 1 == mask_connected(g.adjacency, mask), (
-                    g.kind, mask)
+                assert (connected >> mask) & 1 == mask_connected(adj, mask), (g.kind, mask)
 
     def test_bipartitions_and_per_size_minima_agree_with_the_per_mask_scan(self):
         for g in bitmap_graphs():
             nv, expected = g.num_vertices, bfs_bipartitions(g)
-            assert tuple(oc._ascending(oc._cut_lanes(g))) == tuple(
+            assert tuple(ref.ascending(ref.cut_lanes(g))) == tuple(
                 sorted(expected, key=lambda p: p[::-1])), g.kind
             minima = [None]  # no bipartition has an empty side
             for m in range(1, nv // 2 + 1):
                 bds = [bd for mask, bd in expected
                          if m in (mask.bit_count(), nv - mask.bit_count())]
                 minima.append(min(bds, default=None))
-            assert oc._size_minima(g, True) == tuple(minima), g.kind
-            assert oc._size_minima(g, False) == per_mask_sizes(g)[:nv // 2 + 1], g.kind
+            assert ref.size_minima(g, True) == tuple(minima), g.kind
+            assert ref.size_minima(g, False) == per_mask_sizes(g)[:nv // 2 + 1], g.kind
         # the two cubes, nothing else
-        assert tuple(oc._ascending(oc._cut_lanes(two_cubes()))) == ((0xFF, 0),)
+        assert tuple(ref.ascending(ref.cut_lanes(two_cubes()))) == ((0xFF, 0),)
 
     def test_canonical_cut_agrees_with_the_bipartition_lanes(self):
         # two walks of the graph's rows against the lane table of the connectivity bitmap
         for g in bitmap_graphs():
-            lanes = oc._cut_lanes(g)
+            lanes = ref.cut_lanes(g)
             for m in range(1, g.num_vertices):
                 bd = lanes[(1 << m) - 1]
                 assert oc._canonical_cut(g, m) == (None if bd == 255 else bd), (g.kind, m)
@@ -457,16 +451,16 @@ class TestConnectivityBitmap:
     def test_least_cut_stops_at_the_full_scan_minimum(self):
         def full_scan(g, side_ok):
             full, best = (1 << g.num_vertices) - 1, None
-            for mask, bd in oc._ascending(oc._cut_lanes(g)):
+            for mask, bd in ref.ascending(ref.cut_lanes(g)):
                 if (best is None or bd < best) and side_ok(mask) and side_ok(full ^ mask):
                     best = bd
             return best
 
         for g in bitmap_graphs():
-            adj = g.adjacency
-            for l in range(2, g.n):
-                assert oc._least_cut(g, l) == full_scan(g, partial(min_degree_side, adj, l)), (
-                    g.kind, l)
+            adj = adjacency(g)
+            for l in range(1, g.n):
+                assert ref.least_degree_cut(g, l) == full_scan(
+                    g, partial(min_degree_side, adj, l)), (g.kind, l)
             # no cyclic side has 1 or 2 vertices (u == v: one)
             nv = g.num_vertices
             small = [1 << u | 1 << v for v in range(nv) for u in range(v + 1)]
@@ -475,10 +469,10 @@ class TestConnectivityBitmap:
 
 class TestMemory:
     def test_verify_peaks_below_3_5_mb_with_cold_caches(self):
-        # at n = 4 one byte lane per mask, where one (mask, boundary) pair per connected
-        # bipartition peaked at about 4.6 MB; at n = 5 no subset table, where the label
-        # halves' size transforms peaked at about 2.9 MB
-        for n, seeds, bound in ((4, [1], 3.5e6), (5, [], 0.5e6)):
+        # no subset table at either n: at n = 4 the byte-lane tables of the exhaustive search
+        # peaked at about 1.7 MB and now about 0.02 MB; at n = 5 the label halves' size
+        # transforms peaked at about 2.9 MB and now about 0.02 MB
+        for n, seeds, bound in ((4, [1], 0.5e6), (5, [], 0.5e6)):
             for cached in vars(oc).values():
                 if hasattr(cached, "cache_clear"):
                     cached.cache_clear()
@@ -492,7 +486,7 @@ class TestMemory:
 
     def test_bipartitions_are_walked_lazily(self):
         g = member(4, 1)
-        cuts = oc._ascending(oc._cut_lanes(g))
+        cuts = ref.ascending(ref.cut_lanes(g))
         assert iter(cuts) is cuts
         assert next(cuts) == min(bfs_bipartitions(g), key=lambda p: p[::-1])
 
@@ -511,11 +505,11 @@ class TestMaskTable:
         graphs += [member(4), member(4, 1), cg.build_enhanced(4, 2), cg.build_hypercube(4),
                    glued(0), shuffled_member(4, 5, 9)]
         for g in graphs:
-            assert oc._mask_table(g.adjacency) == boundary_table(g), g.kind
+            assert ref.mask_table(adjacency(g)) == boundary_table(g), g.kind
 
     def test_refuses_more_vertices_than_a_byte_lane_holds(self):
         with pytest.raises(oc.BudgetExceededError, match="16-vertex bound"):
-            oc._mask_table(member(5).adjacency)
+            ref.mask_table(adjacency(member(5)))
 
 
 class TestDensestSubset:
@@ -536,7 +530,8 @@ class TestDensestSubset:
     def test_hypercube_matches_ex_qn(self):
         g = cg.build_hypercube(3)
         for m in range(0, 9):
-            assert oc.brute_ex(g, m) == cf._hypercube_sum(m)
+            assert ref.exhaustive_ex(g, m) == cf._hypercube_sum(m)
+        refused(g)
 
     def test_bounded_mode_agrees(self):
         g = member(5, 7)
@@ -557,7 +552,9 @@ class TestIsoperimetric:
         assert oc.brute_xi_unconstrained(g, 3) == 9
 
     def test_hypercube_value(self):
-        assert oc.brute_xi(cg.build_hypercube(3), 4) == 3 * 4 - cf._hypercube_sum(4)
+        g = cg.build_hypercube(3)
+        assert ref.exhaustive_xi(g, 4) == 3 * 4 - cf._hypercube_sum(4)
+        refused(g)
 
     def test_unconstrained_equals_constrained(self):
         # disconnected subsets never beat connected ones at this scale
@@ -609,7 +606,7 @@ class TestConditionalAndCyclic:
         # at l = 1 the least cut is the K4's, 4n - 8 = 4, below the 2-set's 2n = 6
         for seed in (None, 1, 2, 3, 4, 5):
             g = member(3, seed)
-            assert oc.brute_lambda_h(g, 2) == oc._least_cut(g, 1) == 4, seed
+            assert oc.brute_lambda_h(g, 2) == ref.least_degree_cut(g, 1) == 4, seed
 
     @pytest.mark.xfail(strict=True, reason=(
         "conditional_lambda serves (n + 1 - l) * 2^l = 6 at n = 3, l = 1; mending it changes the "
@@ -619,7 +616,7 @@ class TestConditionalAndCyclic:
         served = cf.conditional_lambda(cf.FaultPattern.SUPER_DEGREE, 1, 3)
         for seed in (None, 1, 2, 3, 4, 5):
             g = member(3, seed)
-            assert served == oc.brute_lambda_h(g, 2) == oc._least_cut(g, 1), seed
+            assert served == oc.brute_lambda_h(g, 2) == ref.least_degree_cut(g, 1), seed
 
     def test_rejects_bad_arguments(self):
         g = member(3)
@@ -647,16 +644,17 @@ class TestConditionalAndCyclic:
     def test_k4_cut_meets_super_and_average_degree_at_n5(self):
         # both sides of the K4 cut pass both patterns at l = 3 with 12 crossing edges, yet
         # the closed form is 16: the oracle and the formula disagree, and the rows stay skipped
-        k4 = cg.subset_mask(range(4))
+        k4 = ref.subset_mask(range(4))
         rest = (1 << 32) - 1 ^ k4
         for seed in (None, 1):
             g = member(5, seed)
+            adj = adjacency(g)
             assert cg.is_connected_induced(g, range(4)) and cg.is_connected_induced(g, range(4, 32))
             assert cg.boundary_size(g, range(4)) == 12
             for side_ok, pattern in ((min_degree_side, oc.FaultPattern.SUPER_DEGREE),
                                      (average_degree_side, oc.FaultPattern.AVERAGE_DEGREE)):
-                assert side_ok(g.adjacency, 3, k4)
-                assert side_ok(g.adjacency, 3, rest)
+                assert side_ok(adj, 3, k4)
+                assert side_ok(adj, 3, rest)
                 assert cf.conditional_lambda(pattern, 3, 5) == 16
 
     def test_n5_degree_patterns_stay_skipped(self):
@@ -664,23 +662,25 @@ class TestConditionalAndCyclic:
         for seed in (None, 1):
             for pattern in (oc.FaultPattern.SUPER_DEGREE, oc.FaultPattern.AVERAGE_DEGREE):
                 for l in (2, 3, 4):
-                    with pytest.raises(oc.BudgetExceededError,
-                                       match="conditional search needs exhaustive scale"):
+                    with pytest.raises(oc.BudgetExceededError) as info:
                         oc.brute_conditional(member(5, seed), pattern, l)
+                    assert str(info.value) == (
+                        "the degree patterns are unsettled from n = 5: the K4 cut meets both "
+                        "at l = 3 with 12 edges, where (n - l) * 2^l is 16")
 
     def test_malformed_graphs_keep_their_errors(self):
-        # a cycle on 8 vertices has no side with a cycle of its own; a bare min() would raise
-        # ValueError, which the command line reports as a usage error
+        # a cycle on 8 vertices has no side with a cycle of its own, and two 3-cubes have one
+        # bipartition, 8 vertices a side, where xi_1 has none: the reference finds no cut or
+        # the empty one, and the oracle refuses both with the certificate's reason, not with
+        # a ValueError of a bare min(), which the command line reports as a usage error
         cycle = graph_from_rows(3, "C8", [[(u - 1) % 8, (u + 1) % 8] for u in range(8)])
-        with pytest.raises(RuntimeError) as info:
-            oc.brute_cyclic(cycle)
-        assert type(info.value) is RuntimeError
-        assert str(info.value) == "no cyclic bipartition found; graph is malformed"
-        # two 3-cubes: one bipartition, 8 vertices a side, where xi_1 has none
+        assert ref.exhaustive_cyclic(cycle) is None
         g = two_cubes()
-        assert oc.brute_cyclic(g) == 0
-        assert oc.brute_conditional(g, oc.FaultPattern.EMBEDDED, 2) == 0
-        assert oc.brute_conditional(g, oc.FaultPattern.AVERAGE_DEGREE, 2) == 0
+        assert ref.exhaustive_cyclic(g) == 0
+        assert ref.exhaustive_conditional(g, oc.FaultPattern.EMBEDDED, 2) == 0
+        assert ref.exhaustive_conditional(g, oc.FaultPattern.AVERAGE_DEGREE, 2) == 0
+        for graph in (cycle, g):
+            refused(graph)
 
     def test_average_degree_floor(self):
         for seed in (None, 1, 2):
@@ -688,39 +688,94 @@ class TestConditionalAndCyclic:
 
 
 def outcome(search, *args):
-    """search(*args); "refused" where the oracle cannot settle it, None where it finds no cut."""
+    """search(*args), or "refused" where it cannot settle it."""
     try:
         return search(*args)
     except oc.BudgetExceededError:
         return "refused"
-    except RuntimeError:
-        return None
 
 
 class TestReferenceCuts:
     def test_room_and_block_rules_agree_with_the_side_tests(self):
-        # cyclic and average degree equal the reference on every graph; embedded equals it
-        # or is refused, and it is refused only off the family, where labels are no blocks
-        # bitmap_graphs() holds enhanced(4, k) for every k and the n = 4 members of seeds 1-3
+        # the exhaustive search's cyclic and degree cuts equal the side tests' on every graph;
+        # its embedded cut equals theirs or is refused, and it is refused only off the family,
+        # where labels are no blocks.  The oracle equals the side tests on every member and
+        # refuses every other graph.  bitmap_graphs() holds enhanced(4, k) for every k and the
+        # n = 4 members of seeds 1-3
         graphs = bitmap_graphs() + [glued(seed) for seed in range(3, 20)]
         graphs += [shuffled_member(4, 5, 9), cg.build_hypercube(3)]
         graphs += [cg.build_enhanced(3, k) for k in (1, 2)]
         graphs += [member(3, seed) for seed in range(1, 11)]
         graphs += [member(4, seed) for seed in range(4, 11)]
-        average, embedded, refused = oc.FaultPattern.AVERAGE_DEGREE, oc.FaultPattern.EMBEDDED, []
+        degree = ((oc.FaultPattern.AVERAGE_DEGREE, average_degree_side),
+                  (oc.FaultPattern.SUPER_DEGREE, min_degree_side))
+        embedded, unsettled, members = oc.FaultPattern.EMBEDDED, [], 0
         for g in graphs:
-            adj, cuts = g.adjacency, bfs_bipartitions(g)
+            adj, cuts, certified = adjacency(g), bfs_bipartitions(g), oc._certified(g)
             cyclic = least_cut(g, cuts, partial(average_degree_side, adj, 2))
-            assert outcome(oc.brute_cyclic, g) == cyclic, g.kind
+            assert ref.exhaustive_cyclic(g) == cyclic, g.kind
+            assert not certified or oc.brute_cyclic(g) == cyclic, g.kind
             for l in range(2, g.n):
-                expected = least_cut(g, cuts, partial(average_degree_side, adj, l))
-                assert outcome(oc.brute_conditional, g, average, l) == expected, (g.kind, l)
+                for pattern, side_ok in degree:
+                    expected = least_cut(g, cuts, partial(side_ok, adj, l))
+                    assert ref.exhaustive_conditional(g, pattern, l) == expected, (g.kind, l)
+                    assert not certified or oc.brute_conditional(g, pattern, l) == expected, (
+                        g.kind, l, pattern)
                 expected = least_cut(g, cuts, partial(embedded_side, l))
-                found = outcome(oc.brute_conditional, g, embedded, l)
+                found = outcome(ref.exhaustive_conditional, g, embedded, l)
                 assert found in (expected, "refused"), (g.kind, l, found, expected)
                 if found == "refused":
-                    refused.append((g.kind, l))
-        assert refused and all(kind.startswith(("glued", "shuffled")) for kind, l in refused)
+                    unsettled.append((g.kind, l))
+                assert not certified or oc.brute_conditional(g, embedded, l) == expected, (
+                    g.kind, l)
+            if not certified:
+                refused(g)
+            members += certified
+        assert unsettled and all(kind.startswith(("glued", "shuffled")) for kind, l in unsettled)
+        assert members == 24  # enhanced(n, n - 1) is the canonical member
+
+
+class TestSuperDegreeWitness:
+    def test_sides_hold_is_the_side_test_on_both_sides(self):
+        # every canonical m-set and every l, against the bitmask side test on each side
+        for g in (member(3), member(3, 1), member(4), member(4, 2)):
+            adj, full = adjacency(g), (1 << g.num_vertices) - 1
+            for m in range(1, g.num_vertices):
+                side = (1 << m) - 1
+                for l in range(g.n + 3):
+                    expected = all(min_degree_side(adj, l, s) for s in (side, full ^ side))
+                    assert oc._sides_hold(g, m, l) == expected, (g.n, m, l)
+        # the 3-set at n = 3, l = 2 holds on its own side, but vertex 3 keeps one neighbour on
+        # the other; the K4 holds at l = 3, its inner degree, and not above
+        g = member(3)
+        assert min_degree_side(adjacency(g), 2, 0b111) and not oc._sides_hold(g, 3, 2)
+        assert oc._sides_hold(member(4), 4, 3) and not oc._sides_hold(member(4), 4, 4)
+
+    def test_witness_is_the_least_set_that_attains_the_room_minimum(self, monkeypatch):
+        # at n <= 4 that set is the K4; a witness side below l is refused with both numbers
+        for n, l in ((3, 2), (4, 2), (4, 3)):
+            for seed in (None, 1, 2):
+                assert oc._room_min(member(n, seed), l) == ((n - l) << l, 4), (n, l, seed)
+        tested = []
+        monkeypatch.setattr(oc, "_sides_hold", lambda g, m, l: tested.append((m, l)) or False)
+        with pytest.raises(oc.BudgetExceededError) as info:
+            oc.brute_conditional(member(4, 1), oc.FaultPattern.SUPER_DEGREE, 3)
+        assert str(info.value) == (
+            "a side of the canonical 4-set has inner degree below 3; the lower bound is 8")
+        assert tested == [(4, 3)]
+        assert oc.brute_conditional(member(4, 1), oc.FaultPattern.AVERAGE_DEGREE, 3) == 8
+
+
+def reference_row(g, quantity, inp):
+    """The exhaustive search's value of one verify_member row."""
+    if quantity == "cyclic":
+        return ref.exhaustive_cyclic(g)
+    if quantity.startswith("cond_"):
+        pattern = oc.FaultPattern[quantity[len("cond_"):].upper()]
+        return ref.exhaustive_conditional(g, pattern, int(inp))
+    search = {"ex": ref.exhaustive_ex, "xi": ref.exhaustive_xi,
+              "xi_e": ref.exhaustive_xi_unconstrained, "lambda": ref.exhaustive_lambda_h}
+    return search[quantity](g, int(inp))
 
 
 class TestVerificationReport:
@@ -762,3 +817,15 @@ class TestVerificationReport:
     def test_rejects_out_of_range_n(self):
         with pytest.raises(ValueError):
             oc.verify_member(6, [1])
+
+    def test_every_row_equals_the_exhaustive_reference(self):
+        # the canonical member and seeds 1-10 at n = 3 and 4: no row is skipped, and every
+        # answer is the exhaustive search's
+        for n, rows in ((3, 21), (4, 41)):
+            report = oc.verify_member(n, list(range(1, 11)))
+            assert report.passed and len(report.entries) == 11 * rows
+            graphs = {"canonical": member(n)}
+            graphs.update((f"seed{seed}", member(n, seed)) for seed in range(1, 11))
+            for e in report.entries:
+                assert not e.skipped and e.brute == reference_row(
+                    graphs[e.member], e.quantity, e.input), e
