@@ -120,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None, help="only with --kind enhanced")
     command("plotdata", "TSV of normalized xi/lambda curves", nargs="+")
-    p = command("verify", "run the brute-force verification suite")
+    p = command("verify", "check the closed forms on members by bound and witness")
     p.add_argument("--seeds", type=int, default=5, help="number of random members")
     for p in sub.choices.values():
         p.add_argument("--out", default="-")

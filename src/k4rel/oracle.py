@@ -5,10 +5,11 @@ witness cut, so the closed forms are validated against an independent path.
 The oracle answers only for a graph whose rows certify that it is built as a
 member: each aligned 2^d block is two 2^(d-1) blocks joined by one perfect
 matching, down to K4s.  A recursion over d bounds its m-subsets' boundaries
-from below, and the bound must meet the cut around the canonical m-set
-(labels 0..m-1) with both sides connected.  The cyclic, average-degree,
-super-degree and embedded cuts are the least xi_m over a set of sizes m.  A
-graph outside the family, a witness off its bound, or n past BOUNDED_N raises
+from below, and one sweep up the labels settles every size m: the bound must
+meet the cut around the canonical m-set (labels 0..m-1) with both sides
+connected.  lambda_h and the cyclic, average-degree, super-degree and
+embedded cuts are the least xi_m over a set of sizes m.  A graph outside the
+family, a witness off its bound, or n past BOUNDED_N raises
 BudgetExceededError rather than returning a partial answer.  At n <= 4 the
 tests compare every answer with the exhaustive subset search of
 tests/reference.py, which also answers graphs outside the family.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate, count
 from operator import eq, xor
 
 from .closed_form import (
@@ -36,23 +38,20 @@ from .closed_form import (
 )
 from .cube_graph import (
     CubeGraph,
-    boundary_size,
     build_k4cube,
     canonical_member,
-    canonical_set,
-    is_connected_induced,
     random_matching_tree,
 )
 
 
-BOUNDED_N = 5  # the caches of the bound (n = 2..5) and of one member's canonical cuts fit it
+BOUNDED_N = 12  # _recursion_bound(12) takes about 1 s, and each n costs about 4.4 times the last
 
 
 class BudgetExceededError(RuntimeError):
     """The oracle cannot settle this check: no witness meets its bound, or n is past its scale."""
 
 
-@lru_cache(maxsize=4)  # n = 2..5, each built from the one below
+@lru_cache(maxsize=BOUNDED_N - 1)  # n = 2..BOUNDED_N, each built from the one below
 def _recursion_bound(n: int) -> tuple[int, ...]:
     """Per m, a lower bound on the boundary of every m-subset of a certified member.
 
@@ -70,7 +69,7 @@ def _recursion_bound(n: int) -> tuple[int, ...]:
                  for m in range(2 * half + 1))
 
 
-@lru_cache(maxsize=1)  # every row of one member asks
+@lru_cache(maxsize=1)  # every search on a refused graph asks
 def _certified(g: CubeGraph) -> bool:
     """Whether each aligned 2^b block of g is two 2^(b-1) blocks joined by one perfect
     matching, down to K4s, as in every member.  Read column by column, O(n * 2^n).
@@ -104,39 +103,51 @@ def _certified(g: CubeGraph) -> bool:
     return sorted(keys) == list(range(1, g.n + 2))
 
 
-def _bound(g: CubeGraph) -> tuple[int, ...]:
-    """The recursion bound, if g is certified and n is at most BOUNDED_N."""
-    if g.n > BOUNDED_N:  # the certificate holds at every n, the caches fit n <= BOUNDED_N
+def _prefix_cuts(g: CubeGraph) -> tuple[int | None, ...]:
+    """Per m <= nv/2, bd([0, m)) where the labels show both sides connected, else None.
+
+    Label v adds its degree to bd([0, v)) and takes back 2 per neighbour below
+    it.  [0, m) is connected if each label in 1..m-1 has a neighbour below it,
+    and [m, nv) if each in m..nv-2 has one above, on any graph.  On a member
+    this loses no cut: each v > 0 has v ^ 1 or v ^ 2 below it if v mod 4 != 0,
+    else its partner across the gluing at v's lowest set bit, and by symmetry
+    each v < nv - 1 has a neighbour above it.
+    """
+    nv, d, row = g.num_vertices, g.degree(0), g.row
+    first_low = next((v for v in range(1, nv) if min(row(v)) >= v), nv)
+    last_high = max((v for v in range(nv - 1) if max(row(v)) <= v), default=-1)
+    bds = accumulate((d - 2 * sum(w < v for w in row(v)) for v in range(nv // 2)), initial=0)
+    return tuple(bd if last_high < m <= first_low else None for m, bd in enumerate(bds))
+
+
+def _settled(bound: int, found: int | None, m: int) -> int | str:
+    """The bound if the canonical m-set's cut (None: a side is disconnected) meets it, else why."""
+    if found is None:
+        return f"the canonical {m}-set has a disconnected side; the lower bound is {bound}"
+    return bound if found == bound else (
+        f"the canonical {m}-set gives {found}, not the lower bound {bound}")
+
+
+@lru_cache(maxsize=1)  # every row of one member asks
+def _xi_row(g: CubeGraph) -> tuple[int | str, ...]:
+    """Per m <= nv/2, xi_m settled by the bound and the canonical m-set, or why it is not."""
+    if g.n > BOUNDED_N:  # the certificate holds at every n; the bound's time sets the cap
         raise BudgetExceededError(
             f"n = {g.n} is past the bounded oracle, which stops at n = {BOUNDED_N}")
     if not _certified(g):
         raise BudgetExceededError(
             "the rows fail the member certificate: K4 leaves, one matching per gluing")
-    return _recursion_bound(g.n)
+    return tuple(map(_settled, _recursion_bound(g.n), _prefix_cuts(g), count()))
 
 
-@lru_cache(maxsize=16)  # one n = 5 member's sizes: every witness is a xi size in 1..nv/2
-def _canonical_cut(g: CubeGraph, m: int) -> int | None:
-    """Boundary of the canonical m-set (labels 0..m-1) if both sides are connected, else None."""
-    if is_connected_induced(g, range(m)) and is_connected_induced(g, range(m, g.num_vertices)):
-        return boundary_size(g, canonical_set(m, g.n))
-    return None
-
-
-def _settled(bound: int, found: int | None, witness: str) -> int:
-    """The lower bound if the canonical witness's cut (None: a side is disconnected) meets it."""
-    if found == bound:
-        return bound
-    if found is None:
-        raise BudgetExceededError(
-            f"the canonical {witness} has a disconnected side; the lower bound is {bound}")
-    raise BudgetExceededError(f"the canonical {witness} gives {found}, not the lower bound {bound}")
-
-
-def _least(g: CubeGraph, m: int) -> int:
-    """Least boundary over m-subsets, m <= nv/2.  Its witness has both sides connected, so
-    it is also the least over connected bipartitions with a side of m vertices."""
-    return _settled(_bound(g)[m], _canonical_cut(g, m), f"{m}-set")
+def _xis(g: CubeGraph, sizes: slice) -> tuple[int, ...]:
+    """The xi_m over a slice of the sizes m <= nv/2; the first unsettled one raises why.  Its
+    witness has both sides connected, so xi_m is the least boundary over m-subsets and over
+    connected bipartitions with a side of m vertices alike."""
+    xis = _xi_row(g)[sizes]
+    if str in map(type, xis):
+        raise BudgetExceededError(next(xi for xi in xis if type(xi) is str))
+    return xis
 
 
 def brute_ex(g: CubeGraph, m: int) -> int:
@@ -149,7 +160,8 @@ def brute_ex(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 0 <= m <= nv:
         raise ValueError(f"m must be in [0, {nv}], got {m}")
-    return g.degree(0) * m - _least(g, min(m, nv - m))
+    k = min(m, nv - m)
+    return g.degree(0) * m - _xis(g, slice(k, k + 1))[0]
 
 
 def brute_xi(g: CubeGraph, m: int) -> int:
@@ -157,7 +169,7 @@ def brute_xi(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    return _least(g, m)
+    return _xis(g, slice(m, m + 1))[0]
 
 
 def brute_xi_unconstrained(g: CubeGraph, m: int) -> int:
@@ -174,7 +186,7 @@ def brute_lambda_h(g: CubeGraph, h: int) -> int:
     nv = g.num_vertices
     if not 1 <= h <= nv // 2:
         raise ValueError(f"h must be in [1, {nv // 2}], got {h}")
-    return min(brute_xi(g, m) for m in range(h, nv // 2 + 1))
+    return min(_xis(g, slice(h, None)))
 
 
 def _room_min(g: CubeGraph, r: int) -> tuple[int, int]:
@@ -183,15 +195,12 @@ def _room_min(g: CubeGraph, r: int) -> tuple[int, int]:
     Some m fits for every r < degree: the halves, joined by one matching, have xi = nv/2.
     """
     room = g.degree(0) - r
-    return min((xi, m) for m in range(1, g.num_vertices // 2 + 1)
-               if (xi := _least(g, m)) <= room * m)
+    return min((xi, m) for m, xi in enumerate(_xis(g, slice(1, None)), 1) if xi <= room * m)
 
 
 def _sides_hold(g: CubeGraph, m: int, l: int) -> bool:
     """Whether every vertex has at least l neighbours on its own side of the canonical m-set."""
-    flat, d = g._flat, g.degree(0)
-    return all(sum((w < m) == (v < m) for w in flat[v * d:v * d + d]) >= l
-               for v in range(g.num_vertices))
+    return all(sum((w < m) == (v < m) for w in g.row(v)) >= l for v in range(g.num_vertices))
 
 
 def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
@@ -219,7 +228,7 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
     if pattern is FaultPattern.EXTRA_SIZE:
         return brute_lambda_h(g, 1 << l)
     if pattern is FaultPattern.EMBEDDED:
-        return min(_least(g, m) for m in range(1 << l, g.num_vertices // 2 + 1, 1 << l))
+        return min(_xis(g, slice(1 << l, None, 1 << l)))
     if g.n >= 5:
         raise BudgetExceededError(
             "the degree patterns are unsettled from n = 5: the K4 cut meets both at l = 3 "

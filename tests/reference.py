@@ -31,7 +31,7 @@ from operator import and_, or_
 
 from k4rel.closed_form import FaultPattern
 from k4rel.cube_graph import CubeGraph, _label_code, _marked
-from k4rel.oracle import BudgetExceededError, _canonical_cut, _settled
+from k4rel.oracle import BudgetExceededError
 
 EXHAUSTIVE_N = 4  # one dimension more would be a 2^32-entry subset table
 _DIGITS, _OUTSIDE = bytes.maketrans(b"\0\xff", b"01"), bytes.maketrans(b"01", b"\xff\0")
@@ -186,13 +186,19 @@ def exhaustive_cyclic(g):
 
 def exhaustive_conditional(g, pattern, l):
     """oracle.brute_conditional by the exhaustive search.  The embedded cut is settled by
-    the canonical block, so graphs whose labels are not their blocks are refused."""
+    the canonical block, its cut read from cut_lanes (255: a side is disconnected), so
+    graphs whose labels are not their blocks are refused."""
     if pattern is FaultPattern.EXTRA_SIZE:
         return exhaustive_lambda_h(g, 1 << l)
     if pattern is FaultPattern.EMBEDDED:
         sizes = range(1 << l, g.num_vertices // 2 + 1, 1 << l)
         cut = min(((xi, m) for m in sizes if (xi := exhaustive_xi(g, m)) is not None), default=None)
-        return None if cut is None else _settled(cut[0], _canonical_cut(g, cut[1]), f"{cut[1]}-set")
+        if cut is None:
+            return None
+        xi, m = cut
+        if cut_lanes(g)[(1 << m) - 1] != xi:
+            raise BudgetExceededError(f"the canonical {m}-set's cut is not the least, {xi}")
+        return xi
     if pattern is FaultPattern.AVERAGE_DEGREE:
         return exhaustive_room_min(g, l)
     return least_degree_cut(g, l)

@@ -318,7 +318,7 @@ class TestVerify:
         assert (code, err) == (1, "")
         assert out.startswith("verification n=3: FAIL\n")
 
-    @pytest.mark.parametrize("n, seeds", [(3, 5), (4, 2), (4, 5), (5, 1), (5, 3), (5, 5)])
+    @pytest.mark.parametrize("n, seeds", [(3, 5), (4, 2), (4, 5), (5, 1), (5, 3), (5, 5), (8, 3)])
     def test_golden(self, n, seeds, tmp_path, capsys):
         target = tmp_path / "v.txt"
         code, out, err = run(["verify", "--n", str(n), "--seeds", str(seeds),
@@ -327,7 +327,7 @@ class TestVerify:
         assert target.read_bytes() == (GOLDEN / f"verify_n{n}_seeds{seeds}.txt").read_bytes()
 
     def test_bad_n(self, capsys):
-        code, _, err = run(["verify", "--n", "9"], capsys)
+        code, _, err = run(["verify", "--n", "13"], capsys)
         assert code == 2 and err != ""
 
     def test_negative_seeds(self, capsys):

@@ -21,6 +21,24 @@ def member(n, seed=None):
     return cg.build_k4cube(cg.random_matching_tree(n, seed))
 
 
+@pytest.fixture
+def witness_off(monkeypatch):
+    """witness_off(m, found) makes the prefix sweep read found as the canonical m-set's cut.
+
+    The cached xi row is dropped at each patch and after the test, so no row
+    read through the patched sweep outlives it.
+    """
+    sweep = oc._prefix_cuts
+
+    def patch(m, found):
+        monkeypatch.setattr(oc, "_prefix_cuts", lambda g: tuple(
+            found if size == m else cut for size, cut in enumerate(sweep(g))))
+        oc._xi_row.cache_clear()
+
+    yield patch
+    oc._xi_row.cache_clear()
+
+
 def per_mask_sizes(g):
     """Per subset size m, the least boundary over all m-subsets, read mask by mask."""
     best = [None] * (g.num_vertices + 1)
@@ -33,11 +51,11 @@ def per_mask_sizes(g):
 
 class TestBudget:
     def test_unconstrained_needs_exhaustive(self):
-        # exact one dimension past the exhaustive scale, from the halves, and no further
+        # exact past the exhaustive scale, from the bound and the sweep, up to BOUNDED_N only
         g = member(5)
         assert [oc.brute_xi_unconstrained(g, m) for m in range(1, 17)] == [
             cf.xi_h4(m, 5) for m in range(1, 17)]
-        g = member(6)
+        g = member(13)
         for search in (oc.brute_xi_unconstrained, oc.brute_ex, oc.brute_xi):
             with pytest.raises(oc.BudgetExceededError):
                 search(g, 2)
@@ -46,13 +64,13 @@ class TestBudget:
 
     def test_past_the_tables_refuses_before_the_bitmask_rows(self):
         # bitmask rows hold 4^n bits, 512 MB at n = 16: no search may build a view to refuse
-        g = cg.canonical_member(12)
+        g = cg.canonical_member(13)
         searches = [lambda: oc.brute_ex(g, 2), lambda: oc.brute_xi(g, 2),
                     lambda: oc.brute_xi_unconstrained(g, 2), lambda: oc.brute_lambda_h(g, 2),
                     lambda: oc.brute_conditional(g, oc.FaultPattern.EMBEDDED, 2),
                     lambda: oc.brute_cyclic(g)]
         for search in searches:
-            with pytest.raises(oc.BudgetExceededError, match="n = 12 is past the bounded oracle"):
+            with pytest.raises(oc.BudgetExceededError, match="n = 13 is past the bounded oracle"):
                 search()
             assert set(g.__dict__) <= {"_flat"}
 
@@ -71,7 +89,7 @@ class TestBudget:
         with pytest.raises(ValueError, match="n must be >= 3"):
             oc.brute_cyclic(cg.canonical_member(2))
 
-    def test_cyclic_bound_below_the_witness_is_skipped(self, monkeypatch):
+    def test_cyclic_bound_below_the_witness_is_skipped(self, witness_off):
         # enhanced(4, 2) has an 8-edge cyclic cut, but it is no member, so no bound reads it
         g = cg.build_enhanced(4, 2)
         assert ref.exhaustive_cyclic(g) == 8
@@ -79,13 +97,12 @@ class TestBudget:
             oc.brute_cyclic(g)
         # on a member the settled xi of every size gives 8; a 4-set witness of 12 or none is
         # skipped, as cyclic reads xi_4
-        g, cut = member(4, 1), oc._canonical_cut
+        g = member(4, 1)
         assert oc.brute_cyclic(g) == 8
         for found, reason in ((12, "the canonical 4-set gives 12, not the lower bound 8"),
                               (None, "the canonical 4-set has a disconnected side; "
                                      "the lower bound is 8")):
-            monkeypatch.setattr(oc, "_canonical_cut",
-                                lambda g, m, found=found: found if m == 4 else cut(g, m))
+            witness_off(4, found)
             with pytest.raises(oc.BudgetExceededError) as info:
                 oc.brute_cyclic(g)
             assert str(info.value) == reason
@@ -175,16 +192,15 @@ class TestBoundedMode:
                 4 * m - sizes[m] for m in range(17)], seed
             refused(g)
 
-    def test_unsettled_xi_names_its_reason(self, monkeypatch):
+    def test_unsettled_xi_names_its_reason(self, witness_off):
         # glued(0) is no member; on a member, a witness off the bound 8 names both numbers
         assert ref.exhaustive_xi(glued(0), 1) == 4
         refused(glued(0))
-        g, cut = member(4, 2), oc._canonical_cut
+        g = member(4, 2)
         for found, reason in ((None, "the canonical 2-set has a disconnected side; "
                                      "the lower bound is 8"),
                               (9, "the canonical 2-set gives 9, not the lower bound 8")):
-            monkeypatch.setattr(oc, "_canonical_cut",
-                                lambda g, m, found=found: found if m == 2 else cut(g, m))
+            witness_off(2, found)
             assert oc.brute_xi(g, 1) == 5
             for search, arg in ((oc.brute_xi, 2), (oc.brute_xi_unconstrained, 2),
                                 (oc.brute_ex, 2), (oc.brute_lambda_h, 1)):
@@ -208,7 +224,7 @@ class TestBoundedMode:
                 assert oc.brute_xi(graph, m) == xi, graph.n
         assert ref.exhaustive_xi(member(4, 3), 3) == 9
 
-    def test_embedded_from_the_size_bound_and_the_canonical_block(self, monkeypatch):
+    def test_embedded_from_the_size_bound_and_the_canonical_block(self, witness_off):
         embedded = oc.FaultPattern.EMBEDDED
         for seed in (None, 1, 2, 3, 4, 5):
             g = member(4, seed)
@@ -223,26 +239,25 @@ class TestBoundedMode:
                 oc.brute_conditional(g, embedded, 2)
         # a canonical block off the least xi names both numbers; at l = 2 the sizes are 4
         # and 8, where xi is 8
-        g, cut = member(4, 1), oc._canonical_cut
+        g = member(4, 1)
         for found, reason in ((9, "the canonical 4-set gives 9, not the lower bound 8"),
                               (None, "the canonical 4-set has a disconnected side; "
                                      "the lower bound is 8")):
-            monkeypatch.setattr(oc, "_canonical_cut",
-                                lambda g, m, found=found: found if m == 4 else cut(g, m))
+            witness_off(4, found)
             with pytest.raises(oc.BudgetExceededError) as info:
                 oc.brute_conditional(g, embedded, 2)
             assert str(info.value) == reason
             assert oc.brute_conditional(g, embedded, 3) == 8
 
-    def test_n5_checks_one_canonical_cut_per_size(self, monkeypatch):
-        # one cut per size serves the xi, lambda, extra-size, embedded and cyclic rows: each
-        # canonical set's boundary is walked once
-        walk, sizes = oc.boundary_size, []
-        monkeypatch.setattr(oc, "boundary_size",
-                            lambda g, members: sizes.append(len(members)) or walk(g, members))
-        oc._canonical_cut.cache_clear()
-        oc.verify_member(5, [])
-        assert sorted(sizes) == list(range(1, 17))
+    def test_verify_sweeps_each_member_once(self, monkeypatch):
+        # one sweep per member serves its ex, xi, lambda, extra-size, embedded and cyclic rows
+        sweep, swept = oc._prefix_cuts, []
+        monkeypatch.setattr(oc, "_prefix_cuts", lambda g: swept.append(g) or sweep(g))
+        oc._xi_row.cache_clear()
+        for n in (5, 8):
+            swept.clear()
+            oc.verify_member(n, [1, 2])
+            assert swept == [member(n), member(n, 1), member(n, 2)], n
 
     def test_rejects_halves_not_joined_by_one_matching(self):
         # enhanced(4, 1) joins each vertex to the other half twice; the shuffle mixes the halves
@@ -338,10 +353,16 @@ class TestCertificate:
             refused(g)
 
     def test_random_members_pass_at_every_n(self):
-        # the column check is O(n * 2^n): members past the bounded oracle's scale are certified
+        # the column check is O(n * 2^n): members past the bounded oracle's scale are certified,
+        # and each label but 0 has a neighbour below it, each but the last one above it, so the
+        # prefix sweep shows both sides of every canonical set connected
         for n in range(6, 18):
             for seed in (1, 2):
-                assert oc._certified(member(n, seed)), (n, seed)
+                g = member(n, seed)
+                assert oc._certified(g), (n, seed)
+                rows = list(map(g.row, range(g.num_vertices)))
+                assert all(map(int.__lt__, map(min, rows[1:]), range(1, len(rows)))), (n, seed)
+                assert all(map(int.__gt__, map(max, rows[:-1]), range(len(rows) - 1))), (n, seed)
 
     @pytest.mark.parametrize("edit", [swap_in_a_column, pair_across_another_level, wrong_leaf_flip,
                                       label_past_the_graph])
@@ -392,7 +413,7 @@ class TestRecursionBound:
             assert bound == bound[::-1], n
 
     def test_n5_reads_no_bitmask_rows(self):
-        # the bound, the certificate and the canonical cuts all walk the rows
+        # the bound, the certificate and the prefix sweep all walk the rows
         for g in (cg.canonical_member(5), member(5, 4)):
             assert oc.brute_ex(g, 7) == cf.f_value(7)
             assert oc.brute_xi(g, 7) == cf.xi_h4(7, 5)
@@ -403,6 +424,14 @@ class TestRecursionBound:
 def two_cubes():
     """Two disjoint 3-cubes on 16 vertices: a graph whose full mask is disconnected."""
     return graph_from_rows(4, "two 3-cubes", [[u ^ 1 << i for i in range(3)] for u in range(16)])
+
+
+def prefix_split():
+    """The 3-cube with labels 1 and 3 swapped: labels 0 and 1 are not adjacent, and the
+    labels 2..7 induce a connected graph."""
+    swap = [0, 3, 2, 1, 4, 5, 6, 7]
+    return graph_from_rows(3, "prefix split", [[swap[swap[u] ^ 1 << i] for i in range(3)]
+                                                for u in range(8)])
 
 
 def bitmap_graphs():
@@ -440,13 +469,24 @@ class TestConnectivityBitmap:
         # the two cubes, nothing else
         assert tuple(ref.ascending(ref.cut_lanes(two_cubes()))) == ((0xFF, 0),)
 
-    def test_canonical_cut_agrees_with_the_bipartition_lanes(self):
-        # two walks of the graph's rows against the lane table of the connectivity bitmap
-        for g in bitmap_graphs():
+    def test_prefix_sweep_agrees_with_the_bipartition_lanes(self):
+        # the sweep against the lane table of the connectivity bitmap: equal on every member,
+        # and on any graph no cut where the lanes (255) say a side is disconnected
+        members = [g for g in bitmap_graphs() if oc._certified(g)]
+        members += [member(3, seed) for seed in (1, 2, 3)]
+        assert len(members) == 9
+        for g in members:
             lanes = ref.cut_lanes(g)
-            for m in range(1, g.num_vertices):
-                bd = lanes[(1 << m) - 1]
-                assert oc._canonical_cut(g, m) == (None if bd == 255 else bd), (g.kind, m)
+            assert oc._prefix_cuts(g)[1:] == tuple(
+                lanes[(1 << m) - 1] for m in range(1, g.num_vertices // 2 + 1)), g.kind
+        for g in bitmap_graphs() + [prefix_split()]:
+            lanes = ref.cut_lanes(g)
+            for m, cut in enumerate(oc._prefix_cuts(g)[1:], 1):
+                assert cut is None or cut == lanes[(1 << m) - 1] != 255, (g.kind, m)
+        # only the prefix {0, 1} of prefix_split is disconnected, so only the test below holds
+        # its cut back
+        assert oc._prefix_cuts(prefix_split())[2] is None
+        assert ref.cut_lanes(prefix_split())[0b11] == 255
 
     def test_least_cut_stops_at_the_full_scan_minimum(self):
         def full_scan(g, side_ok):
@@ -816,7 +856,7 @@ class TestVerificationReport:
 
     def test_rejects_out_of_range_n(self):
         with pytest.raises(ValueError):
-            oc.verify_member(6, [1])
+            oc.verify_member(13, [1])
 
     def test_every_row_equals_the_exhaustive_reference(self):
         # the canonical member and seeds 1-10 at n = 3 and 4: no row is skipped, and every
