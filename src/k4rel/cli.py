@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable
+from functools import lru_cache
 from itertools import chain
 
 from . import closed_form as cf
@@ -31,13 +32,28 @@ def _write(out_path: str, chunks: Iterable[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+@lru_cache(maxsize=1)
+def _h_template() -> str:
+    """A row "<NUL>DDD,%s,%s,%s" per DDD = 000 .. 999: h = 1000k + DDD once NUL reads str(k)."""
+    return "".join("\0%03d,%%s,%%s,%%s\n" % d for d in range(1000))
+
+
+def _row_format(h: range) -> str:
+    """The format of rows h with h written in and %s for ex, xi and lambda, per thousands group."""
+    parts = ["%d,%%s,%%s,%%s\n" % m for m in h[:max(1000 - h.start, 0)]]  # h < 1000: plain
+    for k in range(max(h.start // 1000, 1), (h.stop + 999) // 1000):
+        lo, hi = max(h.start - 1000 * k, 0), min(h.stop - 1000 * k, 1000)
+        parts.append(_h_template()[14 * lo:14 * hi].replace("\0", str(k)))
+    return "".join(parts)
+
+
 def render_profile(n: int, start: int = 0, stop: int | None = None) -> str:
     """CSV rows start+1 .. stop (all by default), after the header when start is 0."""
     text = ["h,ex,xi,lambda\n" if start == 0 else ""]
-    for columns in cf.profile_blocks(n, start, stop, str):
-        rows = [0] * (4 * len(columns[0]))  # three int columns (%s as %d) and lambda as text
-        rows[0::4], rows[1::4], rows[2::4], rows[3::4] = columns
-        text.append("%s,%s,%s,%s\n" * len(columns[0]) % tuple(rows))
+    for h, *columns in cf.profile_blocks(n, start, stop, str):
+        rows = [0] * (3 * len(h))  # two int columns (%s as %d) and lambda as text
+        rows[0::3], rows[1::3], rows[2::3] = columns
+        text.append(_row_format(h) % tuple(rows))
     return "".join(text)
 
 

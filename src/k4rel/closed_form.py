@@ -11,14 +11,15 @@ edge-connectivity.  All arithmetic is exact Python integers.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, chain, count
-from operator import add, sub
+from itertools import accumulate, chain
 
 # Rows per block of profile_blocks, a power of two >= 4: each block's lists, tuple and text stay
-# <= 32 KB, so freed ones are reused (profile --n 22: 2.3k minor faults, 48k at 2^12, 97k at 2^14)
+# <= 32 KB, so freed ones are reused (profile --n 22: 2.3k minor faults, 48k at 2^12, 97k at 2^14),
+# and the blocks of one n share n - 10 cached _block_shape entries of 4 KB arrays each
 PROFILE_BLOCK = 1 << 10
 _CHUNK = 60  # binary digits of m whose hypercube-sum terms are summed before one shift
 
@@ -225,39 +226,40 @@ def cyclic_lambda(n: int) -> int:
     return lambda_fast(3, n)
 
 
-@lru_cache(maxsize=1)
-def _f_head(block: int) -> tuple[int, ...]:
-    """f(r) for 0 <= r < block, the running sum of f(s+1) - f(s) = 2*popcount(s) + (s & 2)."""
-    return tuple(accumulate((2 * r.bit_count() + (r & 2) for r in range(block - 1)), initial=0))
-
-
-def _suffix_min(values, best, shown=None):
-    """values[i] = shown(min(best, *values[i:])) in place, shown once per new min (None: ints)."""
-    out = shown(best) if shown else best
-    for i in range(len(values) - 1, -1, -1):
-        if values[i] < best:
-            best = values[i]
-            out = shown(best) if shown else best
-        values[i] = out
-    return values
+@lru_cache(maxsize=32)  # a block shape per 2*popcount(q): n - 10 of them at n <= 24
+def _block_shape(n: int, s: int, rows: int) -> tuple[array, array, array, array]:
+    """F_s[r] = f(r) + s*r and X_s[r] = (n+1-s)*r - f(r) for 1 <= r < rows, the rising values
+    of X_s's suffix minimum SM_s, and each row's run of them.  f sums its first differences."""
+    f = [*accumulate((2 * r.bit_count() + (r & 2) for r in range(1, rows - 1)), initial=0)]
+    xi = array("i", [(n + 1 - s) * r - f_r for r, f_r in enumerate(f, 1)])
+    sm = [*accumulate(reversed(xi), min)][::-1]
+    run = [*accumulate((a != b for a, b in zip(sm, sm[1:])), initial=0)]
+    return (array("i", [f_r + s * r for r, f_r in enumerate(f, 1)]), xi,
+            array("i", dict.fromkeys(sm)), array("i", run))
 
 
 def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam=int):
     """Yield the columns h, ex, xi, lambda of rows start+1 .. stop (default 2**(n-1)), B at a time.
 
-    B = PROFILE_BLOCK divides start.  f(qB + r) = f(qB) + f(r) + 2*popcount(q)*r for
-    0 <= r < B, a power of two >= 4.  lambda (None if lam is falsy) is xi's running minimum
-    down the block from lambda_fast at its top row, as lam(value), one call per run of equal values.
+    B = PROFILE_BLOCK divides start.  f(qB + r) = f(qB) + f(r) + 2*popcount(q)*r for 0 <= r < B,
+    so a block is an offset plus the _block_shape of s = 2*popcount(q).  lambda is min(lambda_fast
+    at the top row, xi's offset + SM_s) as lam(value), once per run (None if lam is falsy).
     """
     half, block = 1 << (n - 1), PROFILE_BLOCK
     for lo in range(start, half if stop is None else stop, block):
-        hi = min(lo + block, half)
-        step = 2 * (lo // block).bit_count()
-        ex = [*map(add, _f_head(min(block, half))[1:hi - lo], count(_f(lo) + step, step)), _f(hi)]
-        xi = list(map(sub, range((n + 1) * (lo + 1), (n + 1) * hi + 1, n + 1), ex))
-        if lam:  # min(lambda_hi, xi_hi) = lambda_hi, so lambda at the top row seeds the block
-            lam_column = _suffix_min(xi[:], lambda_fast(hi, n), lam)
-        yield range(lo + 1, hi + 1), ex, xi, lam_column if lam else None
+        hi, base = min(lo + block, half), _f(lo)
+        c = (n + 1) * lo - base
+        ex_shape, xi_shape, values, run = _block_shape(n, 2 * (lo // block).bit_count(), hi - lo)
+        ex, xi = [base + x for x in ex_shape], [c + x for x in xi_shape]
+        ex.append(_f(hi))
+        xi.append((n + 1) * hi - ex[-1])
+        if lam:  # min(lambda_hi, xi_hi) = lambda_hi, so lambda at the top row caps the block
+            top = lambda_fast(hi, n)
+            below = bisect_left(values, top - c)  # the runs under top; top fills the rest
+            shown = [lam(c + value) for value in values[:below]]
+            column = [*map(shown.__getitem__, run[:bisect_left(run, below)])]
+            column += [lam(top)] * (hi - lo - len(column))
+        yield range(lo + 1, hi + 1), ex, xi, column if lam else None
 
 
 @lru_cache(maxsize=4)
@@ -266,4 +268,9 @@ def full_profile(n: int) -> array:
     if not 3 <= n <= 24:
         raise ValueError(f"n must be in [3, 24], got {n}")
     xi = array("q", chain.from_iterable(column for _, _, column, _ in profile_blocks(n, lam=False)))
-    return _suffix_min(xi, xi[-1])
+    best = xi[-1]
+    for m in range(len(xi) - 1, -1, -1):
+        if xi[m] < best:
+            best = xi[m]
+        xi[m] = best
+    return xi

@@ -35,7 +35,7 @@ class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
     of one length, as unsigned ints of the width _label_code gives its largest
     label: 2 bytes up to n = 16, 4 above.  kind ("hypercube", "enhanced(k)",
     "k4member") is a descriptor used in reports and carries no structure.
-    Instances keep a __dict__ for the cached row view.
+    Instances keep a __dict__ for the cached row view and degree.
     """
 
     def __repr__(self) -> str:  # the rows are left out
@@ -44,6 +44,8 @@ class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
     @cached_property
     def _flat(self) -> memoryview:
         return memoryview(self.neighbours).cast(_label_code((1 << self.n) - 1))
+
+    _degree = cached_property(lambda self: len(self._flat) >> self.n)  # labels per row
 
     def __reduce__(self):  # the cached row view, a memoryview, is not pickled
         return CubeGraph, (self.n, self.kind, self.neighbours)
@@ -60,7 +62,7 @@ class CubeGraph(namedtuple("CubeGraph", "n kind neighbours")):
     def degree(self, v: int) -> int:
         if not 0 <= v < 1 << self.n:
             raise ValueError(f"vertex must be in [0, {1 << self.n}), got {v}")
-        return len(self._flat) >> self.n
+        return self._degree
 
     def edge_count(self) -> int:
         return len(self._flat) // 2

@@ -129,22 +129,27 @@ def _settled(bound: int, found: int | None, m: int) -> int | str:
 
 
 @lru_cache(maxsize=1)  # every row of one member asks
-def _xi_row(g: CubeGraph) -> tuple[int | str, ...]:
-    """Per m <= nv/2, xi_m settled by the bound and the canonical m-set, or why it is not."""
+def _rows(g: CubeGraph) -> tuple[tuple[int | str, ...], list[int | str]]:
+    """Per m <= nv/2, xi_m settled by the bound and the canonical m-set, and its suffix minima."""
     if g.n > BOUNDED_N:  # the certificate holds at every n; the bound's time sets the cap
         raise BudgetExceededError(
             f"n = {g.n} is past the bounded oracle, which stops at n = {BOUNDED_N}")
     if not _certified(g):
         raise BudgetExceededError(
             "the rows fail the member certificate: K4 leaves, one matching per gluing")
-    return tuple(map(_settled, _recursion_bound(g.n), _prefix_cuts(g), count()))
+    xis = tuple(map(_settled, _recursion_bound(g.n), _prefix_cuts(g), count()))
+    least, why, lambdas = float("inf"), None, []
+    for xi in reversed(xis):  # an unsettled xi_m is its reason; the least such m >= h wins
+        why, least = (xi, least) if type(xi) is str else (why, min(least, xi))
+        lambdas.append(why or least)
+    return xis, lambdas[::-1]
 
 
-def _xis(g: CubeGraph, sizes: slice) -> tuple[int, ...]:
-    """The xi_m over a slice of the sizes m <= nv/2; the first unsettled one raises why.  Its
-    witness has both sides connected, so xi_m is the least boundary over m-subsets and over
-    connected bipartitions with a side of m vertices alike."""
-    xis = _xi_row(g)[sizes]
+def _xis(g: CubeGraph, sizes: slice, row: int = 0) -> tuple[int, ...]:
+    """The xi_m (row 1: the lambda_h) over a slice of the sizes m <= nv/2; the first unsettled
+    one raises why.  Its witness has both sides connected, so xi_m is the least boundary over
+    m-subsets and over connected bipartitions with a side of m vertices alike."""
+    xis = _rows(g)[row][sizes]
     if str in map(type, xis):
         raise BudgetExceededError(next(xi for xi in xis if type(xi) is str))
     return xis
@@ -186,7 +191,7 @@ def brute_lambda_h(g: CubeGraph, h: int) -> int:
     nv = g.num_vertices
     if not 1 <= h <= nv // 2:
         raise ValueError(f"h must be in [1, {nv // 2}], got {h}")
-    return min(_xis(g, slice(h, None)))
+    return _xis(g, slice(h, h + 1), 1)[0]
 
 
 def _room_min(g: CubeGraph, r: int) -> tuple[int, int]:

@@ -124,6 +124,43 @@ class TestProfile:
             assert rows == [(h, cf.f_value(h), cf.xi_h4(h, n), cf.lambda_scan(h, n))
                             for h in range(1, (1 << (n - 1)) + 1)]
 
+    def test_one_block_shape_per_popcount(self, tmp_path):
+        # blocks qB + r share a shape per popcount(q), q < 2^(n-11): n - 10 shapes at B = 2^10
+        cf._block_shape.cache_clear()
+        assert cli.main(["profile", "--n", "18", "--out", str(tmp_path / "p.csv")]) == 0
+        assert cf._block_shape.cache_info().misses <= 18 - 10
+
+    @pytest.mark.parametrize("block", [16, 1 << 10])
+    def test_rows_at_thousands_edges(self, block, monkeypatch):
+        # h is written from a 1000-row template past 999; blocks cut its thousands groups
+        monkeypatch.setattr(cf, "PROFILE_BLOCK", block)
+        n = 18
+        for h in (999, 1000, 1001, 9999, 10000, 99999, 100000):
+            start = (h - 1) // block * block
+            stop = start + 2 * block
+            assert block > 1000 or start % 1000 and stop % 1000
+            expect = "h,ex,xi,lambda\n" * (start == 0) + "".join(
+                f"{m},{cf.f_value(m)},{cf.xi_h4(m, n)},{cf.lambda_fast(m, n)}\n"
+                for m in range(start + 1, stop + 1))
+            assert cli.render_profile(n, start, stop) == expect, h
+
+    def test_rows_survive_block_changes_with_warm_caches(self, monkeypatch):
+        # a cached shape belongs to one block size; a changed PROFILE_BLOCK must not reuse it
+        expect = {n: [f"{h},{cf.f_value(h)},{cf.xi_h4(h, n)},{cf.lambda_scan(h, n)}"
+                      for h in range(1, (1 << (n - 1)) + 1)] for n in (3, 9, 12, 15)}
+        for block in (4, 8, 1 << 10, 1 << 14, 4, 1 << 10):
+            monkeypatch.setattr(cf, "PROFILE_BLOCK", block)
+            for n, rows in expect.items():
+                assert cli.render_profile(n).split("\n")[1:-1] == rows, (block, n)
+
+    def test_import_builds_no_template(self):
+        # commands that print no profile, and start-up, do not pay for the row template
+        code = ("import k4rel.cli as cli; assert cli._h_template.cache_info().currsize == 0; "
+                "cli.render_profile(12); assert cli._h_template.cache_info().currsize == 1")
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+
     def test_n22_in_256mb(self, tmp_path):
         # the whole table as Python ints took 514 MB; the streamed blocks take about 15 MB
         done = run_limited(["profile", "--n", "22", "--out", str(tmp_path / "p.csv")], 256 << 20)

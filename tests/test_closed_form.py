@@ -92,7 +92,7 @@ class TestMemberDensity:
             assert (gap == 0) == (m <= 2)
 
     def test_first_difference(self):
-        # the step _f_head sums; its running sum from f(0) = 0 is f
+        # the step _block_shape sums; its running sum from f(0) = 0 is f
         value = 0
         for m in range(3000):
             step = 2 * bin(m).count("1") + (2 if m % 4 in (2, 3) else 0)

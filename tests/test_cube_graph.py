@@ -478,7 +478,7 @@ class TestLargeMembers:
                 assert cg.boundary_size(g, s) == cf.xi_h4(m, n)
                 assert 2 * cg.induced_edge_count(g, s) == cf.f_value(m)
                 assert cg.is_connected_induced(g, s)
-            assert set(g.__dict__) <= {"_flat"}  # the row view is the only one built
+            assert set(g.__dict__) <= {"_flat", "_degree"}  # the row view is the only one built
 
     def test_n16_member_in_512mb(self):
         # 4^16 bits of bitmask rows would be 512 MB alone; the rows take about 4 MB

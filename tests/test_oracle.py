@@ -33,10 +33,10 @@ def witness_off(monkeypatch):
     def patch(m, found):
         monkeypatch.setattr(oc, "_prefix_cuts", lambda g: tuple(
             found if size == m else cut for size, cut in enumerate(sweep(g))))
-        oc._xi_row.cache_clear()
+        oc._rows.cache_clear()
 
     yield patch
-    oc._xi_row.cache_clear()
+    oc._rows.cache_clear()
 
 
 def per_mask_sizes(g):
@@ -72,7 +72,7 @@ class TestBudget:
         for search in searches:
             with pytest.raises(oc.BudgetExceededError, match="n = 13 is past the bounded oracle"):
                 search()
-            assert set(g.__dict__) <= {"_flat"}
+            assert set(g.__dict__) <= {"_flat", "_degree"}
 
     def test_rejects_arguments_out_of_range(self):
         g = member(4)
@@ -253,11 +253,35 @@ class TestBoundedMode:
         # one sweep per member serves its ex, xi, lambda, extra-size, embedded and cyclic rows
         sweep, swept = oc._prefix_cuts, []
         monkeypatch.setattr(oc, "_prefix_cuts", lambda g: swept.append(g) or sweep(g))
-        oc._xi_row.cache_clear()
+        oc._rows.cache_clear()
         for n in (5, 8):
             swept.clear()
             oc.verify_member(n, [1, 2])
             assert swept == [member(n), member(n, 1), member(n, 2)], n
+
+    def test_lambda_names_the_first_unsettled_size_at_or_after_h(self, monkeypatch):
+        # one pass down m: lambda_h is the least xi_m over m >= h, or the reason of the
+        # smallest unsettled m >= h when there is one
+        g = member(5, 1)
+        xis = [oc.brute_xi(g, m) for m in range(1, 17)]
+        assert [oc.brute_lambda_h(g, h) for h in range(1, 17)] == [
+            min(xis[h - 1:]) for h in range(1, 17)]
+        sweep, off = oc._prefix_cuts, {6: None, 10: 99}
+        monkeypatch.setattr(oc, "_prefix_cuts", lambda g: tuple(
+            off.get(m, cut) for m, cut in enumerate(sweep(g))))
+        oc._rows.cache_clear()
+        try:
+            for h in range(1, 17):
+                if h > 10:
+                    assert oc.brute_lambda_h(g, h) == min(xis[h - 1:]), h
+                    continue
+                with pytest.raises(oc.BudgetExceededError) as info:
+                    oc.brute_lambda_h(g, h)
+                assert str(info.value).startswith(
+                    "the canonical 6-set has a disconnected side" if h <= 6
+                    else "the canonical 10-set gives 99"), h
+        finally:
+            oc._rows.cache_clear()
 
     def test_rejects_halves_not_joined_by_one_matching(self):
         # enhanced(4, 1) joins each vertex to the other half twice; the shuffle mixes the halves
@@ -418,7 +442,7 @@ class TestRecursionBound:
             assert oc.brute_ex(g, 7) == cf.f_value(7)
             assert oc.brute_xi(g, 7) == cf.xi_h4(7, 5)
             assert oc.brute_cyclic(g) == 12
-            assert set(g.__dict__) <= {"_flat"}
+            assert set(g.__dict__) <= {"_flat", "_degree"}
 
 
 def two_cubes():
