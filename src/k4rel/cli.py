@@ -146,8 +146,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "profile":
             if not 3 <= args.n <= 24:
                 raise ValueError(f"profile needs 3 <= n <= 24, got {args.n}")
-            _write(args.out, (render_profile(args.n, lo, lo + cf.PROFILE_BLOCK)
-                              for lo in range(0, 1 << (args.n - 1), cf.PROFILE_BLOCK)))
+            half = 1 << (args.n - 1)
+            _write(args.out, (render_profile(args.n, lo, min(lo + cf.PROFILE_BLOCK, half))
+                              for lo in range(0, half, cf.PROFILE_BLOCK)))
         elif args.command == "lambda":
             _write(args.out, [f"{cf.lambda_fast(args.h, args.n)}\n"])
         elif args.command == "intervals":
@@ -167,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
                 if not 3 <= n <= 24:
                     raise ValueError(f"plotdata needs 3 <= n <= 24, got {n}")
             _write(args.out, chain([PLOT_HEADER], (
-                render_plotdata([n], lo, lo + cf.PROFILE_BLOCK)
+                render_plotdata([n], lo, min(lo + cf.PROFILE_BLOCK, 1 << (n - 1)))
                 for n in args.n for lo in range(0, 1 << (n - 1), cf.PROFILE_BLOCK))))
         elif args.command == "verify":
             if args.seeds < 0:

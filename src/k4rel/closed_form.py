@@ -246,8 +246,12 @@ def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam=int):
     at the top row, xi's offset + SM_s) as lam(value), once per run (None if lam is falsy).
     """
     half, block = 1 << (n - 1), PROFILE_BLOCK
-    for lo in range(start, half if stop is None else stop, block):
-        hi, base = min(lo + block, half), _f(lo)
+    stop = half if stop is None else stop
+    if not 0 <= start <= stop <= half or start % block:
+        raise ValueError(f"need 0 <= start <= stop <= {half} and start a multiple of {block}, "
+                         f"got start={start}, stop={stop}")
+    for lo in range(start, stop, block):
+        hi, base = min(lo + block, stop), _f(lo)
         c = (n + 1) * lo - base
         ex_shape, xi_shape, values, run = _block_shape(n, 2 * (lo // block).bit_count(), hi - lo)
         ex, xi = [base + x for x in ex_shape], [c + x for x in xi_shape]

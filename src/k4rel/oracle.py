@@ -44,7 +44,7 @@ from .cube_graph import (
 )
 
 
-BOUNDED_N = 12  # _recursion_bound(12) takes about 1 s, and each n costs about 4.4 times the last
+BOUNDED_N = 12  # a cold _recursion_bound(12) takes about 0.25 s, and each n about 4 times the last
 
 
 class BudgetExceededError(RuntimeError):
@@ -59,14 +59,16 @@ def _recursion_bound(n: int) -> tuple[int, ...]:
     one perfect matching pi, S = S_L + S_R has bd(S) = bd_L(S_L) + bd_R(S_R) +
     |pi(S_L) ^ S_R|, and the last term is at least |a - b| for a = |S_L|,
     b = |S_R|.  So B_n[m] is the least B_{n-1}[a] + B_{n-1}[b] + |a - b| over
-    a + b = m: a search that never calls f.
+    a + b = m: a search that never calls f.  The summand is symmetric in a and b, so
+    a >= b suffices; and B_n[m] = B_n[2^n - m], as complements have equal boundaries
+    (B_{n-1} is symmetric the same way), so m <= 2^(n-1) suffices.
     """
     if n == 2:
         return (0, 3, 4, 3, 0)
     low, half = _recursion_bound(n - 1), 1 << (n - 1)
-    return tuple(min(low[a] + low[m - a] + abs(m - 2 * a)
-                     for a in range(max(0, m - half), min(m, half) + 1))
-                 for m in range(2 * half + 1))
+    first = [min(low[a] + low[m - a] + 2 * a - m for a in range((m + 1) // 2, m + 1))
+             for m in range(half + 1)]
+    return tuple(first + first[-2::-1])
 
 
 @lru_cache(maxsize=1)  # every search on a refused graph asks
@@ -289,53 +291,45 @@ class VerificationReport(namedtuple("VerificationReport", "n members entries")):
         return "\n".join(rows) + "\n"
 
 
-def _guarded(entries, member, quantity, inp, closed, search):
-    try:
-        brute = search()
-    except BudgetExceededError:
-        entries.append(CheckEntry(member, quantity, inp, closed, None, None))
-        return
-    entries.append(CheckEntry(member, quantity, inp, closed, brute, brute == closed))
-
-
 def verify_member(n: int, member_seeds: list[int]) -> VerificationReport:
-    """Cross-check every closed form against brute force on concrete members.
+    """Cross-check every closed form against the bound-and-witness searches on concrete members.
 
-    The closed values are those the package serves: lambda_h comes from
-    `lambda_fast`, and a disagreement with its defining minimum `lambda_scan`
-    is a failing "lambda_scan" row, found also where the brute search is skipped.
+    The closed values are those the package serves, built once per n into one check
+    table: lambda_h comes from `lambda_fast`, and a disagreement with its defining
+    minimum `lambda_scan` is a failing "lambda_scan" row, found also where the search
+    is skipped.  Every member then runs through the same table.
     """
     if not 3 <= n <= BOUNDED_N:
         raise ValueError(f"n must be in [3, {BOUNDED_N}], got {n}")
+    half = 1 << (n - 1)
+    checks = []  # quantity, input, closed value, then the search and its arguments after g
+    for m in range(1, half + 1):
+        closed_xi = xi_h4(m, n)
+        checks += [("ex", str(m), f_value(m), brute_ex, m),
+                   ("xi", str(m), closed_xi, brute_xi, m),
+                   ("xi_e", str(m), closed_xi, brute_xi_unconstrained, m)]
+    for h in range(1, half + 1):
+        closed, defined = lambda_fast(h, n), lambda_scan(h, n)
+        if closed != defined:  # the served value must equal its defining minimum
+            checks.append(("lambda_scan", str(h), closed, lambda g, value: value, defined))
+        checks.append(("lambda", str(h), closed, brute_lambda_h, h))
+    checks += [(f"cond_{pattern.name.lower()}", str(l), conditional_lambda(pattern, l, n),
+                brute_conditional, pattern, l) for l in range(2, n) for pattern in FaultPattern]
+    checks.append(("cyclic", "-", cyclic_lambda(n), brute_cyclic))
     members = [("canonical", canonical_member(n))]
     members += [
         (f"seed{seed}", build_k4cube(random_matching_tree(n, seed)))
         for seed in member_seeds
     ]
-    half = 1 << (n - 1)
-    entries: list[CheckEntry] = []
+    entries = []
     for name, g in members:
-        for m in range(1, half + 1):
-            _guarded(entries, name, "ex", str(m), f_value(m),
-                     lambda g=g, m=m: brute_ex(g, m))
-            closed_xi = xi_h4(m, n)
-            _guarded(entries, name, "xi", str(m), closed_xi,
-                     lambda g=g, m=m: brute_xi(g, m))
-            _guarded(entries, name, "xi_e", str(m), closed_xi,
-                     lambda g=g, m=m: brute_xi_unconstrained(g, m))
-        for h in range(1, half + 1):
-            closed, defined = lambda_fast(h, n), lambda_scan(h, n)
-            if closed != defined:  # the served value must equal its defining minimum
-                entries.append(CheckEntry(name, "lambda_scan", str(h), closed, defined, False))
-            _guarded(entries, name, "lambda", str(h), closed,
-                     lambda g=g, h=h: brute_lambda_h(g, h))
-        for l in range(2, n):
-            for pattern in FaultPattern:
-                _guarded(entries, name, f"cond_{pattern.name.lower()}", str(l),
-                         conditional_lambda(pattern, l, n),
-                         lambda g=g, p=pattern, l=l: brute_conditional(g, p, l))
-        _guarded(entries, name, "cyclic", "-", cyclic_lambda(n),
-                 lambda g=g: brute_cyclic(g))
+        for quantity, inp, closed, search, *args in checks:
+            try:
+                brute = search(g, *args)
+            except BudgetExceededError:
+                brute = None
+            match = None if brute is None else brute == closed
+            entries.append(CheckEntry(name, quantity, inp, closed, brute, match))
     return VerificationReport(
         n=n, members=tuple(name for name, _ in members), entries=tuple(entries)
     )

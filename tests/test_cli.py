@@ -124,6 +124,16 @@ class TestProfile:
             assert rows == [(h, cf.f_value(h), cf.xi_h4(h, n), cf.lambda_scan(h, n))
                             for h in range(1, (1 << (n - 1)) + 1)]
 
+    def test_rows_stop_at_stop_and_blocks_start_on_an_edge(self):
+        # a block starting off an edge would add f(r) to the wrong f(qB); the last block ends
+        # at stop, not at the next edge
+        assert cli.render_profile(18, 0, 10) == "h,ex,xi,lambda\n" + "".join(
+            f"{h},{cf.f_value(h)},{cf.xi_h4(h, 18)},{cf.lambda_fast(h, 18)}\n"
+            for h in range(1, 11))
+        for start, stop in ((5, 10), (-1024, 10), (2048, 1024), (0, (1 << 17) + 1)):
+            with pytest.raises(ValueError, match="start a multiple of 1024"):
+                next(cf.profile_blocks(18, start, stop))
+
     def test_one_block_shape_per_popcount(self, tmp_path):
         # blocks qB + r share a shape per popcount(q), q < 2^(n-11): n - 10 shapes at B = 2^10
         cf._block_shape.cache_clear()

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -259,6 +260,17 @@ class TestBoundedMode:
             oc.verify_member(n, [1, 2])
             assert swept == [member(n), member(n, 1), member(n, 2)], n
 
+    def test_verify_computes_each_closed_value_once_per_n(self, monkeypatch):
+        # one check table per n serves every member: one f_value and one lambda_fast per size
+        calls = Counter()
+        for name in ("f_value", "lambda_fast"):
+            monkeypatch.setattr(oc, name, lambda *args, name=name, served=getattr(oc, name): (
+                calls.update([name]) or served(*args)))
+        for n in (3, 4, 5):
+            calls.clear()
+            oc.verify_member(n, [1, 2])
+            assert calls == {"f_value": 1 << (n - 1), "lambda_fast": 1 << (n - 1)}, n
+
     def test_lambda_names_the_first_unsettled_size_at_or_after_h(self, monkeypatch):
         # one pass down m: lambda_h is the least xi_m over m >= h, or the reason of the
         # smallest unsettled m >= h when there is one
@@ -431,7 +443,7 @@ class TestRecursionBound:
                 per_mask_sizes(g)[1:9]), seed
 
     def test_equals_the_closed_form(self):
-        for n in range(2, 10):
+        for n in range(2, 13):
             bound = oc._recursion_bound(n)
             assert bound == tuple((n + 1) * m - cf.f_value(m) for m in range(len(bound))), n
             assert bound == bound[::-1], n
