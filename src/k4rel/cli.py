@@ -21,13 +21,14 @@ from itertools import chain
 from . import closed_form as cf
 
 
-def _write(out_path: str, chunks: Iterable[str]) -> None:
+def _write(out_path: str, chunks: Iterable[str | bytes], binary: bool = False) -> None:
     if out_path != "-":
-        with open(out_path, "w", newline="\n") as fh:
+        with open(out_path, "wb") if binary else open(out_path, "w", newline="\n") as fh:
             return fh.writelines(chunks)
+    stream = sys.stdout.buffer if binary else sys.stdout
     try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
+        stream.writelines(chunks)
+        stream.flush()
     except BrokenPipeError:  # the reader stopped early, as `| head` does: not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
@@ -94,8 +95,8 @@ def render_plotdata(n_list: list[int], start: int = 0, stop: int | None = None) 
     return "".join(text)
 
 
-def _bitmap_rows(n: int, kind: str, seed: int, k: int | None) -> Iterable[str]:
-    """Build the graph now, and give its P1 bitmap in blocks of about 32 KB of text."""
+def _bitmap_rows(n: int, kind: str, seed: int, k: int | None) -> Iterable[bytearray]:
+    """Build the graph now, and give its P1 bitmap in blocks of about 32 KB of ASCII bytes."""
     from . import cube_graph as cg
 
     if kind == "canonical":
@@ -109,7 +110,7 @@ def _bitmap_rows(n: int, kind: str, seed: int, k: int | None) -> Iterable[str]:
     else:
         raise ValueError(f"unknown kind {kind!r}")
     block = 1 << (14 - n)  # rows of 2^(n+1) bytes each; main accepts n <= 12
-    return (cg.bitmap_pbm(graph, u, u + block) for u in range(0, graph.num_vertices, block))
+    return (cg.bitmap_pbm_bytes(graph, u, u + block) for u in range(0, graph.num_vertices, block))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"bitmap needs 2 <= n <= 12, got {args.n}")
             if args.k is not None and args.kind != "enhanced":
                 raise ValueError(f"bitmap: --k applies only to --kind enhanced, not {args.kind}")
-            _write(args.out, _bitmap_rows(args.n, args.kind, args.seed, args.k))
+            _write(args.out, _bitmap_rows(args.n, args.kind, args.seed, args.k), binary=True)
         elif args.command == "plotdata":
             for n in args.n:
                 if not 3 <= n <= 24:

@@ -3,9 +3,10 @@
 Vertices are plain integers in [0, 2**n), read as n-bit strings (bit 0 is the
 lowest-order coordinate).  A graph stores one row of neighbour labels per
 vertex (O(n * 2**n) bytes, not 4**n bits: 2 bytes per label up to n = 16, 4
-above), and subset queries mark the members in a bytearray and walk their
-rows.  Graphs are immutable after construction.  A member's recipe is the
-tuple of its levels, one packed array of matchings per depth: see build_k4cube.
+above).  A subset query holds one bytearray mark and the list of its members,
+and walks their rows; canonical sets are ranges, held in O(1).  Graphs are
+immutable after construction.  A member's recipe is the tuple of its levels,
+one packed array of matchings per depth: see build_k4cube.
 """
 
 from __future__ import annotations
@@ -194,21 +195,23 @@ def canonical_member(n: int) -> CubeGraph:
     return _from_columns(n, "k4member", n + 1, [1, 2, 3] + [1 << (d - 1) for d in range(n, 2, -1)])
 
 
-def canonical_set(m: int, n: int) -> frozenset[int]:
+def canonical_set(m: int, n: int) -> range:
     """The first m vertex labels {0, ..., m-1}."""
     if not 0 <= m <= (1 << n):
         raise ValueError(f"m must be in [0, {1 << n}], got {m}")
-    return frozenset(range(m))
+    return range(m)
 
 
 def _marked(g: CubeGraph, members: Iterable[int]) -> tuple[bytearray, list[int]]:
-    """A membership mark per vertex, and each member once."""
-    verts = list(dict.fromkeys(members))
-    if verts and not 0 <= min(verts) <= max(verts) < g.num_vertices:
-        raise ValueError(f"labels must be in [0, {g.num_vertices}), got {min(verts)}..{max(verts)}")
-    mark = bytearray(g.num_vertices)
-    for v in verts:
-        mark[v] = 1
+    """A membership mark per vertex, and each member once, in one pass that checks each label."""
+    size = g.num_vertices
+    mark, verts = bytearray(size), []
+    for v in members:
+        if not 0 <= v < size:  # before the mark: a negative label would index from the end
+            raise ValueError(f"labels must be in [0, {size}), got {v}")
+        if not mark[v]:
+            mark[v] = 1
+            verts.append(v)
     return mark, verts
 
 
@@ -246,6 +249,11 @@ def bitmap_pbm(g: CubeGraph, start: int = 0, stop: int | None = None) -> str:
 
     Rows start .. stop-1 (all by default), after the header when start is 0.
     """
+    return bitmap_pbm_bytes(g, start, stop).decode("ascii")
+
+
+def bitmap_pbm_bytes(g: CubeGraph, start: int = 0, stop: int | None = None) -> bytearray:
+    """bitmap_pbm's text as ASCII bytes, for a binary stream."""
     size, flat, d = g.num_vertices, g._flat, g.degree(0)
     template = b"1 " * (size - 1) + b"1\n"
     text = bytearray(b"P1\n%d %d\n" % (size, size) if start == 0 else b"")
@@ -254,4 +262,4 @@ def bitmap_pbm(g: CubeGraph, start: int = 0, stop: int | None = None) -> str:
         text += template
         for v in flat[u * d:u * d + d]:
             text[begin + 2 * v] = 48  # "0"
-    return text.decode("ascii")
+    return text

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, count
-from operator import eq, xor
+from operator import add, eq, xor
 
 from .closed_form import (
     FaultPattern,
@@ -44,7 +44,7 @@ from .cube_graph import (
 )
 
 
-BOUNDED_N = 12  # a cold _recursion_bound(12) takes about 0.25 s, and each n about 4 times the last
+BOUNDED_N = 14  # a cold _recursion_bound(14) takes about 1.3 s, and each n about 4 times the last
 
 
 class BudgetExceededError(RuntimeError):
@@ -66,7 +66,8 @@ def _recursion_bound(n: int) -> tuple[int, ...]:
     if n == 2:
         return (0, 3, 4, 3, 0)
     low, half = _recursion_bound(n - 1), 1 << (n - 1)
-    first = [min(low[a] + low[m - a] + 2 * a - m for a in range((m + 1) // 2, m + 1))
+    paired = [b + 2 * a for a, b in enumerate(low)]  # a from (m + 1) // 2 up meets low[m - a]
+    first = [min(map(add, paired[(m + 1) // 2:m + 1], low[m // 2::-1])) - m
              for m in range(half + 1)]
     return tuple(first + first[-2::-1])
 

@@ -284,6 +284,16 @@ class TestBitmap:
         code, _, _ = run(["bitmap", "--n", "4", "--kind", "enhanced", "--k", "2"], capsys)
         assert code == 0
 
+    def test_file_holds_the_text_in_blocks(self, tmp_path, capsys):
+        # written as bytes, 16-row blocks at n = 10: the file is bitmap_pbm's text
+        from k4rel import cube_graph as cg
+
+        target = tmp_path / "b.pbm"
+        argv = ["bitmap", "--n", "10", "--kind", "random", "--seed", "3", "--out", str(target)]
+        assert run(argv, capsys) == (0, "", "")
+        graph = cg.build_k4cube(cg.random_matching_tree(10, 3))
+        assert target.read_bytes() == cg.bitmap_pbm(graph).encode("ascii")
+
     def test_out_of_range(self, capsys):
         assert run(["bitmap", "--n", "1"], capsys)[0] == 2
         assert run(["bitmap", "--n", "13"], capsys)[0] == 2
@@ -374,7 +384,9 @@ class TestVerify:
         assert target.read_bytes() == (GOLDEN / f"verify_n{n}_seeds{seeds}.txt").read_bytes()
 
     def test_bad_n(self, capsys):
-        code, _, err = run(["verify", "--n", "13"], capsys)
+        from k4rel.oracle import BOUNDED_N
+
+        code, _, err = run(["verify", "--n", str(BOUNDED_N + 1)], capsys)
         assert code == 2 and err != ""
 
     def test_negative_seeds(self, capsys):

@@ -56,7 +56,7 @@ class TestBudget:
         g = member(5)
         assert [oc.brute_xi_unconstrained(g, m) for m in range(1, 17)] == [
             cf.xi_h4(m, 5) for m in range(1, 17)]
-        g = member(13)
+        g = member(oc.BOUNDED_N + 1)
         for search in (oc.brute_xi_unconstrained, oc.brute_ex, oc.brute_xi):
             with pytest.raises(oc.BudgetExceededError):
                 search(g, 2)
@@ -65,13 +65,14 @@ class TestBudget:
 
     def test_past_the_tables_refuses_before_the_bitmask_rows(self):
         # bitmask rows hold 4^n bits, 512 MB at n = 16: no search may build a view to refuse
-        g = cg.canonical_member(13)
+        n = oc.BOUNDED_N + 1
+        g = cg.canonical_member(n)
         searches = [lambda: oc.brute_ex(g, 2), lambda: oc.brute_xi(g, 2),
                     lambda: oc.brute_xi_unconstrained(g, 2), lambda: oc.brute_lambda_h(g, 2),
                     lambda: oc.brute_conditional(g, oc.FaultPattern.EMBEDDED, 2),
                     lambda: oc.brute_cyclic(g)]
         for search in searches:
-            with pytest.raises(oc.BudgetExceededError, match="n = 13 is past the bounded oracle"):
+            with pytest.raises(oc.BudgetExceededError, match=f"n = {n} is past the bounded oracle"):
                 search()
             assert set(g.__dict__) <= {"_flat", "_degree"}
 
@@ -443,7 +444,7 @@ class TestRecursionBound:
                 per_mask_sizes(g)[1:9]), seed
 
     def test_equals_the_closed_form(self):
-        for n in range(2, 13):
+        for n in range(2, oc.BOUNDED_N + 1):
             bound = oc._recursion_bound(n)
             assert bound == tuple((n + 1) * m - cf.f_value(m) for m in range(len(bound))), n
             assert bound == bound[::-1], n
@@ -892,7 +893,7 @@ class TestVerificationReport:
 
     def test_rejects_out_of_range_n(self):
         with pytest.raises(ValueError):
-            oc.verify_member(13, [1])
+            oc.verify_member(oc.BOUNDED_N + 1, [1])
 
     def test_every_row_equals_the_exhaustive_reference(self):
         # the canonical member and seeds 1-10 at n = 3 and 4: no row is skipped, and every
