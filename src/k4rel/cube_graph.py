@@ -3,10 +3,11 @@
 Vertices are plain integers in [0, 2**n), read as n-bit strings (bit 0 is the
 lowest-order coordinate).  A graph stores one row of neighbour labels per
 vertex (O(n * 2**n) bytes, not 4**n bits: 2 bytes per label up to n = 16, 4
-above).  A subset query holds one bytearray mark and the list of its members,
-and walks their rows; canonical sets are ranges, held in O(1).  Graphs are
-immutable after construction.  A member's recipe is the tuple of its levels,
-one packed array of matchings per depth: see build_k4cube.
+above).  Canonical sets are ranges: a query on a run of labels counts its rows
+as one slice, a byte plane at a time.  Other subsets hold one bytearray mark and
+a list of their members, and walk their rows.  Graphs are immutable after
+construction.  A member's recipe is the tuple of its levels, one packed array
+of matchings per depth: see build_k4cube.
 """
 
 from __future__ import annotations
@@ -202,10 +203,17 @@ def canonical_set(m: int, n: int) -> range:
     return range(m)
 
 
-def _marked(g: CubeGraph, members: Iterable[int]) -> tuple[bytearray, list[int]]:
-    """A membership mark per vertex, and each member once, in one pass that checks each label."""
+def _marked(g: CubeGraph, members: Iterable[int]) -> tuple[bytearray, Sequence[int]]:
+    """A membership mark per vertex, and each member once: a range of step 1 or -1 within g
+    as an ascending range, any other members in one pass that checks each label."""
     size = g.num_vertices
-    mark, verts = bytearray(size), []
+    mark = bytearray(size)
+    if type(members) is range and members.step in (1, -1):
+        run = members[::members.step]
+        if 0 <= run.start and run.stop <= size:  # else the walk names the first label out
+            mark[run.start:run.stop] = b"\1" * len(run)
+            return mark, run
+    verts = []
     for v in members:
         if not 0 <= v < size:  # before the mark: a negative label would index from the end
             raise ValueError(f"labels must be in [0, {size}), got {v}")
@@ -215,25 +223,59 @@ def _marked(g: CubeGraph, members: Iterable[int]) -> tuple[bytearray, list[int]]
     return mark, verts
 
 
-def induced_edge_count(g: CubeGraph, members: Iterable[int]) -> int:
-    """Number of edges with both endpoints in the subset."""
+def _inner(g: CubeGraph, members: Iterable[int]) -> tuple[int, int]:
+    """How many members there are, and how many labels in their rows are members."""
     mark, verts = _marked(g, members)
     flat, d = g._flat, g.degree(0)
-    return sum(mark[w] for v in verts for w in flat[v * d:v * d + d]) // 2
+    if type(verts) is range:  # the rows of [lo, hi) are one slice; w is in it iff lo <= w < hi
+        rows = flat[verts.start * d:verts.stop * d]
+        return len(verts), _below(rows, verts.stop) - _below(rows, verts.start)
+    return len(verts), sum(mark[w] for v in verts for w in flat[v * d:v * d + d])
+
+
+def _below(rows: memoryview, t: int) -> int:
+    """How many labels in rows are below t, counted 2^12 labels and one byte plane at a time.
+
+    Most significant plane first: a label is below t where its byte is below t's and its
+    bytes above equal t's.  bytes.translate maps a plane to one 0/1 byte per label, and
+    int.from_bytes those to an int, so each step is a C-level count or AND and bit_count.
+    """
+    width = rows.itemsize
+    if t >= 1 << 8 * width:  # past every label
+        return len(rows)
+    raw, count, step = rows.cast("B"), 0, width << 12
+    planes = [(t >> 8 * k & 255, k if sys.byteorder == "little" else width - 1 - k)
+              for k in range(width - 1, -1, -1) if t % (256 << 8 * k)]  # to t's lowest byte > 0
+    for i in range(0, len(raw), step):
+        chunk, equal = raw[i:i + step].tobytes(), -1
+        for b, at in planes:
+            plane = chunk[at::width]
+            if b:  # no byte is below 0
+                less = plane.translate(b"\1" * b + bytes(256 - b))
+                count += (less.count(1) if equal == -1  # every byte above is t's
+                          else (int.from_bytes(less, "big") & equal).bit_count())
+            if b not in plane:  # no label's bytes equal t's this far
+                break
+            equal &= int.from_bytes(plane.translate(bytes(b) + b"\1" + bytes(255 - b)), "big")
+    return count
+
+
+def induced_edge_count(g: CubeGraph, members: Iterable[int]) -> int:
+    """Number of edges with both endpoints in the subset."""
+    return _inner(g, members)[1] // 2
 
 
 def boundary_size(g: CubeGraph, members: Iterable[int]) -> int:
     """Number of edges with exactly one endpoint in the subset."""
-    mark, verts = _marked(g, members)
-    flat, d = g._flat, g.degree(0)
-    return d * len(verts) - sum(mark[w] for v in verts for w in flat[v * d:v * d + d])
+    size, inner = _inner(g, members)
+    return g.degree(0) * size - inner
 
 
 def is_connected_induced(g: CubeGraph, members: Iterable[int]) -> bool:
     """True iff the induced subgraph is connected (empty set and singletons count)."""
     mark, verts = _marked(g, members)
     flat, d = g._flat, g.degree(0)
-    reach = verts[:1]
+    reach = list(verts[:1])  # verts may be a range
     if reach:
         mark[reach[0]] = 0
     for v in reach:  # the list grows while it is walked: a breadth-first sweep
@@ -254,6 +296,8 @@ def bitmap_pbm(g: CubeGraph, start: int = 0, stop: int | None = None) -> str:
 
 def bitmap_pbm_bytes(g: CubeGraph, start: int = 0, stop: int | None = None) -> bytearray:
     """bitmap_pbm's text as ASCII bytes, for a binary stream."""
+    if start < 0 or stop is not None and stop < start:  # a negative start would read flat[-d:0]
+        raise ValueError(f"rows must have 0 <= start <= stop, got {start}, {stop}")
     size, flat, d = g.num_vertices, g._flat, g.degree(0)
     template = b"1 " * (size - 1) + b"1\n"
     text = bytearray(b"P1\n%d %d\n" % (size, size) if start == 0 else b"")

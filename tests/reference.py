@@ -16,11 +16,11 @@ bipartitions by two component walks per mask, the least cut among them whose
 sides pass a side test (inner degrees counted vertex by vertex, or aligned
 label blocks), and the bitmask rows and component walk they and the
 connectivity tests rest on.  The row walks are cube_graph's subset
-primitives as they were written before their row view was hoisted: one
-g.row(v) call per member.  The identity levels are the canonical member's
-recipe, recursive_levels draws a member's levels by the recursion they
-describe, and graph_from_rows packs hand-made rows as cube_graph packs its
-own.
+primitives walked label by label, one g.row(v) call per member, over their
+own set of the members: they share no mark or dedupe with cube_graph.  The
+identity levels are the canonical member's recipe, recursive_levels draws a
+member's levels by the recursion they describe, and graph_from_rows packs
+hand-made rows as cube_graph packs its own.
 """
 
 import random
@@ -30,7 +30,7 @@ from itertools import combinations
 from operator import and_, or_
 
 from k4rel.closed_form import FaultPattern
-from k4rel.cube_graph import CubeGraph, _label_code, _marked
+from k4rel.cube_graph import CubeGraph, _label_code
 from k4rel.oracle import BudgetExceededError
 
 EXHAUSTIVE_N = 4  # one dimension more would be a 2^32-entry subset table
@@ -230,25 +230,34 @@ def recursive_levels(n, seed):
     return tuple(array("I", level) for level in levels)
 
 
+def row_members(g, members):
+    """Each member once, in first-seen order, and their set; ValueError at the first label
+    outside the graph, with cube_graph's text."""
+    verts = list(dict.fromkeys(members))
+    for v in verts:
+        if not 0 <= v < g.num_vertices:
+            raise ValueError(f"labels must be in [0, {g.num_vertices}), got {v}")
+    return verts, set(verts)
+
+
 def row_induced_edge_count(g, members):
-    mark, verts = _marked(g, members)
-    return sum(mark[w] for v in verts for w in g.row(v)) // 2
+    verts, inside = row_members(g, members)
+    return sum(w in inside for v in verts for w in g.row(v)) // 2
 
 
 def row_boundary_size(g, members):
-    mark, verts = _marked(g, members)
-    return sum(1 - mark[w] for v in verts for w in g.row(v))
+    verts, inside = row_members(g, members)
+    return sum(w not in inside for v in verts for w in g.row(v))
 
 
 def row_is_connected_induced(g, members):
-    mark, verts = _marked(g, members)
+    verts, inside = row_members(g, members)
     reach = verts[:1]
-    if reach:
-        mark[reach[0]] = 0
+    seen = set(reach)
     for v in reach:
         for w in g.row(v):
-            if mark[w]:
-                mark[w] = 0
+            if w in inside and w not in seen:
+                seen.add(w)
                 reach.append(w)
     return len(reach) == len(verts)
 

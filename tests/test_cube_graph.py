@@ -219,10 +219,17 @@ class TestSubsetPrimitives:
                     with pytest.raises(ValueError, match=r"\[0, 8\)"):
                         query(g, members)
         assert g.degree(7) == 4 and sorted(g.row(7)) == [3, 4, 5, 6]
+        # a range past either end names the first label out, as the walk of its labels does
+        for run in (range(-1, 3), range(0, 9), range(0, 12), range(8, -1, -1), range(3, -3, -1)):
+            first = next(v for v in run if not 0 <= v < 8)
+            for query in (cg.boundary_size, cg.induced_edge_count, cg.is_connected_induced):
+                with pytest.raises(ValueError, match=rf"^labels must be in \[0, 8\), got {first}$"):
+                    query(g, run)
 
     def test_canonical_queries_hold_no_member_set(self):
-        # the half-size canonical set at n = 16: a range, one bytearray mark and the member
-        # list; a frozenset of the members and a dict copy of it peaked at 4.71 MB
+        # the half-size canonical set at n = 16: a range, one bytearray mark and, for
+        # connectivity, the list it reaches; a frozenset of the members and a dict copy of
+        # it peaked at 4.71 MB
         g, half = cg.canonical_member(16), 1 << 15
         bounds = ((cg.boundary_size, 2e6), (cg.induced_edge_count, 2e6),
                   (cg.is_connected_induced, 3e6))
@@ -308,6 +315,15 @@ class TestBitmap:
             assert type(data) is bytearray
             assert cg.bitmap_pbm(g, start, stop) == data.decode("ascii")
         assert cg.bitmap_pbm_bytes(cg.build_k4cube(()), 0, 1) == b"P1\n4 4\n1 0 0 0\n"
+
+    def test_rows_before_0_or_past_stop_are_refused(self):
+        # start = -1 read flat[-d:0], a row of "1" cells for no vertex
+        g = cg.canonical_member(3)
+        for start, stop in ((-1, 0), (-1, None), (-8, 8), (3, 2)):
+            for render in (cg.bitmap_pbm, cg.bitmap_pbm_bytes):
+                with pytest.raises(ValueError, match="0 <= start <= stop"):
+                    render(g, start, stop)
+        assert cg.bitmap_pbm(g, 2, 2) == "" and cg.bitmap_pbm(g, 0, 0) == "P1\n8 8\n"
 
     def test_pbm_cell_convention(self):
         # "0" (white) marks an edge, "1" (black) a non-edge
@@ -480,6 +496,29 @@ class TestLargeMembers:
             for walk, row_walk in walks:  # a one-pass iterator against the reference's list
                 assert walk(g, iter(members)) == row_walk(g, list(members)), (walk, len(members))
         assert cg.is_connected_induced(g, cg.canonical_set(1500, 12))
+
+    @pytest.mark.parametrize("n", range(3, 18))
+    def test_label_runs_agree_with_the_row_walks(self, n):
+        # ranges of step 1 are counted by byte planes: 'H' labels up to n = 16, where
+        # hi = 65536 is past every label, 'I' from n = 17 on; step -1 ranges are reversed,
+        # and ranges of other steps are walked label by label
+        nv, rng = 1 << n, random.Random(n)
+        mid = range(max(0, nv // 2 - 700), min(nv, nv // 2 + 700))  # across 2^15 or 2^16
+        runs = [range(0), range(nv // 3, nv // 3), range(1), range(nv - 1, nv), mid,
+                range(min(nv, 3000)), range(max(0, nv - 3000), nv), range(5, min(nv, 700), 1),
+                range(1, min(nv, 900), 3)]
+        for _ in range(4):
+            lo = rng.randrange(nv)
+            runs += [range(lo, min(nv, lo + rng.randrange(1, 2000))), range(lo, max(-1, lo - 900), -1)]
+        walks = ((cg.induced_edge_count, row_induced_edge_count),
+                 (cg.boundary_size, row_boundary_size),
+                 (cg.is_connected_induced, row_is_connected_induced))
+        for g in (cg.canonical_member(n), cg.build_k4cube(cg.random_matching_tree(n, n))):
+            for run in runs:
+                for walk, row_walk in walks:
+                    assert walk(g, run) == row_walk(g, list(run)), (walk, run)
+            full = range(nv)
+            assert (cg.boundary_size(g, full), cg.induced_edge_count(g, full)) == (0, g.edge_count())
 
     def test_seeded_members_are_regular_simple_and_connected(self):
         for n in range(9, 15):
