@@ -74,9 +74,9 @@ def _from_columns(n: int, kind: str, slots: int, flips, columns=()) -> CubeGraph
     """Rows of slots labels: v ^ flip for each flip, then v's entry in each further column.
 
     A flip column is written one byte plane at a time: byte k of every v ^ flip is byte k
-    of v through the XOR table of flip's byte k.  Further columns are array('I'): array
-    packs Python ints into 'I' items about 2.8 times as fast as into 'H' ones.  Where
-    labels take 2 bytes, each item's low half is copied.
+    of v through the XOR table of flip's byte k.  Further columns are array('I'), so that
+    they hold the marker 2^n of a slot not yet filled even at n = 16.  Where labels take
+    2 bytes, each item's low half is copied.
     """
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
@@ -147,7 +147,8 @@ def build_k4cube(levels: Sequence[Sequence[int]]) -> CubeGraph:
     labels [first, first + 2^d) joins first + u to first + 2^(d-1) + matching[u].
     Each level holds 2^(n-1) entries, which random_matching_tree packs in an
     array('H'), 2 bytes per entry, where they fit, and in an array('I') at the
-    levels of dimension above 17 (any sequence of ints is accepted).
+    levels of dimension above 17 (any sequence of ints is accepted).  A level becomes
+    one column of partners in one pass, checked whole: entries below 2^(d-1), no repeat.
 
     Labels follow the recursive halves: the 0-half of a dimension-d gluing takes
     labels [0, 2**(d-1)), the 1-half takes [2**(d-1), 2**d).  This is what makes
@@ -159,34 +160,28 @@ def build_k4cube(levels: Sequence[Sequence[int]]) -> CubeGraph:
 
 def _matching_columns(n: int, levels: Sequence[Sequence[int]]):
     """One column per level, each vertex's partner across its gluing; each level is
-    checked as it is walked, after _from_columns has checked n."""
+    copied once and checked as a whole, after _from_columns has checked n."""
+    size = 1 << n
     for i, level in enumerate(levels):
-        half, column = 1 << (n - i - 1), array("I")
+        half = 1 << (n - i - 1)
+        message = f"matching must be a permutation of [0, {half})"
         try:  # one copy per level, a memcpy of the levels drawn here: its blocks are views
             view = memoryview(array(_label_code(half - 1), level))
         except (OverflowError, TypeError):  # an entry < 0, or no sequence of ints
-            raise ValueError(f"matching must be a permutation of [0, {half})") from None
-        if len(view) != 1 << (n - 1):
-            raise ValueError(f"level {i} must hold {1 << (n - 1)} entries, got {len(view)}")
-        for first in range(0, 1 << n, 2 * half):
-            matching = view[first >> 1:(first >> 1) + half]
-            inverse = _inverse(matching, first, half)  # checks the matching before its use
-            column += array("I", map((first + half).__add__, matching))
-            column += inverse
+            raise ValueError(message) from None
+        if len(view) != size >> 1:
+            raise ValueError(f"level {i} must hold {size >> 1} entries, got {len(view)}")
+        if max(view) >= half:  # its pair would leave the gluing
+            raise ValueError(message)
+        column = array("I", [size]) * size  # size marks a slot no pair fills
+        for at in range(0, size >> 1, half):  # the gluing of labels [2 at, 2 at + 2 half)
+            top = 2 * at + half
+            for u, v in enumerate(view[at:at + half], 2 * at):
+                column[u] = w = top + v
+                column[w] = u
+        if size in column:  # a repeated entry leaves its missing partner's slot unfilled
+            raise ValueError(message)
         yield column
-
-
-def _inverse(matching, first: int, half: int) -> array:
-    """first + the inverse of matching; ValueError unless its entries permute [0, half)."""
-    inverse = array("I", [first + half]) * half  # first + half marks a slot no entry fills
-    try:
-        for u, v in enumerate(matching, first):
-            inverse[v] = u
-        if first + half not in inverse:
-            return inverse
-    except IndexError:  # an entry >= half
-        pass
-    raise ValueError(f"matching must be a permutation of [0, {half})")
 
 
 def canonical_member(n: int) -> CubeGraph:

@@ -98,9 +98,13 @@ class TestMatchingTree:
         for matching in bad_matchings:  # an entry = half, a negative, a repeat, no ints
             with pytest.raises(ValueError, match=r"permutation of \[0, 4\)"):
                 cg.build_k4cube((matching,))
-        deep = (array("I", range(8)), (3, 2, 1, 0, 3, 3, 1, 0))
-        with pytest.raises(ValueError, match=r"permutation of \[0, 4\)"):  # the second block
-            cg.build_k4cube(deep)
+        repeated = [*cg.random_matching_tree(6, 1)]  # n = 6: its deepest level has 8 gluings
+        repeated[3] = repeated[3][:-1] + repeated[3][-2:-1]  # a repeat in the last of them
+        deeper = [(array("I", range(8)), (3, 2, 1, 0, 3, 3, 1, 0)),  # a repeat in the second block
+                  (range(8), (3, 2, 1, 0, 4, 0, 1, 2)), repeated]  # an entry = half in the second
+        for deep in deeper:
+            with pytest.raises(ValueError, match=r"permutation of \[0, 4\)"):
+                cg.build_k4cube(deep)
         cg.build_k4cube((range(8), (3, 2, 1, 0, 3, 0, 1, 2)))
 
     def test_member_regularity(self):
