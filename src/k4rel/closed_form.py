@@ -149,7 +149,7 @@ def concentration_intervals(n: int) -> list[ConcentrationInterval]:
 
 
 def lambda_fast(h: int, n: int) -> int:
-    """h-extra edge-connectivity, the least xi_m over h <= m <= 2**(n-1), in O(n) steps.
+    """h-extra edge-connectivity, the least xi_m over h <= m <= 2**(n-1), in O(log h) steps.
 
     Let H = 2**(n-1) and g = h - 1.  The candidates are g rounded up at each of
     its 0-bits j <= n-1: c_j = (g >> j | 1) << j, which agrees with g above j,
@@ -183,7 +183,10 @@ def lambda_fast(h: int, n: int) -> int:
     Walk.  Over m's set bits t_0 > t_1 > ... the terms
     (n + 1 - t_k - 2k - [t_k >= 2]) * 2**t_k sum to xi_m, less 2 when
     m = 3 (mod 4); of the candidates only c_0 can be, when g has bit 1.  One
-    pass down the bits of g keeps the sum of the terms above j.
+    pass down the bits of g keeps the sum of the terms above j.  It starts at
+    j = max(2, bit length of g), at most n - 2: above g's top bit every candidate
+    is c_j = 2**j, and xi(2**j) = (n - j) * 2**j does not decrease over
+    2 <= j <= n - 1, as 2 * (n - j - 1) >= n - j for j <= n - 2.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -192,7 +195,7 @@ def lambda_fast(h: int, n: int) -> int:
         raise ValueError(f"h must be in [1, {half}], got {h}")
     g, best = h - 1, half  # c_{n-1} = H, and xi_H = H
     prefix = ones = 0  # the xi terms of g's bits above j, and how many bits
-    for j in range(n - 2, -1, -1):
+    for j in range(min(n - 2, max(2, g.bit_length())), -1, -1):
         term = (n + 1 - j - 2 * ones - (j >= 2)) << j
         if g >> j & 1:
             prefix += term

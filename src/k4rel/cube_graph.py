@@ -22,8 +22,8 @@ from functools import cached_property, lru_cache
 
 # Ceiling for materialized graphs; closed-form evaluation has no such limit.  Measured
 # under a 2 GB address-space limit (Python 3.11, 2-core x86-64 Xeon VM): build_k4cube of
-# random_matching_tree(23, 1) takes 99 s (61 s drawing the levels) and peaks at 1.20 GB RSS,
-# its 805 MB of rows held once; at n = 22 it takes 46 s and peaks at 0.60 GB.
+# random_matching_tree(23, 1) takes 33 s (16 s drawing the levels) and peaks at 1.19 GB RSS,
+# its 805 MB of rows held once; at n = 22 it takes 15 s (6.9 s drawing) and peaks at 0.57 GB.
 MAX_DIM = 23
 
 
@@ -123,19 +123,46 @@ def build_enhanced(n: int, k: int) -> CubeGraph:
 
 
 def random_matching_tree(n: int, seed: int) -> tuple[array, ...]:
-    """Deterministic random levels for build_k4cube: every matching is a seeded shuffle."""
+    """Deterministic random levels for build_k4cube: every matching is a seeded shuffle.
+
+    The matchings, in the recursion's post-order, are the permutations of range(2^(d-1))
+    that successive random.Random(seed).shuffle calls give; _shuffle reproduces them from
+    the same getrandbits calls.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > MAX_DIM:  # no build accepts the levels: refuse them before their 2^(n-1)-entry draws
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
-    rng = random.Random(seed)  # level i's entries are below 2^(n-i-1)
+    getrandbits = random.Random(seed).getrandbits  # level i's entries are below 2^(n-i-1)
     levels = [array(_label_code((1 << (n - i - 1)) - 1)) for i in range(n - 2)]
     for k in range(1, (1 << (n - 2)) + 1):  # leaf k closes a gluing per trailing 0-bit of k
         for i in range(n - 3, n - 2 - (k & -k).bit_length(), -1):  # deepest first
             perm = list(range(1 << (n - i - 1)))
-            rng.shuffle(perm)  # a list shuffles faster than an array
+            _shuffle(perm, getrandbits)  # a list shuffles faster than an array
             levels[i].extend(perm)
     return tuple(levels)
+
+
+def _shuffle(x: list, getrandbits) -> None:
+    """random.shuffle(x) with the same getrandbits calls, so the same permutation.
+
+    For i from len(x) - 1 down to 1, j is getrandbits(k), k = (i + 1).bit_length(),
+    drawn again while j > i, and x[i] swaps with x[j].  i walks the runs of one k, so
+    no Python frame is made per entry.
+    """
+    for k, run in _runs(len(x)):
+        for i in run:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+
+
+@lru_cache(maxsize=None)
+def _runs(length: int) -> tuple[tuple[int, range], ...]:
+    """Each k > 1 with the i in [1, length) for which i + 1 has k bits, descending."""
+    return tuple((k, range(min(length, (1 << k) - 1) - 1, (1 << (k - 1)) - 2, -1))
+                 for k in range(length.bit_length(), 1, -1))
 
 
 def build_k4cube(levels: Sequence[Sequence[int]]) -> CubeGraph:
@@ -270,7 +297,8 @@ def is_connected_induced(g: CubeGraph, members: Iterable[int]) -> bool:
     """True iff the induced subgraph is connected (empty set and singletons count)."""
     mark, verts = _marked(g, members)
     flat, d = g._flat, g.degree(0)
-    reach = list(verts[:1])  # verts may be a range
+    size, reach = len(verts), list(verts[:1])  # verts may be a range
+    del verts  # the sweep holds reach alone, not the member list beside it
     if reach:
         mark[reach[0]] = 0
     for v in reach:  # the list grows while it is walked: a breadth-first sweep
@@ -278,7 +306,7 @@ def is_connected_induced(g: CubeGraph, members: Iterable[int]) -> bool:
             if mark[w]:
                 mark[w] = 0
                 reach.append(w)
-    return len(reach) == len(verts)
+    return len(reach) == size
 
 
 def bitmap_pbm(g: CubeGraph, start: int = 0, stop: int | None = None) -> str:

@@ -220,6 +220,12 @@ class TestScalarCommands:
         assert run(["cyclic", "--n", "5"], capsys) == (0, "12\n", "")
         assert run(["cyclic", "--n", "3"], capsys) == (0, "4\n", "")
 
+    def test_cyclic_at_n1000000_walks_only_the_bits_of_h(self):
+        # lambda_3 = 3n - 3: a walk from bit n - 2 down takes O(n^2) time, hours at this n
+        done = subprocess.run(child_argv(["cyclic", "--n", "1000000"]), env=child_env(),
+                              capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "2999997\n", "")
+
 
 class TestIntervals:
     def test_n6(self, capsys):

@@ -136,10 +136,23 @@ class TestMatchingTree:
                 assert adjacency(g1) == adjacency(g2)
 
     def test_draw_matches_the_recursion(self):
-        # one loop over the K4 leaves shuffles the gluings in the recursion's post-order
-        for n in range(2, 13):
+        # one loop over the K4 leaves shuffles the gluings in the recursion's post-order;
+        # the reference draws them with random.shuffle itself
+        for n in range(2, 15):
             for seed in range(4):
                 assert cg.random_matching_tree(n, seed) == recursive_levels(n, seed), (n, seed)
+
+    def test_shuffle_makes_the_stdlib_draws(self):
+        # the lengths cross several runs of one bit length k, 2^(k-1) <= i + 1 < 2^k, and
+        # the generator's state after the draw shows that no call was added or left out
+        for length in range(71):
+            for seed in (0, 1, 2, 12345):
+                expected, rng = list(range(length)), random.Random(seed)
+                rng.shuffle(expected)
+                drawn, ours = list(range(length)), random.Random(seed)
+                cg._shuffle(drawn, ours.getrandbits)
+                assert drawn == expected, (length, seed)
+                assert ours.getstate() == rng.getstate(), (length, seed)
 
     def test_different_seeds_differ(self):
         members = {cg.build_k4cube(cg.random_matching_tree(6, s)).neighbours for s in range(8)}
@@ -245,6 +258,19 @@ class TestSubsetPrimitives:
             finally:
                 tracemalloc.stop()
             assert peak <= bound, (query.__name__, peak)
+
+    def test_connectivity_holds_no_member_list_beside_its_sweep(self):
+        # a half-size subset at n = 16 given as a generator: the mark and the reached list,
+        # 1.38 MB as for the boundary count; holding the member list too peaked at 2.57 MB
+        g, half = cg.canonical_member(16), 1 << 15
+        for query in (cg.is_connected_induced, cg.boundary_size):
+            tracemalloc.start()
+            try:
+                query(g, (v for v in range(half)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2e6, (query.__name__, peak)
 
     def test_canonical_set(self):
         assert cg.canonical_set(0, 4) == range(0)
