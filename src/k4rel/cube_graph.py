@@ -22,8 +22,8 @@ from functools import cached_property, lru_cache
 
 # Ceiling for materialized graphs; closed-form evaluation has no such limit.  Measured
 # under a 2 GB address-space limit (Python 3.11, 2-core x86-64 Xeon VM): build_k4cube of
-# random_matching_tree(23, 1) takes 33 s (16 s drawing the levels) and peaks at 1.19 GB RSS,
-# its 805 MB of rows held once; at n = 22 it takes 15 s (6.9 s drawing) and peaks at 0.57 GB.
+# random_matching_tree(23, 1) takes 36 s (20 s drawing the levels) and peaks at 1.19 GB RSS,
+# its 805 MB of rows held once; at n = 22 it takes 15 s (8.5 s drawing) and peaks at 0.58 GB.
 MAX_DIM = 23
 
 
@@ -187,7 +187,7 @@ def build_k4cube(levels: Sequence[Sequence[int]]) -> CubeGraph:
 
 def _matching_columns(n: int, levels: Sequence[Sequence[int]]):
     """One column per level, each vertex's partner across its gluing; each level is
-    copied once and checked as a whole, after _from_columns has checked n."""
+    copied once and checked as a whole by _below, after _from_columns has checked n."""
     size = 1 << n
     for i, level in enumerate(levels):
         half = 1 << (n - i - 1)
@@ -198,15 +198,17 @@ def _matching_columns(n: int, levels: Sequence[Sequence[int]]):
             raise ValueError(message) from None
         if len(view) != size >> 1:
             raise ValueError(f"level {i} must hold {size >> 1} entries, got {len(view)}")
-        if max(view) >= half:  # its pair would leave the gluing
+        if _below(view, half) != len(view):  # an entry's pair would leave the gluing
             raise ValueError(message)
-        column = array("I", [size]) * size  # size marks a slot no pair fills
-        for at in range(0, size >> 1, half):  # the gluing of labels [2 at, 2 at + 2 half)
-            top = 2 * at + half
-            for u, v in enumerate(view[at:at + half], 2 * at):
+        column, u = array("I", [size]) * size, 0  # size marks a slot no pair fills
+        for at in range(0, size >> 1, half):  # the gluing of labels [u, u + 2 half), u = 2 at
+            top = u + half
+            for v in view[at:at + half]:
                 column[u] = w = top + v
                 column[w] = u
-        if size in column:  # a repeated entry leaves its missing partner's slot unfilled
+                u += 1
+            u = top + half
+        if _below(memoryview(column), size) != size:  # a repeat leaves a partner's slot unfilled
             raise ValueError(message)
         yield column
 

@@ -106,6 +106,14 @@ class TestMatchingTree:
             with pytest.raises(ValueError, match=r"permutation of \[0, 4\)"):
                 cg.build_k4cube(deep)
         cg.build_k4cube((range(8), (3, 2, 1, 0, 3, 0, 1, 2)))
+        tree = cg.random_matching_tree(18, 1)  # level 0: one gluing of 2^17 entries, array('I')
+        assert tree[0].typecode == "I"
+        too_big, twice = array("I", tree[0]), array("I", tree[0])
+        too_big[12345] = 1 << 17  # an entry = half
+        twice[-1] = twice[0]  # a repeat
+        for bad in (too_big, twice):
+            with pytest.raises(ValueError, match=r"permutation of \[0, 131072\)"):
+                cg.build_k4cube((bad, *tree[1:]))
 
     def test_member_regularity(self):
         for n in range(2, 9):
@@ -487,6 +495,23 @@ class TestBytePlanes:
                 if flip not in wants:
                     wants[flip] = array(code, map(xor, range(1 << n), repeat(flip))).tobytes()
                 assert rows[j::len(flips)].tobytes() == wants[flip], (g.kind, flip)
+
+    @pytest.mark.parametrize("code", ["H", "I"])
+    def test_below_counts_the_labels_under_each_threshold(self, code):
+        # _below guards build_k4cube's levels: it must equal the plain count, over several
+        # 2^12-label chunks, at thresholds on byte edges and with zero low bytes (planes
+        # it skips), at labels in the rows and past every label
+        top = 1 << 8 * array(code).itemsize
+        rng = random.Random(code)
+        labels = [x for x in (0, 255, 256, 65535, 65536) if x < top] * 3
+        labels += [rng.randrange(1 << b) for b in (8, 9, 16, 17, 24, 25, 32) * 1500
+                   if 1 << b <= top]
+        rng.shuffle(labels)
+        rows = memoryview(array(code, labels))
+        edges = [0, 1, 255, 256, 257, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 24,
+                 0x1200, 0x30000, 0x5000000, 0x7f000000, max(labels) + 1, top, top + 1]
+        for t in edges + labels[:50] + [x + 1 for x in labels[:50]]:
+            assert cg._below(rows, t) == sum(x < t for x in labels), t
 
     def test_n17_rows_are_pinned(self):
         # recorded from the rows as built from one array('I') of v ^ flip per flip column
