@@ -121,6 +121,8 @@ def lambda_scan(h: int, n: int) -> int:
 
 def g_interval_length(t: int, n: int) -> int:
     """Length of the t-th concentration interval: ceil(2**(2t+2+gamma) / 3)."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
     if not 0 <= t <= n // 2 - 1:
         raise ValueError(f"t must be in [0, {n // 2 - 1}], got {t}")
     power = 1 << (2 * t + 2 + gamma(n))
@@ -128,7 +130,15 @@ def g_interval_length(t: int, n: int) -> int:
 
 
 def concentration_intervals(n: int) -> list[ConcentrationInterval]:
-    """One interval per t = 0 .. floor(n/2)-1, with its constant lambda value."""
+    """One interval per t = 0 .. floor(n/2)-1, with its constant lambda value.
+
+    For n >= 4, interval t = floor(n/2) - 2 lies inside the last one, t + 1, so
+    its upper end is not sharp.  Let x = 2**(n-2).  Interval t has upper end
+    2**(ceil(n/2)+t) = x, value 2x and length ceil(x/3), as 2t + 2 + gamma =
+    n - 2; interval t + 1 has upper end 2x, value 2x and length ceil(4x/3).
+    As ceil(4x/3) = x + ceil(x/3), both have lower end x - ceil(x/3), and
+    lambda stays 2x = 2**(n-1) past interval t's upper end.
+    """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     out = []
@@ -207,6 +217,8 @@ def lambda_fast(h: int, n: int) -> int:
 
 def conditional_lambda(pattern: FaultPattern, l: int, n: int) -> int:
     """Common value of the four conditional edge-connectivities (cyclic_lambda: the cyclic one)."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
     if 2 <= l <= n - 1:
         return (n - l) << l
     if l in (0, 1) and pattern is not FaultPattern.EMBEDDED:

@@ -6,10 +6,10 @@ The oracle answers only for a graph whose rows certify that it is built as a
 member: each aligned 2^d block is two 2^(d-1) blocks joined by one perfect
 matching, down to K4s.  A recursion over d bounds its m-subsets' boundaries
 from below, and one sweep up the labels settles every size m: the bound must
-meet the cut around the canonical m-set (labels 0..m-1) with both sides
-connected.  lambda_h and the cyclic, average-degree, super-degree and
-embedded cuts are the least xi_m over a set of sizes m.  A graph outside the
-family, a witness off its bound, or n past BOUNDED_N raises
+meet the cut around the canonical m-set (labels 0..m-1), whose two sides
+the certificate shows connected.  lambda_h and the cyclic, average-degree,
+super-degree and embedded cuts are the least xi_m over a set of sizes m.  A
+graph outside the family, a witness off its bound, or n past BOUNDED_N raises
 BudgetExceededError rather than returning a partial answer.  At n <= 4 the
 tests compare every answer with the exhaustive subset search of
 tests/reference.py, which also answers graphs outside the family.
@@ -44,7 +44,7 @@ from .cube_graph import (
 )
 
 
-BOUNDED_N = 14  # a cold _recursion_bound(14) takes about 1.3 s, and each n about 4 times the last
+BOUNDED_N = 14  # a cold _recursion_bound(14) takes about 1.1 s, and each n about 4 times the last
 
 
 class BudgetExceededError(RuntimeError):
@@ -106,27 +106,21 @@ def _certified(g: CubeGraph) -> bool:
     return sorted(keys) == list(range(1, g.n + 2))
 
 
-def _prefix_cuts(g: CubeGraph) -> tuple[int | None, ...]:
-    """Per m <= nv/2, bd([0, m)) where the labels show both sides connected, else None.
+def _prefix_cuts(g: CubeGraph) -> tuple[int, ...]:
+    """Per m <= nv/2, bd([0, m)): label v adds its degree and takes back 2 per neighbour below it.
 
-    Label v adds its degree to bd([0, v)) and takes back 2 per neighbour below
-    it.  [0, m) is connected if each label in 1..m-1 has a neighbour below it,
-    and [m, nv) if each in m..nv-2 has one above, on any graph.  On a member
-    this loses no cut: each v > 0 has v ^ 1 or v ^ 2 below it if v mod 4 != 0,
-    else its partner across the gluing at v's lowest set bit, and by symmetry
-    each v < nv - 1 has a neighbour above it.
+    _rows certifies g first, and on a member both sides of every canonical set
+    are connected.  Each v > 0 has a neighbour below it: v ^ 1 or v ^ 2 if
+    v mod 4 != 0, else its partner across the gluing at v's lowest set bit, so
+    a path down the labels joins [0, m) to 0.  By symmetry each v < nv - 1 has
+    a neighbour above it, and a path up joins [m, nv) to nv - 1.
     """
-    nv, d, row = g.num_vertices, g.degree(0), g.row
-    first_low = next((v for v in range(1, nv) if min(row(v)) >= v), nv)
-    last_high = max((v for v in range(nv - 1) if max(row(v)) <= v), default=-1)
-    bds = accumulate((d - 2 * sum(w < v for w in row(v)) for v in range(nv // 2)), initial=0)
-    return tuple(bd if last_high < m <= first_low else None for m, bd in enumerate(bds))
+    d, row, half = g.degree(0), g.row, g.num_vertices // 2
+    return tuple(accumulate((d - 2 * sum(w < v for w in row(v)) for v in range(half)), initial=0))
 
 
-def _settled(bound: int, found: int | None, m: int) -> int | str:
-    """The bound if the canonical m-set's cut (None: a side is disconnected) meets it, else why."""
-    if found is None:
-        return f"the canonical {m}-set has a disconnected side; the lower bound is {bound}"
+def _settled(bound: int, found: int, m: int) -> int | str:
+    """The bound if the canonical m-set's cut meets it, else why."""
     return bound if found == bound else (
         f"the canonical {m}-set gives {found}, not the lower bound {bound}")
 

@@ -134,21 +134,24 @@ def test_criterion_08_monotone_plateau_saturation(capsys):
 
 
 def test_criterion_09_interval_sharpness(capsys):
+    # lambda changes just outside every interval, except past the upper end of
+    # t = floor(n/2) - 2, which lies inside the last interval (concentration_intervals)
     def body():
         for n in range(3, 17):
             half = 1 << (n - 1)
             intervals = cf.concentration_intervals(n)
-            checked_t = list(range(0, n // 2 - 2)) + [n // 2 - 1]
-            for t in checked_t:
-                if t < 0:
-                    continue
-                iv = intervals[t]
+            for iv in intervals:
                 if iv.lower > 1:
-                    assert cf.lambda_scan(iv.lower - 1, n) != iv.value, (n, t)
-                if iv.upper < half:
-                    assert cf.xi_h4(iv.upper + 1, n) > iv.value, (n, t)
+                    assert cf.lambda_scan(iv.lower - 1, n) != iv.value, (n, iv.t)
+                if iv.t == n // 2 - 2:
+                    last = intervals[-1]
+                    assert (last.lower, last.value) == (iv.lower, iv.value), (n, iv.t)
+                    assert iv.upper < last.upper, (n, iv.t)
+                    assert cf.lambda_scan(iv.upper + 1, n) == iv.value, (n, iv.t)
+                elif iv.upper < half:
+                    assert cf.lambda_scan(iv.upper + 1, n) != iv.value, (n, iv.t)
 
-    _gate(capsys, 9, "concentration intervals are sharp n=3..16", 30.0, body)
+    _gate(capsys, 9, "concentration intervals are sharp or nested n=3..16", 30.0, body)
 
 
 def test_criterion_10_complement_symmetry(capsys):

@@ -218,6 +218,9 @@ class TestIntervals:
         assert cf.g_interval_length(2, 6) == 22
         assert cf.g_interval_length(0, 7) == 3
         assert cf.g_interval_length(1, 7) == 11
+        for n in (-5, 0, 1, 2):  # not [0, n // 2 - 1]'s message, nor a length at n = 2
+            with pytest.raises(ValueError, match=rf"^n must be >= 3, got {n}$"):
+                cf.g_interval_length(0, n)
 
     def test_subdivision_points(self):
         # m_{t,d} = 2^(ceil(n/2)+t) - sum over i < d of 2^(2t-2i+gamma), less 1 at d = t+1:
@@ -282,6 +285,10 @@ class TestConditionalAndCyclic:
         assert cf.conditional_lambda(cf.FaultPattern.EXTRA_SIZE, 1, 9) == 18
         with pytest.raises(ValueError):
             cf.conditional_lambda(cf.FaultPattern.EMBEDDED, 1, 9)
+        for n in (-5, 0, 1, 2):  # no value such as (n + 1 - l) * 2^l = -10 at n = -5
+            for pattern in cf.FaultPattern:
+                with pytest.raises(ValueError, match=rf"^n must be >= 3, got {n}$"):
+                    cf.conditional_lambda(pattern, 1, n)
 
     def test_cyclic_regimes(self):
         assert cf.cyclic_lambda(3) == 4

@@ -97,17 +97,14 @@ class TestBudget:
         assert ref.exhaustive_cyclic(g) == 8
         with pytest.raises(oc.BudgetExceededError, match="member certificate"):
             oc.brute_cyclic(g)
-        # on a member the settled xi of every size gives 8; a 4-set witness of 12 or none is
-        # skipped, as cyclic reads xi_4
+        # on a member the settled xi of every size gives 8; a 4-set witness of 12 is skipped,
+        # as cyclic reads xi_4
         g = member(4, 1)
         assert oc.brute_cyclic(g) == 8
-        for found, reason in ((12, "the canonical 4-set gives 12, not the lower bound 8"),
-                              (None, "the canonical 4-set has a disconnected side; "
-                                     "the lower bound is 8")):
-            witness_off(4, found)
-            with pytest.raises(oc.BudgetExceededError) as info:
-                oc.brute_cyclic(g)
-            assert str(info.value) == reason
+        witness_off(4, 12)
+        with pytest.raises(oc.BudgetExceededError) as info:
+            oc.brute_cyclic(g)
+        assert str(info.value) == "the canonical 4-set gives 12, not the lower bound 8"
 
 
 def shuffled_member(n, seed, shuffle_seed):
@@ -199,16 +196,14 @@ class TestBoundedMode:
         assert ref.exhaustive_xi(glued(0), 1) == 4
         refused(glued(0))
         g = member(4, 2)
-        for found, reason in ((None, "the canonical 2-set has a disconnected side; "
-                                     "the lower bound is 8"),
-                              (9, "the canonical 2-set gives 9, not the lower bound 8")):
-            witness_off(2, found)
-            assert oc.brute_xi(g, 1) == 5
-            for search, arg in ((oc.brute_xi, 2), (oc.brute_xi_unconstrained, 2),
-                                (oc.brute_ex, 2), (oc.brute_lambda_h, 1)):
-                with pytest.raises(oc.BudgetExceededError) as info:
-                    search(g, arg)
-                assert str(info.value) == reason, search.__name__
+        witness_off(2, 9)
+        assert oc.brute_xi(g, 1) == 5
+        for search, arg in ((oc.brute_xi, 2), (oc.brute_xi_unconstrained, 2),
+                            (oc.brute_ex, 2), (oc.brute_lambda_h, 1)):
+            with pytest.raises(oc.BudgetExceededError) as info:
+                search(g, arg)
+            assert str(info.value) == "the canonical 2-set gives 9, not the lower bound 8", \
+                search.__name__
 
     def test_cached_tables_answer_only_at_their_own_scale(self):
         # the caches answer each graph from its own rows: a refused graph stays refused
@@ -242,14 +237,11 @@ class TestBoundedMode:
         # a canonical block off the least xi names both numbers; at l = 2 the sizes are 4
         # and 8, where xi is 8
         g = member(4, 1)
-        for found, reason in ((9, "the canonical 4-set gives 9, not the lower bound 8"),
-                              (None, "the canonical 4-set has a disconnected side; "
-                                     "the lower bound is 8")):
-            witness_off(4, found)
-            with pytest.raises(oc.BudgetExceededError) as info:
-                oc.brute_conditional(g, embedded, 2)
-            assert str(info.value) == reason
-            assert oc.brute_conditional(g, embedded, 3) == 8
+        witness_off(4, 9)
+        with pytest.raises(oc.BudgetExceededError) as info:
+            oc.brute_conditional(g, embedded, 2)
+        assert str(info.value) == "the canonical 4-set gives 9, not the lower bound 8"
+        assert oc.brute_conditional(g, embedded, 3) == 8
 
     def test_verify_sweeps_each_member_once(self, monkeypatch):
         # one sweep per member serves its ex, xi, lambda, extra-size, embedded and cyclic rows
@@ -279,7 +271,7 @@ class TestBoundedMode:
         xis = [oc.brute_xi(g, m) for m in range(1, 17)]
         assert [oc.brute_lambda_h(g, h) for h in range(1, 17)] == [
             min(xis[h - 1:]) for h in range(1, 17)]
-        sweep, off = oc._prefix_cuts, {6: None, 10: 99}
+        sweep, off = oc._prefix_cuts, {6: 98, 10: 99}
         monkeypatch.setattr(oc, "_prefix_cuts", lambda g: tuple(
             off.get(m, cut) for m, cut in enumerate(sweep(g))))
         oc._rows.cache_clear()
@@ -291,7 +283,7 @@ class TestBoundedMode:
                 with pytest.raises(oc.BudgetExceededError) as info:
                     oc.brute_lambda_h(g, h)
                 assert str(info.value).startswith(
-                    "the canonical 6-set has a disconnected side" if h <= 6
+                    "the canonical 6-set gives 98" if h <= 6
                     else "the canonical 10-set gives 99"), h
         finally:
             oc._rows.cache_clear()
@@ -391,15 +383,19 @@ class TestCertificate:
 
     def test_random_members_pass_at_every_n(self):
         # the column check is O(n * 2^n): members past the bounded oracle's scale are certified,
-        # and each label but 0 has a neighbour below it, each but the last one above it, so the
-        # prefix sweep shows both sides of every canonical set connected
-        for n in range(6, 18):
-            for seed in (1, 2):
+        # and each label but 0 has a neighbour below it, each but the last one above it, so
+        # both sides of every canonical set are connected, which the prefix sweep takes as given
+        for n in range(3, 18):
+            for seed in (None, 1, 2, 3) if n <= 16 else (1, 2):
                 g = member(n, seed)
                 assert oc._certified(g), (n, seed)
                 rows = list(map(g.row, range(g.num_vertices)))
                 assert all(map(int.__lt__, map(min, rows[1:]), range(1, len(rows)))), (n, seed)
                 assert all(map(int.__gt__, map(max, rows[:-1]), range(len(rows) - 1))), (n, seed)
+                if n <= 8:  # the breadth-first walk agrees at every size
+                    for m in range(1, len(rows)):
+                        assert cg.is_connected_induced(g, cg.canonical_set(m, n)), (n, seed, m)
+                        assert cg.is_connected_induced(g, range(m, len(rows))), (n, seed, m)
 
     @pytest.mark.parametrize("edit", [swap_in_a_column, pair_across_another_level, wrong_leaf_flip,
                                       label_past_the_graph])
@@ -507,8 +503,8 @@ class TestConnectivityBitmap:
         assert tuple(ref.ascending(ref.cut_lanes(two_cubes()))) == ((0xFF, 0),)
 
     def test_prefix_sweep_agrees_with_the_bipartition_lanes(self):
-        # the sweep against the lane table of the connectivity bitmap: equal on every member,
-        # and on any graph no cut where the lanes (255) say a side is disconnected
+        # the sweep against the lane table of the connectivity bitmap, equal on every member:
+        # a lane of 255 would mark a side disconnected
         members = [g for g in bitmap_graphs() if oc._certified(g)]
         members += [member(3, seed) for seed in (1, 2, 3)]
         assert len(members) == 9
@@ -516,14 +512,12 @@ class TestConnectivityBitmap:
             lanes = ref.cut_lanes(g)
             assert oc._prefix_cuts(g)[1:] == tuple(
                 lanes[(1 << m) - 1] for m in range(1, g.num_vertices // 2 + 1)), g.kind
-        for g in bitmap_graphs() + [prefix_split()]:
-            lanes = ref.cut_lanes(g)
-            for m, cut in enumerate(oc._prefix_cuts(g)[1:], 1):
-                assert cut is None or cut == lanes[(1 << m) - 1] != 255, (g.kind, m)
-        # only the prefix {0, 1} of prefix_split is disconnected, so only the test below holds
-        # its cut back
-        assert oc._prefix_cuts(prefix_split())[2] is None
-        assert ref.cut_lanes(prefix_split())[0b11] == 255
+        # the sweep tests no side for connectivity: a graph whose prefix {0, 1} is
+        # disconnected fails the certificate, so no search reaches the sweep
+        g = prefix_split()
+        assert ref.cut_lanes(g)[0b11] == 255
+        assert not oc._certified(g)
+        refused(g)
 
     def test_least_cut_stops_at_the_full_scan_minimum(self):
         def full_scan(g, side_ok):
