@@ -5,13 +5,15 @@ witness cut, so the closed forms are validated against an independent path.
 The oracle answers only for a graph whose rows certify that it is built as a
 member: each aligned 2^d block is two 2^(d-1) blocks joined by one perfect
 matching, down to K4s.  A recursion over d bounds its m-subsets' boundaries
-from below, and one sweep up the labels settles every size m: the bound must
-meet the cut around the canonical m-set (labels 0..m-1), whose two sides
-the certificate shows connected.  lambda_h and the cyclic, average-degree,
-super-degree and embedded cuts are the least xi_m over a set of sizes m.  A
-graph outside the family, a witness off its bound, or n past BOUNDED_N raises
-BudgetExceededError rather than returning a partial answer.  At n <= 4 the
-tests compare every answer with the exhaustive subset search of
+from below, and one sweep up the labels settles every size m.  Per size, the
+one comparison made at run time is that bound against the cut around the
+canonical m-set (labels 0..m-1); the certificate shows both its sides
+connected, and the K4 block argument in brute_conditional gives the
+super-degree witness's sides their inner degree.  lambda_h and the cyclic,
+average-degree, super-degree and embedded cuts are the least xi_m over a set
+of sizes m.  A graph outside the family, a witness off its bound, or n past
+BOUNDED_N raises BudgetExceededError rather than returning a partial answer.
+At n <= 4 the tests compare every answer with the exhaustive subset search of
 tests/reference.py, which also answers graphs outside the family.
 
 Cut searches keep to connected bipartitions: a cut leaving three or more
@@ -191,18 +193,11 @@ def brute_lambda_h(g: CubeGraph, h: int) -> int:
     return _xis(g, slice(h, h + 1), 1)[0]
 
 
-def _room_min(g: CubeGraph, r: int) -> tuple[int, int]:
-    """The least xi_m <= (degree - r) * m over m <= nv/2, and the least m that attains it.
-
-    Some m fits for every r < degree: the halves, joined by one matching, have xi = nv/2.
-    """
+def _room_min(g: CubeGraph, r: int) -> int:
+    """The least xi_m <= (degree - r) * m over m <= nv/2.  Some m fits for every r < degree:
+    the halves, joined by one matching, have xi = nv/2."""
     room = g.degree(0) - r
-    return min((xi, m) for m, xi in enumerate(_xis(g, slice(1, None)), 1) if xi <= room * m)
-
-
-def _sides_hold(g: CubeGraph, m: int, l: int) -> bool:
-    """Whether every vertex has at least l neighbours on its own side of the canonical m-set."""
-    return all(sum((w < m) == (v < m) for w in g.row(v)) >= l for v in range(g.num_vertices))
+    return min(xi for m, xi in enumerate(_xis(g, slice(1, None)), 1) if xi <= room * m)
 
 
 def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
@@ -216,14 +211,14 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
     its complement.  AVERAGE_DEGREE is _room_min(g, l), exact as brute_cyclic shows.
 
     SUPER_DEGREE has the same value.  A side of minimum inner degree >= l has
-    average degree >= l, so _room_min(g, l) bounds it from below, and the
-    canonical m-set at the least m that attains it meets the bound once both its
-    sides have minimum inner degree >= l.  At n <= 4 they do: that set is the K4,
-    whose inner degree is 3 >= l, and a vertex outside an aligned 4-block has at
-    most one neighbour inside it, so its inner degree stays >= n.  From n = 5 on
-    both degree patterns are refused: the K4 cut meets both at l = 3 with 12
-    edges, where the served (n - l) * 2^l is 16, and which reading of the served
-    value to compare is not settled.
+    average degree >= l, so _room_min(g, l) bounds it from below.  At n <= 4 the
+    canonical 4-set meets the bound: the settled xi_m are the bound's, which
+    depends on n alone, and at every n <= 4 and l the least m that attains the
+    room minimum is 4.  That side is a K4, of inner degree 3 >= l, and a vertex
+    outside an aligned 4-block has at most one neighbour inside it, so its inner
+    degree is at least n > l.  From n = 5 on both degree patterns are refused:
+    the K4 cut meets both at l = 3 with 12 edges, where the served (n - l) * 2^l
+    is 16, and which reading of the served value to compare is not settled.
     """
     if not 2 <= l <= g.n - 1:
         raise ValueError(f"l must be in [2, {g.n - 1}], got {l}")
@@ -235,11 +230,7 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
         raise BudgetExceededError(
             "the degree patterns are unsettled from n = 5: the K4 cut meets both at l = 3 "
             "with 12 edges, where (n - l) * 2^l is 16")
-    best, m = _room_min(g, l)
-    if pattern is FaultPattern.SUPER_DEGREE and not _sides_hold(g, m, l):
-        raise BudgetExceededError(f"a side of the canonical {m}-set has inner degree below {l}; "
-                                  f"the lower bound is {best}")
-    return best
+    return _room_min(g, l)
 
 
 def brute_cyclic(g: CubeGraph) -> int:
@@ -252,7 +243,7 @@ def brute_cyclic(g: CubeGraph) -> int:
     """
     if g.n < 3:
         raise ValueError(f"n must be >= 3, got {g.n}")
-    return _room_min(g, 2)[0]
+    return _room_min(g, 2)
 
 
 class CheckEntry(namedtuple("CheckEntry", "member quantity input closed brute match")):

@@ -221,6 +221,11 @@ class TestIntervals:
         for n in (-5, 0, 1, 2):  # not [0, n // 2 - 1]'s message, nor a length at n = 2
             with pytest.raises(ValueError, match=rf"^n must be >= 3, got {n}$"):
                 cf.g_interval_length(0, n)
+            with pytest.raises(ValueError, match=rf"^n must be >= 3, got {n}$"):
+                cf.concentration_intervals(n)
+        for t in (-1, 3):  # n = 7 has the intervals t = 0, 1, 2
+            with pytest.raises(ValueError, match=rf"^t must be in \[0, 2\], got {t}$"):
+                cf.g_interval_length(t, 7)
 
     def test_subdivision_points(self):
         # m_{t,d} = 2^(ceil(n/2)+t) - sum over i < d of 2^(2t-2i+gamma), less 1 at d = t+1:
@@ -289,6 +294,17 @@ class TestConditionalAndCyclic:
             for pattern in cf.FaultPattern:
                 with pytest.raises(ValueError, match=rf"^n must be >= 3, got {n}$"):
                     cf.conditional_lambda(pattern, 1, n)
+
+    def test_degree_values_are_the_room_rule_at_inner_degree_l_plus_1(self):
+        # the served (n - l) * 2^l is the least xi_m that a side of average inner degree
+        # >= l + 1 allows, xi_m <= (n - l) * m, and m = 2^l, an aligned block, is the least
+        # size that attains it
+        for n in range(3, 17):
+            xis = [cf.xi_h4(m, n) for m in range(1, (1 << (n - 1)) + 1)]
+            for l in range(2, n):
+                least = min((xi, m) for m, xi in enumerate(xis, 1) if xi <= (n - l) * m)
+                for pattern in cf.FaultPattern:
+                    assert least == (cf.conditional_lambda(pattern, l, n), 1 << l), (n, l, pattern)
 
     def test_cyclic_regimes(self):
         assert cf.cyclic_lambda(3) == 4

@@ -87,6 +87,8 @@ class TestMatchingTree:
         assert cg.canonical_member(2) == g
         with pytest.raises(ValueError, match="need n >= 2"):
             cg.canonical_member(1)
+        with pytest.raises(ValueError, match="need n >= 2"):
+            cg.random_matching_tree(1, 1)
 
     def test_validate_errors(self):
         wrong_lengths = [((0, 1, 2),), ((0, 1, 2, 3, 0, 0),), (range(9), range(8)),

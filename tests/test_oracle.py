@@ -807,34 +807,32 @@ class TestReferenceCuts:
 
 
 class TestSuperDegreeWitness:
-    def test_sides_hold_is_the_side_test_on_both_sides(self):
-        # every canonical m-set and every l, against the bitmask side test on each side
-        for g in (member(3), member(3, 1), member(4), member(4, 2)):
-            adj, full = adjacency(g), (1 << g.num_vertices) - 1
-            for m in range(1, g.num_vertices):
-                side = (1 << m) - 1
-                for l in range(g.n + 3):
-                    expected = all(min_degree_side(adj, l, s) for s in (side, full ^ side))
-                    assert oc._sides_hold(g, m, l) == expected, (g.n, m, l)
-        # the 3-set at n = 3, l = 2 holds on its own side, but vertex 3 keeps one neighbour on
-        # the other; the K4 holds at l = 3, its inner degree, and not above
-        g = member(3)
-        assert min_degree_side(adjacency(g), 2, 0b111) and not oc._sides_hold(g, 3, 2)
-        assert oc._sides_hold(member(4), 4, 3) and not oc._sides_hold(member(4), 4, 4)
+    def test_canonical_k4_holds_the_inner_degree_on_both_sides(self):
+        # the block argument's premises: the canonical 4-set is a K4, so both of its sides have
+        # minimum inner degree >= 3 and its own not >= 4, and a vertex outside it has at most
+        # one neighbour in it
+        for n in (3, 4):
+            for seed in (None, *range(1, 11)):
+                g = member(n, seed)
+                adj, k4 = adjacency(g), 0b1111
+                other = ((1 << g.num_vertices) - 1) ^ k4
+                assert min_degree_side(adj, 3, k4) and min_degree_side(adj, 3, other), (n, seed)
+                assert not min_degree_side(adj, 4, k4), (n, seed)
+                assert all(sum(w < 4 for w in g.row(v)) <= 1
+                           for v in range(4, g.num_vertices)), (n, seed)
 
-    def test_witness_is_the_least_set_that_attains_the_room_minimum(self, monkeypatch):
-        # at n <= 4 that set is the K4; a witness side below l is refused with both numbers
+    def test_witness_is_the_least_set_that_attains_the_room_minimum(self):
+        # at n <= 4 that set is the K4: m = 4 is the least size whose xi_m attains the room
+        # minimum, and the degree patterns read the room minimum alone
         for n, l in ((3, 2), (4, 2), (4, 3)):
             for seed in (None, 1, 2):
-                assert oc._room_min(member(n, seed), l) == ((n - l) << l, 4), (n, l, seed)
-        tested = []
-        monkeypatch.setattr(oc, "_sides_hold", lambda g, m, l: tested.append((m, l)) or False)
-        with pytest.raises(oc.BudgetExceededError) as info:
-            oc.brute_conditional(member(4, 1), oc.FaultPattern.SUPER_DEGREE, 3)
-        assert str(info.value) == (
-            "a side of the canonical 4-set has inner degree below 3; the lower bound is 8")
-        assert tested == [(4, 3)]
-        assert oc.brute_conditional(member(4, 1), oc.FaultPattern.AVERAGE_DEGREE, 3) == 8
+                assert oc._room_min(member(n, seed), l) == (n - l) << l, (n, l, seed)
+            passing = [(xi, m) for m in range(1, (1 << (n - 1)) + 1)
+                       if (xi := cf.xi_h4(m, n)) <= (n + 1 - l) * m]
+            assert min(passing) == ((n - l) << l, 4), (n, l)
+        g = member(4, 1)
+        assert oc.brute_conditional(g, oc.FaultPattern.SUPER_DEGREE, 3) == 8
+        assert oc.brute_conditional(g, oc.FaultPattern.AVERAGE_DEGREE, 3) == 8
 
 
 def reference_row(g, quantity, inp):
