@@ -33,8 +33,10 @@ class ConcentrationInterval(namedtuple("ConcentrationInterval", "t length lower 
 class FaultPattern(Enum):
     """What the oracle asks of each side of a bipartition whose two sides are connected."""
 
-    SUPER_DEGREE = 1  # every vertex of the side has degree >= l inside the side
-    AVERAGE_DEGREE = 2  # the side has 2 * edges >= l * size
+    # l is read as a sub-member's dimension, of inner degree l + 1: inferred from the abstract,
+    # which gives both as (n - l) * 2^l, the aligned 2^l block's cut, without naming the degree
+    SUPER_DEGREE = 1  # every vertex of the side has degree >= l + 1 inside the side
+    AVERAGE_DEGREE = 2  # the side has 2 * edges >= (l + 1) * size
     EXTRA_SIZE = 3  # the side has at least 2**l vertices
     EMBEDDED = 4  # every vertex of the side lies in an l-dimensional sub-member inside the side
 

@@ -8,8 +8,8 @@ matching, down to K4s.  A recursion over d bounds its m-subsets' boundaries
 from below, and one sweep up the labels settles every size m.  Per size, the
 one comparison made at run time is that bound against the cut around the
 canonical m-set (labels 0..m-1); the certificate shows both its sides
-connected, and the K4 block argument in brute_conditional gives the
-super-degree witness's sides their inner degree.  lambda_h and the cyclic,
+connected, and the aligned 2^l block argument in brute_conditional gives the
+degree patterns' witness sides their inner degree.  lambda_h and the cyclic,
 average-degree, super-degree and embedded cuts are the least xi_m over a set
 of sizes m.  A graph outside the family, a witness off its bound, or n past
 BOUNDED_N raises BudgetExceededError rather than returning a partial answer.
@@ -208,17 +208,19 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
     are unions of aligned 2^l blocks, so the least xi_m over the multiples m of 2^l
     bounds it, and the canonical m-set that settles that xi_m meets it: a prefix
     whose length is a multiple of 2^l is a union of aligned 2^l blocks, and so is
-    its complement.  AVERAGE_DEGREE is _room_min(g, l), exact as brute_cyclic shows.
+    its complement.
 
-    SUPER_DEGREE has the same value.  A side of minimum inner degree >= l has
-    average degree >= l, so _room_min(g, l) bounds it from below.  At n <= 4 the
-    canonical 4-set meets the bound: the settled xi_m are the bound's, which
-    depends on n alone, and at every n <= 4 and l the least m that attains the
-    room minimum is 4.  That side is a K4, of inner degree 3 >= l, and a vertex
-    outside an aligned 4-block has at most one neighbour inside it, so its inner
-    degree is at least n > l.  From n = 5 on both degree patterns are refused:
-    the K4 cut meets both at l = 3 with 12 edges, where the served (n - l) * 2^l
-    is 16, and which reading of the served value to compare is not settled.
+    The degree patterns read l as the dimension of a sub-member: a side needs
+    inner degree >= l + 1, its minimum for SUPER_DEGREE and its average for
+    AVERAGE_DEGREE, and both are _room_min(g, l + 1), exact as brute_cyclic shows
+    for the average.  A side of minimum inner degree >= l + 1 has average >= l + 1,
+    so that bounds SUPER_DEGREE from below too, and the aligned 2^l block meets it.
+    The block is an l-dimensional member, of inner degree l + 1.  A vertex outside
+    it has at most one neighbour in it, across the least gluing that holds both, so
+    its inner degree is at least n >= l + 1.  Its cut is the room minimum: the rule
+    asks f(m) >= (l + 1) * m, and below 2^l that fails, as Q(m) <= m * log2(m)
+    (Harper; Hart) and f's mod-4 terms add at most m.  So every m that passes is at
+    least 2^l, and xi_m >= lambda_{2^l} = xi(2^l) = (n - l) * 2^l by lambda_fast's walk.
     """
     if not 2 <= l <= g.n - 1:
         raise ValueError(f"l must be in [2, {g.n - 1}], got {l}")
@@ -226,11 +228,7 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
         return brute_lambda_h(g, 1 << l)
     if pattern is FaultPattern.EMBEDDED:
         return min(_xis(g, slice(1 << l, None, 1 << l)))
-    if g.n >= 5:
-        raise BudgetExceededError(
-            "the degree patterns are unsettled from n = 5: the K4 cut meets both at l = 3 "
-            "with 12 edges, where (n - l) * 2^l is 16")
-    return _room_min(g, l)
+    return _room_min(g, l + 1)
 
 
 def brute_cyclic(g: CubeGraph) -> int:

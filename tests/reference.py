@@ -185,7 +185,8 @@ def exhaustive_cyclic(g):
 
 
 def exhaustive_conditional(g, pattern, l):
-    """oracle.brute_conditional by the exhaustive search.  The embedded cut is settled by
+    """oracle.brute_conditional by the exhaustive search.  The degree patterns ask inner
+    degree >= l + 1, as oracle.FaultPattern reads them.  The embedded cut is settled by
     the canonical block, its cut read from cut_lanes (255: a side is disconnected), so
     graphs whose labels are not their blocks are refused."""
     if pattern is FaultPattern.EXTRA_SIZE:
@@ -200,8 +201,8 @@ def exhaustive_conditional(g, pattern, l):
             raise BudgetExceededError(f"the canonical {m}-set's cut is not the least, {xi}")
         return xi
     if pattern is FaultPattern.AVERAGE_DEGREE:
-        return exhaustive_room_min(g, l)
-    return least_degree_cut(g, l)
+        return exhaustive_room_min(g, l + 1)
+    return least_degree_cut(g, l + 1)
 
 
 def identity_matching_tree(n):

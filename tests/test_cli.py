@@ -404,15 +404,14 @@ class TestVerify:
             cli.main(["verify", "--n", "3", "--budget-nodes", "10"])
         assert exit_info.value.code == 2 and "--budget-nodes" in capsys.readouterr().err
 
-    def test_n5_skips_two_conditional_patterns(self, capsys):
+    def test_n5_skips_no_row(self, capsys):
         code, out, err = run(["verify", "--n", "5", "--seeds", "0"], capsys)
         assert code == 0 and err == ""
         assert out.startswith("verification n=5: PASS")
         rows = [row.split("  ") for row in out.splitlines()[3:]]
-        skipped = [row for row in rows if row[-2:] == ["skipped", "skipped"]]
-        assert len(rows) == 77 and len(skipped) == 6
-        assert {row[1] for row in skipped} == {"cond_super_degree", "cond_average_degree"}
-        assert all(row[-1] == "true" for row in rows if row not in skipped)
+        assert len(rows) == 77 and all(row[-1] == "true" for row in rows)
+        degree = [row for row in rows if row[1] in ("cond_super_degree", "cond_average_degree")]
+        assert len(degree) == 6 and all(row[3] == row[4] for row in degree)
 
 
 class TestResourceErrors:

@@ -139,13 +139,10 @@ def glued(seed):
 
 
 def refused(g):
-    """Assert that the member certificate refuses every search on g, with its reason; the
-    degree patterns are refused from n = 5 on before the certificate is read."""
+    """Assert that the member certificate refuses every search on g, with its reason."""
     searches = [partial(search, g, 2) for search in (
         oc.brute_ex, oc.brute_xi, oc.brute_xi_unconstrained, oc.brute_lambda_h)]
-    patterns = list(oc.FaultPattern) if g.n < 5 else [oc.FaultPattern.EXTRA_SIZE,
-                                                        oc.FaultPattern.EMBEDDED]
-    searches += [partial(oc.brute_conditional, g, pattern, 2) for pattern in patterns]
+    searches += [partial(oc.brute_conditional, g, pattern, 2) for pattern in oc.FaultPattern]
     for search in searches + [partial(oc.brute_cyclic, g)]:
         with pytest.raises(oc.BudgetExceededError) as info:
             search()
@@ -693,8 +690,6 @@ class TestConditionalAndCyclic:
         g = member(3)
         with pytest.raises(ValueError):
             oc.brute_conditional(g, oc.FaultPattern.EXTRA_SIZE, 3)
-        with pytest.raises(oc.BudgetExceededError):
-            oc.brute_conditional(member(5), oc.FaultPattern.SUPER_DEGREE, 2)
 
     def test_cyclic_values(self):
         assert oc.brute_cyclic(member(3)) == 4
@@ -713,8 +708,9 @@ class TestConditionalAndCyclic:
                 oc.brute_cyclic(g)
 
     def test_k4_cut_meets_super_and_average_degree_at_n5(self):
-        # both sides of the K4 cut pass both patterns at l = 3 with 12 crossing edges, yet
-        # the closed form is 16: the oracle and the formula disagree, and the rows stay skipped
+        # the remark on the literal reading, inner degree >= l: both sides of the K4 cut pass
+        # it at l = 3 with 12 crossing edges, below the served 16, so the degree patterns
+        # read l as a sub-member's dimension and ask inner degree >= l + 1
         k4 = ref.subset_mask(range(4))
         rest = (1 << 32) - 1 ^ k4
         for seed in (None, 1):
@@ -728,16 +724,15 @@ class TestConditionalAndCyclic:
                 assert side_ok(adj, 3, rest)
                 assert cf.conditional_lambda(pattern, 3, 5) == 16
 
-    def test_n5_degree_patterns_stay_skipped(self):
-        # the room rule gives 12 at l = 3 where the served value is 16: no n = 5 answer yet
-        for seed in (None, 1):
-            for pattern in (oc.FaultPattern.SUPER_DEGREE, oc.FaultPattern.AVERAGE_DEGREE):
-                for l in (2, 3, 4):
-                    with pytest.raises(oc.BudgetExceededError) as info:
-                        oc.brute_conditional(member(5, seed), pattern, l)
-                    assert str(info.value) == (
-                        "the degree patterns are unsettled from n = 5: the K4 cut meets both "
-                        "at l = 3 with 12 edges, where (n - l) * 2^l is 16")
+    def test_degree_patterns_are_the_block_cut_from_n5(self):
+        # at inner degree >= l + 1 both degree patterns are the aligned 2^l block's cut
+        for n in range(5, 11):
+            for seed in (None, 1, 2):
+                g = member(n, seed)
+                for pattern in (oc.FaultPattern.SUPER_DEGREE, oc.FaultPattern.AVERAGE_DEGREE):
+                    for l in range(2, n):
+                        assert oc.brute_conditional(g, pattern, l) == (n - l) << l, (
+                            n, seed, pattern, l)
 
     def test_malformed_graphs_keep_their_errors(self):
         # a cycle on 8 vertices has no side with a cycle of its own, and two 3-cubes have one
@@ -787,8 +782,8 @@ class TestReferenceCuts:
             assert ref.exhaustive_cyclic(g) == cyclic, g.kind
             assert not certified or oc.brute_cyclic(g) == cyclic, g.kind
             for l in range(2, g.n):
-                for pattern, side_ok in degree:
-                    expected = least_cut(g, cuts, partial(side_ok, adj, l))
+                for pattern, side_ok in degree:  # both read at inner degree >= l + 1
+                    expected = least_cut(g, cuts, partial(side_ok, adj, l + 1))
                     assert ref.exhaustive_conditional(g, pattern, l) == expected, (g.kind, l)
                     assert not certified or oc.brute_conditional(g, pattern, l) == expected, (
                         g.kind, l, pattern)
@@ -807,29 +802,30 @@ class TestReferenceCuts:
 
 
 class TestSuperDegreeWitness:
-    def test_canonical_k4_holds_the_inner_degree_on_both_sides(self):
-        # the block argument's premises: the canonical 4-set is a K4, so both of its sides have
-        # minimum inner degree >= 3 and its own not >= 4, and a vertex outside it has at most
-        # one neighbour in it
-        for n in (3, 4):
-            for seed in (None, *range(1, 11)):
+    def test_aligned_block_holds_the_inner_degree_on_both_sides(self):
+        # the block argument's premises: the aligned 2^l block at labels 0..2^l - 1 has
+        # minimum inner degree l + 1 and not l + 2, and a vertex outside it has at most one
+        # neighbour in it, so its side keeps inner degree >= n >= l + 1
+        for n in range(3, 9):
+            for seed in (None, 1, 2, 3):
                 g = member(n, seed)
-                adj, k4 = adjacency(g), 0b1111
-                other = ((1 << g.num_vertices) - 1) ^ k4
-                assert min_degree_side(adj, 3, k4) and min_degree_side(adj, 3, other), (n, seed)
-                assert not min_degree_side(adj, 4, k4), (n, seed)
-                assert all(sum(w < 4 for w in g.row(v)) <= 1
-                           for v in range(4, g.num_vertices)), (n, seed)
+                for l in range(2, n):
+                    size = 1 << l
+                    inside = [sum(w < size for w in g.row(v)) for v in range(g.num_vertices)]
+                    assert min(inside[:size]) == l + 1, (n, seed, l)
+                    assert max(inside[size:]) <= 1, (n, seed, l)
 
     def test_witness_is_the_least_set_that_attains_the_room_minimum(self):
-        # at n <= 4 that set is the K4: m = 4 is the least size whose xi_m attains the room
-        # minimum, and the degree patterns read the room minimum alone
-        for n, l in ((3, 2), (4, 2), (4, 3)):
+        # the least size whose settled xi_m passes the room rule at inner degree l + 1 is
+        # 2^l, the aligned block, and the degree patterns read the room minimum alone
+        for n in range(3, 9):
             for seed in (None, 1, 2):
-                assert oc._room_min(member(n, seed), l) == (n - l) << l, (n, l, seed)
-            passing = [(xi, m) for m in range(1, (1 << (n - 1)) + 1)
-                       if (xi := cf.xi_h4(m, n)) <= (n + 1 - l) * m]
-            assert min(passing) == ((n - l) << l, 4), (n, l)
+                g = member(n, seed)
+                xis = oc._xis(g, slice(1, None))
+                for l in range(2, n):
+                    assert oc._room_min(g, l + 1) == (n - l) << l, (n, l, seed)
+                    passing = [(xi, m) for m, xi in enumerate(xis, 1) if xi <= (n - l) * m]
+                    assert min(passing) == ((n - l) << l, 1 << l), (n, l, seed)
         g = member(4, 1)
         assert oc.brute_conditional(g, oc.FaultPattern.SUPER_DEGREE, 3) == 8
         assert oc.brute_conditional(g, oc.FaultPattern.AVERAGE_DEGREE, 3) == 8
@@ -882,6 +878,11 @@ class TestVerificationReport:
         skipped = oc.CheckEntry("canonical", "ex", "9", 30, None, None)
         report = oc.VerificationReport(3, ("canonical",), (skipped,))
         assert not report.passed
+
+    def test_no_row_is_skipped_at_any_n(self):
+        for n in range(3, 11):
+            report = oc.verify_member(n, [1])
+            assert report.passed and not any(e.skipped for e in report.entries), n
 
     def test_rejects_out_of_range_n(self):
         with pytest.raises(ValueError):
