@@ -3,10 +3,10 @@
 Only closed_form loads with this module; bitmap imports cube_graph and verify
 imports oracle when they run, so a closed-form query compiles neither.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 out of memory
-or recursion depth (a smaller n may fit).  All outputs are
-byte-stable for fixed inputs: integers everywhere except the plotdata ratios,
-"." decimals, "\\n" line endings, no timestamps.
+Exit codes: 0 success, 1 verification mismatch or a member the oracle refuses,
+2 usage error, 3 out of memory or recursion depth (a smaller n may fit).  All
+outputs are byte-stable for fixed inputs: integers everywhere except the
+plotdata ratios, "." decimals, "\\n" line endings, no timestamps.
 """
 
 from __future__ import annotations
@@ -176,7 +176,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"verify needs --seeds >= 0, got {args.seeds}")
             from . import oracle as oc
 
-            report = oc.verify_member(args.n, list(range(1, args.seeds + 1)))
+            try:
+                report = oc.verify_member(args.n, list(range(1, args.seeds + 1)))
+            except oc.BudgetExceededError as exc:  # a failed check, not a usage error
+                print(f"k4rel: verify: {exc}", file=sys.stderr)
+                return 1
             _write(args.out, [report.to_text()])
             if not report.passed:
                 return 1

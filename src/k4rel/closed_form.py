@@ -105,8 +105,8 @@ def xi_h4(m: int, n: int) -> int:
     of Q, and 4 divides 2**(n-1).  By the same recursion the set is connected, and so
     is its complement, a canonical set of the member v -> 2**n - 1 - v maps it onto.
     """
-    if not 1 <= m <= (1 << n) - 1:
-        raise ValueError(f"m must be in [1, {(1 << n) - 1}], got {m}")
+    if m < 1 or m >> n:  # m < 2**n, read without building the power
+        raise ValueError(f"m must be in [1, 2**{n} - 1], got {m}")
     return (n + 1) * m - _f(m)
 
 
@@ -196,18 +196,19 @@ def lambda_fast(h: int, n: int) -> int:
     (n + 1 - t_k - 2k - [t_k >= 2]) * 2**t_k sum to xi_m, less 2 when
     m = 3 (mod 4); of the candidates only c_0 can be, when g has bit 1.  One
     pass down the bits of g keeps the sum of the terms above j.  It starts at
-    j = max(2, bit length of g), at most n - 2: above g's top bit every candidate
-    is c_j = 2**j, and xi(2**j) = (n - j) * 2**j does not decrease over
-    2 <= j <= n - 1, as 2 * (n - j - 1) >= n - j for j <= n - 2.
+    j = min(n - 1, max(2, bit length of g)), a 0-bit of g: above g's top bit every
+    candidate is c_j = 2**j, and xi(2**j) = (n - j) * 2**j does not decrease over
+    2 <= j <= n - 1, as 2 * (n - j - 1) >= n - j for j <= n - 2.  So the walk
+    reaches c_{n-1} = H exactly when g has n - 1 bits, and no term is much wider than h.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    half = 1 << (n - 1)
-    if not 1 <= h <= half:
-        raise ValueError(f"h must be in [1, {half}], got {h}")
-    g, best = h - 1, half  # c_{n-1} = H, and xi_H = H
+    g = h - 1
+    if h < 1 or g >> (n - 1):  # h <= H, read without building H
+        raise ValueError(f"h must be in [1, 2**{n - 1}], got {h}")
+    best = float("inf")  # the first j is a 0-bit of g, so its candidate sets best
     prefix = ones = 0  # the xi terms of g's bits above j, and how many bits
-    for j in range(min(n - 2, max(2, g.bit_length())), -1, -1):
+    for j in range(min(n - 1, max(2, g.bit_length())), -1, -1):
         term = (n + 1 - j - 2 * ones - (j >= 2)) << j
         if g >> j & 1:
             prefix += term

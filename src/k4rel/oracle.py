@@ -5,14 +5,16 @@ witness cut, so the closed forms are validated against an independent path.
 The oracle answers only for a graph whose rows certify that it is built as a
 member: each aligned 2^d block is two 2^(d-1) blocks joined by one perfect
 matching, down to K4s.  A recursion over d bounds its m-subsets' boundaries
-from below, and one sweep up the labels settles every size m.  Per size, the
+from below, and one sweep up the labels settles every size m at once.  The
 one comparison made at run time is that bound against the cut around the
-canonical m-set (labels 0..m-1); the certificate shows both its sides
-connected, and the aligned 2^l block argument in brute_conditional gives the
-degree patterns' witness sides their inner degree.  lambda_h and the cyclic,
-average-degree, super-degree and embedded cuts are the least xi_m over a set
-of sizes m.  A graph outside the family, a witness off its bound, or n past
-BOUNDED_N raises BudgetExceededError rather than returning a partial answer.
+canonical m-set (labels 0..m-1), and a cut off its bound at any m refuses the
+member.  The certificate shows both sides of each such set connected, and the
+aligned 2^l block argument in brute_conditional gives the degree patterns'
+witness sides their inner degree.  lambda_h and the cyclic, average-degree,
+super-degree and embedded cuts are the least xi_m over a set of sizes m.  A
+graph outside the family, a witness off its bound, or n past BOUNDED_N raises
+BudgetExceededError rather than returning a partial answer, and verify_member
+passes that refusal on rather than skip a row.
 At n <= 4 the tests compare every answer with the exhaustive subset search of
 tests/reference.py, which also answers graphs outside the family.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate
 from operator import add, eq, xor
 
 from .closed_form import (
@@ -121,37 +123,24 @@ def _prefix_cuts(g: CubeGraph) -> tuple[int, ...]:
     return tuple(accumulate((d - 2 * sum(w < v for w in row(v)) for v in range(half)), initial=0))
 
 
-def _settled(bound: int, found: int, m: int) -> int | str:
-    """The bound if the canonical m-set's cut meets it, else why."""
-    return bound if found == bound else (
-        f"the canonical {m}-set gives {found}, not the lower bound {bound}")
-
-
 @lru_cache(maxsize=1)  # every row of one member asks
-def _rows(g: CubeGraph) -> tuple[tuple[int | str, ...], list[int | str]]:
-    """Per m <= nv/2, xi_m settled by the bound and the canonical m-set, and its suffix minima."""
+def _rows(g: CubeGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per m <= nv/2, xi_m settled by the bound and the canonical m-set, and its suffix minima;
+    the least m whose cut misses its bound refuses the member.  Each witness has both sides
+    connected, so xi_m is the least boundary over m-subsets and over connected bipartitions
+    with a side of m vertices alike."""
     if g.n > BOUNDED_N:  # the certificate holds at every n; the bound's time sets the cap
         raise BudgetExceededError(
             f"n = {g.n} is past the bounded oracle, which stops at n = {BOUNDED_N}")
     if not _certified(g):
         raise BudgetExceededError(
             "the rows fail the member certificate: K4 leaves, one matching per gluing")
-    xis = tuple(map(_settled, _recursion_bound(g.n), _prefix_cuts(g), count()))
-    least, why, lambdas = float("inf"), None, []
-    for xi in reversed(xis):  # an unsettled xi_m is its reason; the least such m >= h wins
-        why, least = (xi, least) if type(xi) is str else (why, min(least, xi))
-        lambdas.append(why or least)
-    return xis, lambdas[::-1]
-
-
-def _xis(g: CubeGraph, sizes: slice, row: int = 0) -> tuple[int, ...]:
-    """The xi_m (row 1: the lambda_h) over a slice of the sizes m <= nv/2; the first unsettled
-    one raises why.  Its witness has both sides connected, so xi_m is the least boundary over
-    m-subsets and over connected bipartitions with a side of m vertices alike."""
-    xis = _rows(g)[row][sizes]
-    if str in map(type, xis):
-        raise BudgetExceededError(next(xi for xi in xis if type(xi) is str))
-    return xis
+    xis = _prefix_cuts(g)
+    for m, (cut, bound) in enumerate(zip(xis, _recursion_bound(g.n))):
+        if cut != bound:
+            raise BudgetExceededError(
+                f"the canonical {m}-set gives {cut}, not the lower bound {bound}")
+    return xis, tuple(accumulate(reversed(xis), min))[::-1]
 
 
 def brute_ex(g: CubeGraph, m: int) -> int:
@@ -164,8 +153,7 @@ def brute_ex(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 0 <= m <= nv:
         raise ValueError(f"m must be in [0, {nv}], got {m}")
-    k = min(m, nv - m)
-    return g.degree(0) * m - _xis(g, slice(k, k + 1))[0]
+    return g.degree(0) * m - _rows(g)[0][min(m, nv - m)]
 
 
 def brute_xi(g: CubeGraph, m: int) -> int:
@@ -173,7 +161,7 @@ def brute_xi(g: CubeGraph, m: int) -> int:
     nv = g.num_vertices
     if not 1 <= m <= nv // 2:
         raise ValueError(f"m must be in [1, {nv // 2}], got {m}")
-    return _xis(g, slice(m, m + 1))[0]
+    return _rows(g)[0][m]
 
 
 def brute_xi_unconstrained(g: CubeGraph, m: int) -> int:
@@ -190,14 +178,14 @@ def brute_lambda_h(g: CubeGraph, h: int) -> int:
     nv = g.num_vertices
     if not 1 <= h <= nv // 2:
         raise ValueError(f"h must be in [1, {nv // 2}], got {h}")
-    return _xis(g, slice(h, h + 1), 1)[0]
+    return _rows(g)[1][h]
 
 
 def _room_min(g: CubeGraph, r: int) -> int:
     """The least xi_m <= (degree - r) * m over m <= nv/2.  Some m fits for every r < degree:
     the halves, joined by one matching, have xi = nv/2."""
     room = g.degree(0) - r
-    return min(xi for m, xi in enumerate(_xis(g, slice(1, None)), 1) if xi <= room * m)
+    return min(xi for m, xi in enumerate(_rows(g)[0][1:], 1) if xi <= room * m)
 
 
 def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
@@ -227,7 +215,7 @@ def brute_conditional(g: CubeGraph, pattern: FaultPattern, l: int) -> int:
     if pattern is FaultPattern.EXTRA_SIZE:
         return brute_lambda_h(g, 1 << l)
     if pattern is FaultPattern.EMBEDDED:
-        return min(_xis(g, slice(1 << l, None, 1 << l)))
+        return min(_rows(g)[0][1 << l::1 << l])
     return _room_min(g, l + 1)
 
 
@@ -245,7 +233,8 @@ def brute_cyclic(g: CubeGraph) -> int:
 
 
 class CheckEntry(namedtuple("CheckEntry", "member quantity input closed brute match")):
-    """One compared row; brute and match are None when the oracle could not settle it."""
+    """One compared row.  verify_member settles every row it makes, so `skipped` (brute None)
+    holds only for a row made by hand, and such a row fails its report."""
 
     __slots__ = ()
 
@@ -259,19 +248,15 @@ class VerificationReport(namedtuple("VerificationReport", "n members entries")):
 
     @property
     def passed(self) -> bool:
-        checked = [e for e in self.entries if not e.skipped]
-        return bool(checked) and all(e.match for e in checked)
+        return bool(self.entries) and all(e.match for e in self.entries)
 
     def to_text(self) -> str:
         header = f"verification n={self.n}: {'PASS' if self.passed else 'FAIL'}"
         widths = ("quantity", "input", "closed", "brute", "match")
         rows = [header, "", "member  " + "  ".join(widths)]
         for e in self.entries:
-            brute = "skipped" if e.skipped else str(e.brute)
-            match = "skipped" if e.skipped else str(e.match).lower()
-            rows.append(
-                f"{e.member}  {e.quantity}  {e.input}  {e.closed}  {brute}  {match}"
-            )
+            rows.append(f"{e.member}  {e.quantity}  {e.input}  {e.closed}  {e.brute}  "
+                        f"{str(e.match).lower()}")
         return "\n".join(rows) + "\n"
 
 
@@ -280,8 +265,8 @@ def verify_member(n: int, member_seeds: list[int]) -> VerificationReport:
 
     The closed values are those the package serves, built once per n into one check
     table: lambda_h comes from `lambda_fast`, and a disagreement with its defining
-    minimum `lambda_scan` is a failing "lambda_scan" row, found also where the search
-    is skipped.  Every member then runs through the same table.
+    minimum `lambda_scan` is a failing "lambda_scan" row.  Every member then runs
+    through the same table, and a member the oracle refuses raises BudgetExceededError.
     """
     if not 3 <= n <= BOUNDED_N:
         raise ValueError(f"n must be in [3, {BOUNDED_N}], got {n}")
@@ -308,12 +293,8 @@ def verify_member(n: int, member_seeds: list[int]) -> VerificationReport:
     entries = []
     for name, g in members:
         for quantity, inp, closed, search, *args in checks:
-            try:
-                brute = search(g, *args)
-            except BudgetExceededError:
-                brute = None
-            match = None if brute is None else brute == closed
-            entries.append(CheckEntry(name, quantity, inp, closed, brute, match))
+            brute = search(g, *args)
+            entries.append(CheckEntry(name, quantity, inp, closed, brute, brute == closed))
     return VerificationReport(
         n=n, members=tuple(name for name, _ in members), entries=tuple(entries)
     )

@@ -198,6 +198,9 @@ class TestScalarCommands:
     def test_lambda(self, capsys):
         assert run(["lambda", "--n", "7", "--h", "13"], capsys) == (0, "48\n", "")
         assert run(["lambda", "--n", "6", "--h", "6"], capsys) == (0, "24\n", "")
+        # h is read against 2^(n-1) by a shift, so no 2^(n-1) is built at n = 10^20
+        n = 10 ** 20
+        assert run(["lambda", "--n", str(n), "--h", "5"], capsys) == (0, f"{5 * n - 9}\n", "")
 
     def test_lambda_under_2gb_address_space(self):
         # a fall-through h at n=40: the defining scan would need a 2^39-entry table
@@ -215,10 +218,15 @@ class TestScalarCommands:
     def test_lambda_bad_h(self, capsys):
         code, _, err = run(["lambda", "--n", "5", "--h", "17"], capsys)
         assert code == 2 and err != ""
+        n = 10 ** 20
+        assert run(["lambda", "--n", str(n), "--h", "0"], capsys) == (
+            2, "", f"k4rel: h must be in [1, 2**{n - 1}], got 0\n")
 
     def test_cyclic(self, capsys):
         assert run(["cyclic", "--n", "5"], capsys) == (0, "12\n", "")
         assert run(["cyclic", "--n", "3"], capsys) == (0, "4\n", "")
+        n = 10 ** 20
+        assert run(["cyclic", "--n", str(n)], capsys) == (0, f"{3 * n - 3}\n", "")
 
     def test_cyclic_at_n1000000_walks_only_the_bits_of_h(self):
         # lambda_3 = 3n - 3: a walk from bit n - 2 down takes O(n^2) time, hours at this n
@@ -412,6 +420,22 @@ class TestVerify:
         assert len(rows) == 77 and all(row[-1] == "true" for row in rows)
         degree = [row for row in rows if row[1] in ("cond_super_degree", "cond_average_degree")]
         assert len(degree) == 6 and all(row[3] == row[4] for row in degree)
+
+    def test_refused_member_exits_1_with_its_reason(self, monkeypatch, capsys):
+        # a canonical cut off its bound refuses the member: a failed check named on one
+        # stderr line, not a PASS over skipped rows
+        from k4rel import oracle as oc
+
+        sweep = oc._prefix_cuts
+        monkeypatch.setattr(oc, "_prefix_cuts", lambda g: tuple(
+            cut + (m == 6) for m, cut in enumerate(sweep(g))))
+        oc._rows.cache_clear()
+        try:
+            code, out, err = run(["verify", "--n", "5", "--seeds", "1"], capsys)
+        finally:
+            oc._rows.cache_clear()
+        assert (code, out, err) == (
+            1, "", "k4rel: verify: the canonical 6-set gives 19, not the lower bound 18\n")
 
 
 class TestResourceErrors:

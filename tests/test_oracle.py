@@ -97,8 +97,8 @@ class TestBudget:
         assert ref.exhaustive_cyclic(g) == 8
         with pytest.raises(oc.BudgetExceededError, match="member certificate"):
             oc.brute_cyclic(g)
-        # on a member the settled xi of every size gives 8; a 4-set witness of 12 is skipped,
-        # as cyclic reads xi_4
+        # on a member the settled xi of every size gives 8; a 4-set witness of 12 refuses
+        # the member, and cyclic names it
         g = member(4, 1)
         assert oc.brute_cyclic(g) == 8
         witness_off(4, 12)
@@ -189,14 +189,15 @@ class TestBoundedMode:
             refused(g)
 
     def test_unsettled_xi_names_its_reason(self, witness_off):
-        # glued(0) is no member; on a member, a witness off the bound 8 names both numbers
+        # glued(0) is no member; on a member, a witness off the bound 8 refuses the whole
+        # member, and every search names both numbers, at sizes whose own cut is settled too
         assert ref.exhaustive_xi(glued(0), 1) == 4
         refused(glued(0))
         g = member(4, 2)
         witness_off(2, 9)
-        assert oc.brute_xi(g, 1) == 5
-        for search, arg in ((oc.brute_xi, 2), (oc.brute_xi_unconstrained, 2),
-                            (oc.brute_ex, 2), (oc.brute_lambda_h, 1)):
+        for search, arg in ((oc.brute_xi, 1), (oc.brute_xi, 2), (oc.brute_xi_unconstrained, 2),
+                            (oc.brute_ex, 2), (oc.brute_ex, 16), (oc.brute_lambda_h, 1),
+                            (oc.brute_lambda_h, 8)):
             with pytest.raises(oc.BudgetExceededError) as info:
                 search(g, arg)
             assert str(info.value) == "the canonical 2-set gives 9, not the lower bound 8", \
@@ -231,14 +232,14 @@ class TestBoundedMode:
             assert ref.exhaustive_conditional(g, embedded, 2) == 8, g.kind
             with pytest.raises(oc.BudgetExceededError, match="member certificate"):
                 oc.brute_conditional(g, embedded, 2)
-        # a canonical block off the least xi names both numbers; at l = 2 the sizes are 4
-        # and 8, where xi is 8
+        # a canonical block off the least xi refuses the member and names both numbers, at
+        # l = 2 (sizes 4 and 8) and at l = 3, whose size 8 is settled
         g = member(4, 1)
         witness_off(4, 9)
-        with pytest.raises(oc.BudgetExceededError) as info:
-            oc.brute_conditional(g, embedded, 2)
-        assert str(info.value) == "the canonical 4-set gives 9, not the lower bound 8"
-        assert oc.brute_conditional(g, embedded, 3) == 8
+        for l in (2, 3):
+            with pytest.raises(oc.BudgetExceededError) as info:
+                oc.brute_conditional(g, embedded, l)
+            assert str(info.value) == "the canonical 4-set gives 9, not the lower bound 8", l
 
     def test_verify_sweeps_each_member_once(self, monkeypatch):
         # one sweep per member serves its ex, xi, lambda, extra-size, embedded and cyclic rows
@@ -262,8 +263,8 @@ class TestBoundedMode:
             assert calls == {"f_value": 1 << (n - 1), "lambda_fast": 1 << (n - 1)}, n
 
     def test_lambda_names_the_first_unsettled_size_at_or_after_h(self, monkeypatch):
-        # one pass down m: lambda_h is the least xi_m over m >= h, or the reason of the
-        # smallest unsettled m >= h when there is one
+        # lambda_h is the least xi_m over m >= h; with unsettled sizes every h, above them
+        # too, names the reason of the smallest, as the member is settled as a whole
         g = member(5, 1)
         xis = [oc.brute_xi(g, m) for m in range(1, 17)]
         assert [oc.brute_lambda_h(g, h) for h in range(1, 17)] == [
@@ -274,14 +275,9 @@ class TestBoundedMode:
         oc._rows.cache_clear()
         try:
             for h in range(1, 17):
-                if h > 10:
-                    assert oc.brute_lambda_h(g, h) == min(xis[h - 1:]), h
-                    continue
                 with pytest.raises(oc.BudgetExceededError) as info:
                     oc.brute_lambda_h(g, h)
-                assert str(info.value).startswith(
-                    "the canonical 6-set gives 98" if h <= 6
-                    else "the canonical 10-set gives 99"), h
+                assert str(info.value) == "the canonical 6-set gives 98, not the lower bound 18", h
         finally:
             oc._rows.cache_clear()
 
@@ -821,7 +817,7 @@ class TestSuperDegreeWitness:
         for n in range(3, 9):
             for seed in (None, 1, 2):
                 g = member(n, seed)
-                xis = oc._xis(g, slice(1, None))
+                xis = oc._rows(g)[0][1:]
                 for l in range(2, n):
                     assert oc._room_min(g, l + 1) == (n - l) << l, (n, l, seed)
                     passing = [(xi, m) for m, xi in enumerate(xis, 1) if xi <= (n - l) * m]
@@ -875,9 +871,12 @@ class TestVerificationReport:
         assert "FAIL" in report.to_text()
 
     def test_all_skipped_fails(self):
+        # every row counts: a row without a search's answer fails its report, alone or not
         skipped = oc.CheckEntry("canonical", "ex", "9", 30, None, None)
-        report = oc.VerificationReport(3, ("canonical",), (skipped,))
-        assert not report.passed
+        good = oc.CheckEntry("canonical", "ex", "2", 2, 2, True)
+        for entries in ((skipped,), (good, skipped)):
+            report = oc.VerificationReport(3, ("canonical",), entries)
+            assert not report.passed, entries
 
     def test_no_row_is_skipped_at_any_n(self):
         for n in range(3, 11):
