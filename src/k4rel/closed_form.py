@@ -19,7 +19,7 @@ from itertools import accumulate, chain
 
 # Rows per block of profile_blocks, a power of two >= 4: each block's lists, tuple and text stay
 # <= 32 KB, so freed ones are reused (profile --n 22: 2.3k minor faults, 48k at 2^12, 97k at 2^14),
-# and the blocks of one n share n - 10 cached _block_shape entries of 4 KB arrays each
+# and the blocks of one n share n - 10 cached _block_shape entries of 1 KB difference arrays each
 PROFILE_BLOCK = 1 << 10
 _CHUNK = 60  # binary digits of m whose hypercube-sum terms are summed before one shift
 
@@ -246,22 +246,24 @@ def cyclic_lambda(n: int) -> int:
 
 @lru_cache(maxsize=32)  # a block shape per 2*popcount(q): n - 10 of them at n <= 24
 def _block_shape(n: int, s: int, rows: int) -> tuple[array, array, array, array]:
-    """F_s[r] = f(r) + s*r and X_s[r] = (n+1-s)*r - f(r) for 1 <= r < rows, the rising values
-    of X_s's suffix minimum SM_s, and each row's run of them.  f sums its first differences."""
-    f = [*accumulate((2 * r.bit_count() + (r & 2) for r in range(1, rows - 1)), initial=0)]
-    xi = array("i", [(n + 1 - s) * r - f_r for r, f_r in enumerate(f, 1)])
-    sm = [*accumulate(reversed(xi), min)][::-1]
+    """The first differences d_ex[r] = s + 2*popcount(r) + (r & 2) and d_xi[r] = n + 1 - d_ex[r]
+    for 1 <= r < rows as signed bytes (0 < d_ex <= 2n fits to n = 63; past it OverflowError), the
+    rising values of X_s[r] = (n+1-s)*r - f(r)'s suffix minimum SM_s, and each row's run of them."""
+    d_ex = array("b", [s + 2 * r.bit_count() + (r & 2) for r in range(1, rows)])
+    d_xi = array("b", [n + 1 - d for d in d_ex])
+    x = [*accumulate(d_xi, initial=n + 1 - s)][:-1]  # X_s[1] = n + 1 - s, up to r = rows - 1
+    sm = [*accumulate(reversed(x), min)][::-1]
     run = [*accumulate((a != b for a, b in zip(sm, sm[1:])), initial=0)]
-    return (array("i", [f_r + s * r for r, f_r in enumerate(f, 1)]), xi,
-            array("i", dict.fromkeys(sm)), array("i", run))
+    return d_ex, d_xi, array("i", dict.fromkeys(sm)), array("i", run)
 
 
 def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam=int):
     """Yield the columns h, ex, xi, lambda of rows start+1 .. stop (default 2**(n-1)), B at a time.
 
-    B = PROFILE_BLOCK divides start.  f(qB + r) = f(qB) + f(r) + 2*popcount(q)*r for 0 <= r < B,
-    so a block is an offset plus the _block_shape of s = 2*popcount(q).  lambda is min(lambda_fast
-    at the top row, xi's offset + SM_s) as lam(value), once per run (None if lam is falsy).
+    B = PROFILE_BLOCK divides start.  f(qB + r + 1) - f(qB + r) = s + 2*popcount(r) + (r & 2) for
+    0 <= r < B and s = 2*popcount(q), so ex and xi are running sums of the _block_shape of s from
+    f(qB + 1) = f(qB) + s.  lambda is min(lambda_fast at the top row, xi's offset + SM_s) as
+    lam(value), once per run (None if lam is falsy).
     """
     half, block = 1 << (n - 1), PROFILE_BLOCK
     stop = half if stop is None else stop
@@ -269,12 +271,10 @@ def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam=int):
         raise ValueError(f"need 0 <= start <= stop <= {half} and start a multiple of {block}, "
                          f"got start={start}, stop={stop}")
     for lo in range(start, stop, block):
-        hi, base = min(lo + block, stop), _f(lo)
+        hi, base, s = min(lo + block, stop), _f(lo), 2 * (lo // block).bit_count()
         c = (n + 1) * lo - base
-        ex_shape, xi_shape, values, run = _block_shape(n, 2 * (lo // block).bit_count(), hi - lo)
-        ex, xi = [base + x for x in ex_shape], [c + x for x in xi_shape]
-        ex.append(_f(hi))
-        xi.append((n + 1) * hi - ex[-1])
+        d_ex, d_xi, values, run = _block_shape(n, s, hi - lo)
+        ex, xi = [*accumulate(d_ex, initial=base + s)], [*accumulate(d_xi, initial=c + n + 1 - s)]
         if lam:  # min(lambda_hi, xi_hi) = lambda_hi, so lambda at the top row caps the block
             top = lambda_fast(hi, n)
             below = bisect_left(values, top - c)  # the runs under top; top fills the rest

@@ -134,6 +134,26 @@ class TestProfile:
             with pytest.raises(ValueError, match="start a multiple of 1024"):
                 next(cf.profile_blocks(18, start, stop))
 
+    def test_one_row_and_last_blocks(self, monkeypatch):
+        # the running sums give one value per row: a one-row block has one, and the last block
+        # reaches the top row 2^(n-1) by the same differences
+        for n in range(3, 25):
+            half = 1 << (n - 1)
+            cf.lambda_scan(1, n)  # the table, built at the default block size before it changes
+
+            def row(h):
+                return h, cf.f_value(h), cf.xi_h4(h, n), cf.lambda_scan(h, n)
+
+            for block in (4, 1 << 10):
+                monkeypatch.setattr(cf, "PROFILE_BLOCK", block)
+                for start, stop in ((block, block + 1), (half - block, half)):
+                    if 0 <= start and stop <= half:
+                        rows = [r for columns in cf.profile_blocks(n, start, stop)
+                                for r in zip(*columns, strict=True)]
+                        assert rows == [*map(row, range(start + 1, stop + 1))], (n, block, start)
+                assert cli.render_profile(n, 0, 1) == "h,ex,xi,lambda\n%d,%d,%d,%d\n" % row(1)
+        cf.full_profile.cache_clear()  # the tables of n = 21..24 hold 120 MB
+
     def test_one_block_shape_per_popcount(self, tmp_path):
         # blocks qB + r share a shape per popcount(q), q < 2^(n-11): n - 10 shapes at B = 2^10
         cf._block_shape.cache_clear()

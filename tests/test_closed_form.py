@@ -92,7 +92,8 @@ class TestMemberDensity:
             assert (gap == 0) == (m <= 2)
 
     def test_first_difference(self):
-        # the step _block_shape sums; its running sum from f(0) = 0 is f
+        # the first difference of f, which _block_shape holds per row; its running sum from
+        # f(0) = 0 is f
         value = 0
         for m in range(3000):
             step = 2 * bin(m).count("1") + (2 if m % 4 in (2, 3) else 0)
@@ -339,6 +340,38 @@ class TestProfileInvariants:
         runs = sum(1 + sum(a != b for a, b in zip(lam, lam[1:])) for *_, lam in blocks)
         assert len(blocks) > 1 and len(calls) == runs < (1 << 15) // 4
         assert [v for *_, lam in blocks for v in lam] == list(cf.full_profile(16))
+
+    @pytest.mark.parametrize("block", [4, 1 << 10, 1 << 14])
+    def test_block_shapes_fit_a_byte(self, block):
+        # every shape profile --n 24 uses: s = 2*popcount(q) for q < 2^23 / B, up to d_ex = 2n
+        n = 24
+        tops = set()
+        for s in range(0, 2 * (n - block.bit_length()) + 1, 2):
+            d_ex, d_xi, *_ = cf._block_shape(n, s, block)
+            assert d_ex.typecode == d_xi.typecode == "b" and len(d_ex) == block - 1
+            assert min(d_ex) > 0 and list(d_xi) == [n + 1 - d for d in d_ex]
+            tops.add(max(d_ex))
+        assert max(tops) == 2 * n
+
+    def test_block_shape_past_a_byte_raises(self, monkeypatch):
+        # d_ex = 2n = 128 does not wrap: n = 64, q = 2^61 - 1 and r = 3 give 122 + 4 + 2
+        monkeypatch.setattr(cf, "PROFILE_BLOCK", 4)
+        lo = ((1 << 61) - 1) * 4
+        with pytest.raises(OverflowError):
+            next(cf.profile_blocks(64, lo, lo + 4))
+
+    @pytest.mark.parametrize("block", [4, 1 << 10, 1 << 14])
+    def test_block_shape_is_the_popcount_split(self, block):
+        # f(qB + r + 1) - f(qB + r) is 2*popcount(q) + the r-th difference of f, for every q
+        n = 16
+        f = [cf.f_value(m) for m in range((1 << (n - 1)) + 1)]
+        for q in range((1 << (n - 1)) // block):
+            lo, s = q * block, 2 * q.bit_count()
+            d_ex, d_xi, *_ = cf._block_shape(n, s, block)
+            assert f[lo + 1] - f[lo] == s  # the step from f(qB) to the block's first row
+            assert list(d_ex) == [f[lo + r + 1] - f[lo + r] for r in range(1, block)], q
+            assert list(d_xi) == [cf.xi_h4(lo + r + 1, n) - cf.xi_h4(lo + r, n)
+                                  for r in range(1, block)], q
 
     def test_profile_domain(self):
         with pytest.raises(ValueError):
