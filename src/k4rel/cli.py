@@ -1,22 +1,22 @@
 """Command-line front end: table and figure data files, plus the verification run.
 
-Only closed_form loads with this module; bitmap imports cube_graph and verify
-imports oracle when they run, so a closed-form query compiles neither.
+Only closed_form loads with this module, not argparse: parse reads argv by COMMANDS.  bitmap
+imports cube_graph and verify imports oracle when they run, so a closed-form query needs neither.
 
-Exit codes: 0 success, 1 verification mismatch or a member the oracle refuses,
-2 usage error, 3 out of memory or recursion depth (a smaller n may fit).  All
-outputs are byte-stable for fixed inputs: integers everywhere except the
-plotdata ratios, "." decimals, "\\n" line endings, no timestamps.
+Exit codes: 0 success, 1 verification mismatch or a member the oracle refuses, 2 usage error (one
+"k4rel:" line), 3 out of memory or recursion depth (a smaller n may fit).  All outputs are
+byte-stable for fixed inputs: integers everywhere except the plotdata ratios, "." decimals, "\\n"
+line endings, no timestamps.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain
+from types import SimpleNamespace
 
 from . import closed_form as cf
 
@@ -59,24 +59,15 @@ def render_profile(n: int, start: int = 0, stop: int | None = None) -> str:
 
 
 def render_intervals(n: int) -> str:
-    lines = ["t,g_t,lower,upper,value"]
-    for iv in cf.concentration_intervals(n):
-        lines.append(f"{iv.t},{iv.length},{iv.lower},{iv.upper},{iv.value}")
-    return "\n".join(lines) + "\n"
+    rows = cf.concentration_intervals(n)  # t, length (g_t), lower, upper, value
+    return "t,g_t,lower,upper,value\n" + "".join("%d,%d,%d,%d,%d\n" % row for row in rows)
 
 
 def render_conditional(n: int) -> str:
-    def value(l: int) -> int:
-        return cf.conditional_lambda(cf.FaultPattern.SUPER_DEGREE, l, n)
-
-    lines = ["l,value"]
-    for l in range(2, n):
-        lines.append(f"{l},{value(l)}")
-    lines.append(f"cyclic,{cf.cyclic_lambda(n)}")
-    # l = 0 and 1 supplements for the degree/size patterns
-    lines.append(f"remark_l0,{value(0)}")
-    lines.append(f"remark_l1,{value(1)}")
-    return "\n".join(lines) + "\n"
+    """Rows l = 2 .. n-1, the cyclic value, then the l = 0 and 1 degree/size-pattern values."""
+    value = [cf.conditional_lambda(cf.FaultPattern.SUPER_DEGREE, l, n) for l in range(n)]
+    return "l,value\n" + "".join(f"{l},{value[l]}\n" for l in range(2, n)) + (
+        f"cyclic,{cf.cyclic_lambda(n)}\nremark_l0,{value[0]}\nremark_l1,{value[1]}\n")
 
 
 PLOT_HEADER = ("# h_norm = h / 2^(n-1); xi_norm and lambda_norm divided by max xi over 1..2^(n-1)\n"
@@ -95,55 +86,79 @@ def render_plotdata(n_list: list[int], start: int = 0, stop: int | None = None) 
     return "".join(text)
 
 
+KINDS = ("canonical", "random", "hypercube", "enhanced")
+# Each command's help and options but --n (int) and --out (str, "-"), as name: (type, default):
+# int, str, a tuple of choices, or list for one or more ints; no default makes it required.
+COMMANDS = {
+    "profile": ("CSV of ex/xi/lambda for one dimension", {}),
+    "lambda": ("print lambda_h for one (h, n)", {"h": (int,)}),
+    "intervals": ("CSV of the concentration intervals", {}),
+    "conditional": ("CSV of the conditional edge-connectivities", {}),
+    "cyclic": ("print the cyclic edge-connectivity", {}),
+    "bitmap": ("P1 bitmap of one adjacency matrix",
+               {"kind": (KINDS, "canonical"), "seed": (int, 0), "k": (int, None)}),
+    "plotdata": ("TSV of normalized xi/lambda curves", {"n": (list,)}),
+    "verify": ("check the closed forms on members by bound and witness", {"seeds": (int, 5)}),
+}
+
+
 def _bitmap_rows(n: int, kind: str, seed: int, k: int | None) -> Iterable[bytearray]:
     """Build the graph now, and give its P1 bitmap in blocks of about 32 KB of ASCII bytes."""
     from . import cube_graph as cg
 
-    if kind == "canonical":
-        graph = cg.canonical_member(n)
-    elif kind == "random":
-        graph = cg.build_k4cube(cg.random_matching_tree(n, seed))
-    elif kind == "hypercube":
-        graph = cg.build_hypercube(n)
-    elif kind == "enhanced":
-        graph = cg.build_enhanced(n, k if k is not None else n - 1)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    graph = (cg.canonical_member(n) if kind == "canonical" else
+             cg.build_k4cube(cg.random_matching_tree(n, seed)) if kind == "random" else
+             cg.build_hypercube(n) if kind == "hypercube" else
+             cg.build_enhanced(n, k if k is not None else n - 1))  # parse admits only KINDS
     block = 1 << (14 - n)  # rows of 2^(n+1) bytes each; main accepts n <= 12
     return (cg.bitmap_pbm_bytes(graph, u, u + block) for u in range(0, graph.num_vertices, block))
 
 
+def parse(argv: list[str]):
+    """argv's command and option values by COMMANDS, or the help text -h asks for.  An option is
+    --name VALUE or --name=VALUE, by a unique prefix of its name, in any order (the last one
+    wins); a value that starts with "-" is "-" or a negative integer."""
+    command, tokens = (argv or [""])[0], argv[:0:-1]  # the options reversed, popped in order
+    if command in ("-h", "--help"):
+        return "usage: k4rel COMMAND --n N [--OPTION VALUE ...], or k4rel COMMAND -h\n\n" + "".join(
+            f"  {name:14}{text}\n" for name, (text, _) in COMMANDS.items())
+    if command not in COMMANDS:
+        raise ValueError(f"{command or '(none)'}: not a command, use one of {', '.join(COMMANDS)}")
+    options = {"n": (int,), **COMMANDS[command][1], "out": (str, "-")}
+    args = {name: spec[1] for name, spec in options.items() if spec[1:]}
+    while tokens:
+        token = tokens.pop()
+        if token in ("-h", "--help"):
+            words = (("[%s]" if s[1:] else "%s") % f"--{o} {o.upper()}" for o, s in options.items())
+            return f"usage: k4rel {command} {' '.join(words)}\n\n{COMMANDS[command][0]}\n"
+        key, eq, text = token[2:].partition("=")
+        names = [key] if key in options else [o for o in options if o.startswith(key)]
+        if token[:2] != "--" or len(names) != 1:
+            raise ValueError(f"{command}: unrecognized argument {token!r}")
+        name, kind, got = names[0], options[names[0]][0], [text] if eq else []
+        while not eq and tokens and (kind is list or not got) and (  # "-5" is a value, "-x" not
+                tokens[-1][:1] != "-" or tokens[-1] == "-" or tokens[-1][1:].isdigit()):
+            got.append(tokens.pop())
+        if not got:
+            raise ValueError(f"{command}: --{name} needs a value")
+        if type(kind) is tuple and got[0] not in kind:
+            raise ValueError(f"{command}: --{name} takes {'|'.join(kind)}, not {got[0]!r}")
+        try:
+            values = [*map(int, got)] if kind in (int, list) else got
+        except ValueError:
+            raise ValueError(f"{command}: --{name} takes integers, not {' '.join(got)!r}") from None
+        args[name] = values if kind is list else values[0]
+    if missing := [name for name in options if name not in args]:
+        raise ValueError(f"{command}: --{missing[0]} is required")
+    return SimpleNamespace(command=command, **args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="k4rel",
-        description="Reliability parameters of generalized K4-hypercubes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str, **n_options) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, required=True, **n_options)
-        return p
-
-    command("profile", "CSV of ex/xi/lambda for one dimension")
-    command("lambda", "print lambda_h for one (h, n)").add_argument(
-        "--h", type=int, required=True)
-    command("intervals", "CSV of the concentration intervals")
-    command("conditional", "CSV of the conditional edge-connectivities")
-    command("cyclic", "print the cyclic edge-connectivity")
-    p = command("bitmap", "P1 bitmap of one adjacency matrix")
-    p.add_argument("--kind", choices=("canonical", "random", "hypercube", "enhanced"),
-                   default="canonical")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None, help="only with --kind enhanced")
-    command("plotdata", "TSV of normalized xi/lambda curves", nargs="+")
-    p = command("verify", "check the closed forms on members by bound and witness")
-    p.add_argument("--seeds", type=int, default=5, help="number of random members")
-    for p in sub.choices.values():
-        p.add_argument("--out", default="-")
-
-    args = parser.parse_args(argv)
+    args = None  # until parsed, so that a refused command line names no n
     try:
+        args = parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # the help that -h asks for
+            return _write("-", [args]) or 0
         if args.command == "profile":
             if not 3 <= args.n <= 24:
                 raise ValueError(f"profile needs 3 <= n <= 24, got {args.n}")
@@ -186,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
     except (ValueError, OSError) as exc:
         message = str(exc)
-        if "int_max_str_digits" in message:  # Python's cap on printing long integers
+        if args and "int_max_str_digits" in message:  # Python's cap on printing long integers
             message = f"{args.command}: n={args.n} is too large for its values to be printed"
         print(f"k4rel: {message}", file=sys.stderr)
         return 2

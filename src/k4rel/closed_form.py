@@ -254,7 +254,7 @@ def _block_shape(n: int, s: int, rows: int) -> tuple[array, array, array, array]
     x = [*accumulate(d_xi, initial=n + 1 - s)][:-1]  # X_s[1] = n + 1 - s, up to r = rows - 1
     sm = [*accumulate(reversed(x), min)][::-1]
     run = [*accumulate((a != b for a, b in zip(sm, sm[1:])), initial=0)]
-    return d_ex, d_xi, array("i", dict.fromkeys(sm)), array("i", run)
+    return d_ex, d_xi, array("i", dict.fromkeys(sm)), array("H", run)  # run < rows <= 2^14
 
 
 def profile_blocks(n: int, start: int = 0, stop: int | None = None, lam=int):

@@ -21,8 +21,12 @@ own set of the members: they share no mark or dedupe with cube_graph.  The
 identity levels are the canonical member's recipe, recursive_levels draws a
 member's levels by the recursion they describe, and graph_from_rows packs
 hand-made rows as cube_graph packs its own.
+
+argparse_cli is the k4rel command line as argparse read it before cli.parse
+and its COMMANDS table replaced it, the parser that cli.main built, unchanged.
 """
 
+import argparse
 import random
 from array import array
 from functools import lru_cache, reduce
@@ -361,3 +365,36 @@ def average_degree_floor_check(g):
         if k and e2 >= k and k < (1 << (e2 // k - 1)):
             return False
     return True
+
+
+def argparse_cli(argv):
+    """The parsed Namespace of argv; SystemExit(2) on a refusal and SystemExit(0) after -h."""
+    parser = argparse.ArgumentParser(
+        prog="k4rel",
+        description="Reliability parameters of generalized K4-hypercubes",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, help_text: str, **n_options) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--n", type=int, required=True, **n_options)
+        return p
+
+    command("profile", "CSV of ex/xi/lambda for one dimension")
+    command("lambda", "print lambda_h for one (h, n)").add_argument(
+        "--h", type=int, required=True)
+    command("intervals", "CSV of the concentration intervals")
+    command("conditional", "CSV of the conditional edge-connectivities")
+    command("cyclic", "print the cyclic edge-connectivity")
+    p = command("bitmap", "P1 bitmap of one adjacency matrix")
+    p.add_argument("--kind", choices=("canonical", "random", "hypercube", "enhanced"),
+                   default="canonical")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=int, default=None, help="only with --kind enhanced")
+    command("plotdata", "TSV of normalized xi/lambda curves", nargs="+")
+    p = command("verify", "check the closed forms on members by bound and witness")
+    p.add_argument("--seeds", type=int, default=5, help="number of random members")
+    for p in sub.choices.values():
+        p.add_argument("--out", default="-")
+
+    return parser.parse_args(argv)

@@ -12,6 +12,7 @@ import pytest
 
 from k4rel import cli
 from k4rel import closed_form as cf
+from reference import argparse_cli
 from table_data import LAMBDA_TABLE, XI_TABLE
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -428,9 +429,8 @@ class TestVerify:
         assert code == 2 and out == "" and "--seeds >= 0" in err
 
     def test_budget_nodes_is_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["verify", "--n", "3", "--budget-nodes", "10"])
-        assert exit_info.value.code == 2 and "--budget-nodes" in capsys.readouterr().err
+        code, out, err = run(["verify", "--n", "3", "--budget-nodes", "10"], capsys)
+        assert code == 2 and out == "" and "--budget-nodes" in err
 
     def test_n5_skips_no_row(self, capsys):
         code, out, err = run(["verify", "--n", "5", "--seeds", "0"], capsys)
@@ -456,6 +456,105 @@ class TestVerify:
             oc._rows.cache_clear()
         assert (code, out, err) == (
             1, "", "k4rel: verify: the canonical 6-set gives 19, not the lower bound 18\n")
+
+
+ACCEPTED = [
+    # every command with its required options
+    ["profile", "--n", "6"], ["lambda", "--n", "7", "--h", "13"], ["intervals", "--n", "6"],
+    ["conditional", "--n", "7"], ["cyclic", "--n", "5"], ["bitmap", "--n", "4"],
+    ["plotdata", "--n", "5"], ["verify", "--n", "4"],
+    ["bitmap", "--n", "4", "--kind", "enhanced", "--k", "2", "--seed", "3", "--out", "b.pbm"],
+    ["verify", "--n", "4", "--seeds", "2", "--out", "v.txt"], ["profile", "--n", "3", "--out", "-"],
+    # the = form, reordered and repeated options, unique prefixes (an exact name wins)
+    ["lambda", "--n=7", "--h=13"], ["bitmap", "--n=4", "--kind=random", "--out=-"],
+    ["lambda", "--h", "13", "--n", "7"], ["verify", "--out", "v.txt", "--seeds", "1", "--n", "3"],
+    ["lambda", "--n", "7", "--h", "2", "--h", "13"], ["plotdata", "--n", "3", "4", "--n", "5"],
+    ["verify", "--n", "3", "--se", "2"], ["bitmap", "--n", "3", "--ki", "random", "--se", "4"],
+    ["cyclic", "--n", "5", "--o", "f"], ["bitmap", "--n", "3", "--k", "2"],
+    ["lambda", "--n", "7", "--h", "13", "--o=f"], ["verify", "--n", "3", "--s=0"],
+    ["lambda", "--n", "+7", "--h", "1_3"], ["profile", "--n=4", "--n", "3"],
+    # negative values, refused later by main's own checks; plotdata takes one or more n
+    ["verify", "--n", "3", "--seeds", "-1"], ["lambda", "--n", "-3", "--h", "-1"],
+    ["bitmap", "--n", "3", "--seed", "-5"], ["plotdata", "--n", "3", "-4", "5"],
+    ["plotdata", "--n", "3", "4", "5"], ["plotdata", "--n", "16", "17", "18", "--out", "d.tsv"],
+]
+# each refused argv with the token its one stderr line names
+REFUSED = [
+    ([], "(none)"), (["nope"], "nope"), (["--n", "3"], "--n"), (["Lambda", "--n", "3"], "Lambda"),
+    (["lambda", "--n", "7", "--h", "1", "--x", "1"], "--x"),
+    (["verify", "--n", "3", "--budget-nodes", "10"], "--budget-nodes"),
+    (["profile", "--n", "3", "-n", "4"], "-n"), (["profile", "--n", "3", "--seed", "1"], "--seed"),
+    (["cyclic", "--n", "5", "--oo", "f"], "--oo"), (["bitmap", "--n", "3", "--kk", "2"], "--kk"),
+    (["lambda", "--n", "7"], "--h"), (["profile"], "--n"), (["lambda", "--h", "3"], "--n"),
+    (["plotdata", "--out", "f"], "--n"), (["bitmap", "--kind", "random"], "--n"),
+    (["lambda", "--n", "7", "--h"], "--h"), (["profile", "--n"], "--n"),
+    (["profile", "--n", "3", "--out"], "--out"), (["plotdata", "--n", "--out", "f"], "--n"),
+    (["lambda", "--n", "--h", "3"], "--n"), (["profile", "--n", "3", "--out", "-x"], "--out"),
+    (["profile", "--n", "3", "--out", "-h"], "--out"),
+    (["lambda", "--n", "7", "--h", "x"], "'x'"), (["profile", "--n", "3.5"], "'3.5'"),
+    (["plotdata", "--n", "3", "x"], "'3 x'"), (["verify", "--n", "3", "--seeds", "1e3"], "'1e3'"),
+    (["lambda", "--n=", "--h", "1"], "''"), (["lambda", "--n", "7", "--h", "-1.5"], "--h"),
+    (["bitmap", "--n", "3", "--kind", "cube"], "'cube'"),
+    (["bitmap", "--n", "3", "--ki=Random"], "'Random'"),
+    (["lambda", "--n", "7", "--h", "1", "5"], "'5'"), (["profile", "3"], "'3'"),
+    (["cyclic", "--n", "5", "extra"], "'extra'"),
+    (["lambda", "--n", "7", "--h", "3", "-4"], "'-4'"),
+    (["bitmap", "--n=3=4"], "'3=4'"), (["plotdata", "--n=3", "4"], "'4'"),
+    (["lambda", "--n", "int_max_str_digits"], "'int_max_str_digits'"),  # no n to name yet
+]
+HELP = [["-h"], ["--help"], ["lambda", "-h"], ["bitmap", "--n", "3", "--help"],
+        ["plotdata", "--n", "3", "-h"], ["verify", "--help", "--n", "x"]]
+# argvs that argparse read otherwise, by design: its outcome (a Namespace, or an exit code)
+DIFFERENCES = [
+    (["profile", "--n", "3", "--h"], 0),  # argparse: --h is a prefix of --help, so help
+    (["--he"], 0),  # the same for k4rel's own --help
+    (["cyclic", "--n", "5", "--out", "-1.5"], "-1.5"),  # argparse: "-1.5" is a negative number
+    (["profile", "--n", "3", "--out", "-a b"], "-a b"),  # argparse: a space makes it a value
+]
+
+
+class TestCommandLine:
+    """parse against the argparse parser it replaced, on one fixed corpus of argvs."""
+
+    @pytest.mark.parametrize("argv", ACCEPTED)
+    def test_accepts_what_argparse_accepts(self, argv):
+        assert vars(cli.parse(argv)) == vars(argparse_cli(argv))
+
+    @pytest.mark.parametrize("argv, token", REFUSED)
+    def test_refuses_what_argparse_refuses(self, argv, token, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            argparse_cli(argv)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "") and err.count("\n") == 1, err
+        assert err.startswith("k4rel: ") and token in err, err
+
+    @pytest.mark.parametrize("argv", HELP)
+    def test_help_as_argparse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            argparse_cli(argv)
+        assert exit_info.value.code == 0
+        reference = capsys.readouterr().out
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "") and out.startswith("usage: k4rel ")
+        if argv[0].startswith("-"):  # the commands, each with its help line
+            assert all(f"  {name:14}{text}\n" in out for name, (text, _) in cli.COMMANDS.items())
+        else:  # the command's help line and every option argparse's help names
+            options = {w.strip("[],") for w in reference.split() if w.startswith(("--", "[--"))}
+            assert cli.COMMANDS[argv[0]][0] in out
+            assert {w for w in options if w != "--help"} <= set(out.replace("[", " ").split())
+
+    @pytest.mark.parametrize("argv, argparse_outcome", DIFFERENCES)
+    def test_deliberate_differences(self, argv, argparse_outcome, capsys):
+        try:
+            outcome = argparse_cli(argv).out
+        except SystemExit as exc:
+            outcome = exc.code
+        assert outcome == argparse_outcome
+        capsys.readouterr()
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "") and err.startswith("k4rel: ") and err.count("\n") == 1
 
 
 class TestResourceErrors:

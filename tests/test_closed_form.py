@@ -347,8 +347,9 @@ class TestProfileInvariants:
         n = 24
         tops = set()
         for s in range(0, 2 * (n - block.bit_length()) + 1, 2):
-            d_ex, d_xi, *_ = cf._block_shape(n, s, block)
+            d_ex, d_xi, _, run = cf._block_shape(n, s, block)
             assert d_ex.typecode == d_xi.typecode == "b" and len(d_ex) == block - 1
+            assert run.typecode == "H" and len(run) == block - 1 and max(run) < block
             assert min(d_ex) > 0 and list(d_xi) == [n + 1 - d for d in d_ex]
             tops.add(max(d_ex))
         assert max(tops) == 2 * n
@@ -367,8 +368,9 @@ class TestProfileInvariants:
         f = [cf.f_value(m) for m in range((1 << (n - 1)) + 1)]
         for q in range((1 << (n - 1)) // block):
             lo, s = q * block, 2 * q.bit_count()
-            d_ex, d_xi, *_ = cf._block_shape(n, s, block)
+            d_ex, d_xi, _, run = cf._block_shape(n, s, block)
             assert f[lo + 1] - f[lo] == s  # the step from f(qB) to the block's first row
+            assert run.typecode == "H"  # each row's run index, below B <= 2^14, in 2 bytes
             assert list(d_ex) == [f[lo + r + 1] - f[lo + r] for r in range(1, block)], q
             assert list(d_xi) == [cf.xi_h4(lo + r + 1, n) - cf.xi_h4(lo + r, n)
                                   for r in range(1, block)], q

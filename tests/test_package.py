@@ -12,7 +12,7 @@ from k4rel import closed_form as cf
 from k4rel import cube_graph as cg
 
 SRC = pathlib.Path(k4rel.__file__).parents[1]
-LAYERS = ("k4rel.oracle", "k4rel.cube_graph", "dataclasses", "typing")
+LAYERS = ("k4rel.oracle", "k4rel.cube_graph", "dataclasses", "typing", "argparse", "gettext")
 
 
 def loaded_after(code):

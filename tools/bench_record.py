@@ -2,6 +2,7 @@
 
     python3 tools/bench_record.py --label pr25-parent --rev cfb6496
     python3 tools/bench_record.py --label pr25 --seeds 1 2 3
+    python3 tools/bench_record.py --label pr41 --ref 7dff6f6 --seeds 11 12 13
 
 Run from anywhere inside the repository; the file is written at its root.
 For each workload of BENCHMARK.json and each seed it runs
@@ -14,7 +15,15 @@ ignored) files of the working tree, recorded as "dirty" on top of HEAD.
 
 The file holds the revision, every run's metrics, and per workload the
 median and quartiles over seeds of each end-to-end metric that BENCHMARK.json
-names, with `checks_done` also given as its median.  Standard library only.
+names, with `checks_done` also given as its median.
+
+With --ref REV every seed's run is paired with a run of REV, in its own fresh
+checkout, right before or after it: the recorded tree runs first on the first
+seed, REV first on the next, and so on, so that a host that speeds up or slows
+down over the recording moves both sides alike.  REV's runs and summaries go
+under "ref", and each workload gains "pair_wins": per end-to-end metric, the
+number of seeds on which the recorded tree did better than REV, by the metric's
+`better` direction (a tie is no win).  Standard library only.
 """
 
 from __future__ import annotations
@@ -71,10 +80,19 @@ def summary(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def side(runs: list[dict], units: dict) -> dict:
+    """The record of one revision's runs of one workload: summaries, then the runs."""
+    metrics = {name: dict(summary([r["metrics"][name] for r in runs]), unit=unit)
+               for name, unit in units.items()}
+    return {"checks_done": metrics["checks_done"]["median"],
+            "all_correct": all(r["correct"] for r in runs), "metrics": metrics, "runs": runs}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="record BENCH_<label>.json")
     parser.add_argument("--label", required=True)
     parser.add_argument("--rev", help="a git revision (default: the working tree)")
+    parser.add_argument("--ref", help="a git revision to alternate with, seed by seed")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
 
@@ -83,24 +101,32 @@ def main(argv: list[str] | None = None) -> int:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
+    lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
     dirty = args.rev is None and bool(git(root, "status", "--porcelain"))
     record = {"label": args.label,
               "revision": git(root, "rev-parse", args.rev or "HEAD").decode().strip(),
               "dirty": dirty, "seconds": seconds, "seeds": args.seeds,
               "python": platform.python_version(), "machine": platform.machine(),
               "cpus": os.cpu_count(), "workloads": {}}
+    if args.ref is not None:
+        record["ref"] = {"revision": git(root, "rev-parse", args.ref).decode().strip(),
+                         "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
-        runs = []
-        for seed in args.seeds:
-            runs.append(run_once(root, args.rev, workload, seed, seconds))
-            print(f"{workload} seed {seed}: " + ", ".join(
-                f"{name} {value:.6g}" for name, value in runs[-1]["metrics"].items()),
-                file=sys.stderr)
-        metrics = {name: dict(summary([r["metrics"][name] for r in runs]), unit=unit)
-                   for name, unit in units.items()}
-        record["workloads"][workload] = {
-            "checks_done": metrics["checks_done"]["median"],
-            "all_correct": all(r["correct"] for r in runs), "metrics": metrics, "runs": runs}
+        runs, ref_runs = [], []
+        for i, seed in enumerate(args.seeds):
+            order = [(args.rev, runs)] + ([(args.ref, ref_runs)] if args.ref else [])
+            for rev, into in order[::-1] if i % 2 else order:
+                into.append(run_once(root, rev, workload, seed, seconds))
+                print(f"{workload} seed {seed}{' ref' * (into is ref_runs)}: " + ", ".join(
+                    f"{name} {value:.6g}" for name, value in into[-1]["metrics"].items()),
+                    file=sys.stderr)
+        record["workloads"][workload] = side(runs, units)
+        if args.ref is not None:
+            record["ref"]["workloads"][workload] = side(ref_runs, units)
+            record["workloads"][workload]["pair_wins"] = {name: sum(
+                (a < b) if lower[name] else (a > b) for a, b in zip(
+                    (r["metrics"][name] for r in runs), (r["metrics"][name] for r in ref_runs)))
+                for name in units}
     path = os.path.join(root, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
